@@ -47,7 +47,7 @@ from .rota_baxter import (
     truss_from_rota_baxter,
     truss_from_twisted_operator,
 )
-from .storage import StructureFile, load, save
+from .storage import KINDS, StructureFile, braid_generators, load, save
 from .structures import (
     CheckReport,
     antipode_property_check,
@@ -71,37 +71,23 @@ def structure_report(sf: StructureFile) -> CheckReport:
     """
     s = sf.structure
     rep = CheckReport()
+    rep.merge(check_braided_object(s.obj, braid_generators(sf, "n")))
     if sf.kind == "hopf":
-        gens = {"mu": s.mu, "delta": s.delta, "lambda": s.antipode}
-        rep.merge(check_braided_object(s.obj, gens))
         rep.merge(check_hopf(s))
         rep.merge(antipode_property_check(s))
     elif sf.kind == "truss":
-        gens = {"mu1": s.mu1, "mu2": s.mu2, "delta": s.delta,
-                "lambda": s.antipode, "sigma": s.cocycle}
-        rep.merge(check_braided_object(s.obj, gens))
         rep.merge(check_truss(s))
         rep.merge(check_truss_derived(s))
     elif sf.kind == "wtph":
-        h = s.hopf
-        gens = {"mu": h.mu, "delta": h.delta, "lambda": h.antipode,
-                "m": s.action, "phi": s.cocycle}
-        rep.merge(check_braided_object(s.obj, gens))
         rep.merge(check_post_hopf(s))
-        if s.cocycle @ h.eta == h.eta:
+        if s.cocycle @ s.hopf.eta == s.hopf.eta:
             rep.merge(check_twisted(s))
-    elif sf.kind == "wtrb":
-        h = s.hopf
-        gens = {"mu": h.mu, "delta": h.delta, "lambda": h.antipode,
-                "psi": s.cocycle}
-        rep.merge(check_braided_object(s.obj, gens))
-        bgens = {"muB": s.target.mu, "deltaB": s.target.delta}
-        rep.merge(check_braided_object(s.target.obj, bgens), prefix="target.")
+    else:
+        rep.merge(check_braided_object(s.target.obj, braid_generators(sf, "k")),
+                  prefix="target.")
         rep.merge(check_rota_baxter(s))
         if s.target.eta is not None:
             rep.merge(check_twisted_operator(s))
-    else:
-        raise DomainMismatch(f"no checker for kind {sf.kind!r}")
     return rep
 
 
@@ -190,27 +176,25 @@ def cmd_report(args) -> int:
     return cmd_check(args, timed=True)
 
 
-_FUNCTOR_DOMAIN = {"F": "wtph", "G": "truss", "Omega": "wtrb",
-                   "Lambda": "truss", "split": "wtph"}
+# functor -> (input kind, output kind, construction); each construction is
+# looked up when called, so a function rebound on this module is the one run
+_FUNCTORS = {
+    "F": ("wtph", "truss", lambda s: truss_from_post_hopf(s)),
+    "G": ("truss", "wtph", lambda s: post_hopf_from_truss(s)),
+    "Omega": ("wtrb", "truss", lambda s: truss_from_rota_baxter(s)),
+    "Lambda": ("truss", "wtrb", lambda s: rota_baxter_from_truss(s)),
+    "split": ("wtph", "hopf", lambda s: induced_hopf(s)[0]),
+}
 
 
 def cmd_construct(args) -> int:
     sf = load(args.path)
-    domain = _FUNCTOR_DOMAIN[args.functor]
+    domain, out_kind, construct = _FUNCTORS[args.functor]
     if sf.kind != domain:
         raise DomainMismatch(
             f"functor {args.functor} expects a {domain} file, got {sf.kind!r}")
-    if args.functor == "F":
-        out_kind, built = "truss", truss_from_post_hopf(sf.structure)
-    elif args.functor == "G":
-        out_kind, built = "wtph", post_hopf_from_truss(sf.structure)
-    elif args.functor == "Omega":
-        out_kind, built = "truss", truss_from_rota_baxter(sf.structure)
-    elif args.functor == "Lambda":
-        out_kind, built = "wtrb", rota_baxter_from_truss(sf.structure)
-    else:  # split: the carrier changes, so the basis names no longer apply
-        built, _ = induced_hopf(sf.structure)
-        out_kind = "hopf"
+    built = construct(sf.structure)
+    # split changes the carrier, so the basis names no longer apply
     basis = None if args.functor == "split" else sf.basis
     out = StructureFile(kind=out_kind, structure=built, basis=basis,
                         metadata=dict(sf.metadata))
@@ -328,7 +312,7 @@ def cmd_search(args) -> int:
 
 def _add_check_args(p) -> None:
     p.add_argument("path", help="structure file to verify")
-    p.add_argument("--kind", choices=["auto", "hopf", "truss", "wtph", "wtrb"],
+    p.add_argument("--kind", choices=["auto", *KINDS],
                    default="auto", help="expected kind (default: trust the file)")
     p.add_argument("--star", action="store_true",
                    help="also report the braided-cocommutativity class verdict")
@@ -350,11 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("construct", help="apply a structure-to-structure map")
     c.add_argument("path", help="input structure file")
-    c.add_argument("--functor", required=True,
-                   choices=["F", "G", "Omega", "Lambda", "split"],
-                   help="F: wtph->truss, G: truss->wtph, Omega: wtrb->truss, "
-                        "Lambda: truss->wtrb, split: wtph->hopf on the "
-                        "cocycle image")
+    c.add_argument("--functor", required=True, choices=list(_FUNCTORS),
+                   help=", ".join(f"{name}: {a}->{b}" for name, (a, b, _)
+                                  in _FUNCTORS.items()))
     c.add_argument("-o", "--output", required=True)
 
     g = sub.add_parser("gen", help="generate a stock example file")

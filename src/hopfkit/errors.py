@@ -67,10 +67,6 @@ class DomainMismatch(InputError):
     """A constructor was applied to a structure kind outside its domain."""
 
 
-# a structure file declaring a matrix of the wrong size is a shape problem
-ShapeError = ShapeMismatch
-
-
 # -- math family --------------------------------------------------------------
 
 class LawViolation(MathFailure):
@@ -131,7 +127,3 @@ class NotAnRBMorphism(MathFailure):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
-
-
-class BetaUnavailable(MathFailure):
-    """The convolution inverse needed for the derived antipode does not exist."""

@@ -121,9 +121,6 @@ class Field:
             raise ZeroDivisionError("inverse of 0")
         return 1 / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b)) if self.char else a / b
-
     # -- text ---------------------------------------------------------------
 
     def parse(self, token: str):

@@ -165,9 +165,6 @@ class LinMap:
     def nnz(self) -> int:
         return sum(len(c) for c in self.cols)
 
-    def is_zero(self) -> bool:
-        return all(not c for c in self.cols)
-
     def __repr__(self):
         return f"LinMap({self.field!r}, {self.dom!r}->{self.cod!r}, nnz={self.nnz()})"
 
@@ -324,7 +321,3 @@ def first_mismatch(f: LinMap, g: LinMap):
             if a != b and (worst is None or (i, j) < worst[:2]):
                 worst = (i, j, a, b)
     return worst
-
-
-def equal(f: LinMap, g: LinMap) -> bool:
-    return first_mismatch(f, g) is None

@@ -45,13 +45,13 @@ from .structures import (
     check_module_coalgebra,
     check_nonunital_bialgebra,
     coalgebra_morphism_report,
-    cocommutativity_class_check,
     convolution,
     hopf_morphism_report,
-    hopf_endomorphism_report,
+    roundtrip_report,
     square_coalgebra_morphism_report,
 )
 from .truss import HopfTrussData, check_truss_morphism, truss_action, truss_class_condition
+from . import post_hopf
 from . import solve as _solve
 
 
@@ -67,32 +67,27 @@ class RotaBaxterData:
     def obj(self):
         return self.hopf.obj
 
-    def structure_maps(self) -> dict:
-        out = self.hopf.structure_maps()
-        out.update({
-            "muB": self.target.mu, "epsB": self.target.eps,
-            "deltaB": self.target.delta, "action": self.action,
-            "operator": self.operator, "cocycle": self.cocycle,
-        })
-        if self.target.eta is not None:
-            out["etaB"] = self.target.eta
-        return out
-
 
 def operator_action(w: RotaBaxterData) -> LinMap:
     """``action . (operator (x) id): [n,n] -> [n]``."""
     return w.action @ tensor(w.operator, w.obj.id(1))
 
 
+def as_post_hopf(w: RotaBaxterData) -> post_hopf.PostHopfData:
+    """The carrier with the operator action as its action, cocycle kept: the
+    derived product, the class condition and the truss are all that
+    structure's."""
+    return post_hopf.PostHopfData(w.hopf, operator_action(w), w.cocycle)
+
+
 def derived_product(w: RotaBaxterData) -> LinMap:
     """``mu . (cocycle (x) operator_action) . (delta (x) id)``."""
-    h = w.hopf
-    return h.mu @ tensor(w.cocycle, operator_action(w)) @ tensor(h.delta, w.obj.id(1))
+    return post_hopf.derived_product(as_post_hopf(w))
 
 
 def rb_class_condition(w: RotaBaxterData) -> bool:
     """The braided-cocommutativity gate, instantiated at the operator action."""
-    return cocommutativity_class_check(operator_action(w), w.hopf.as_coalgebra())
+    return post_hopf.class_condition(as_post_hopf(w))
 
 
 # ---------------------------------------------------------------------------
@@ -188,17 +183,7 @@ def derived_product_check(w: RotaBaxterData) -> CheckReport:
 def truss_from_rota_baxter(w: RotaBaxterData) -> HopfTrussData:
     """Second product the derived one, cocycle kept; the constructed truss
     must induce the operator action back."""
-    if not rb_class_condition(w):
-        raise ClassConditionFailed(
-            "the operator action fails the braided-cocommutativity class condition")
-    h = w.hopf
-    t = HopfTrussData(obj=w.obj, eta=h.eta, mu1=h.mu, mu2=derived_product(w),
-                      eps=h.eps, delta=h.delta, antipode=h.antipode,
-                      cocycle=w.cocycle)
-    if truss_action(t) != operator_action(w):
-        raise LawViolation(
-            "constructed truss does not induce the original operator action")
-    return t
+    return post_hopf.truss_from_post_hopf(as_post_hopf(w))
 
 
 def rota_baxter_from_truss(t: HopfTrussData) -> RotaBaxterData:
@@ -291,11 +276,7 @@ def adjunction_check(t: HopfTrussData, w: RotaBaxterData,
 
 def truss_equivalence_check(t: HopfTrussData) -> CheckReport:
     """Round trip through operators returns the same truss, map by map."""
-    back = truss_from_rota_baxter(rota_baxter_from_truss(t))
-    rep = CheckReport()
-    for name, lhs in back.structure_maps().items():
-        rep.add(f"roundtrip.{name}", lhs, t.structure_maps()[name])
-    return rep
+    return roundtrip_report(truss_from_rota_baxter(rota_baxter_from_truss(t)), t)
 
 
 def rb_equivalence_check(w: RotaBaxterData) -> CheckReport:
@@ -347,7 +328,7 @@ def is_phi_twisted(d: HopfAlgebraData, phi_endo: LinMap,
     coalg = d.as_coalgebra()
     if not coalgebra_morphism_report(upsilon, coalg, coalg).passed:
         raise PreconditionNotMet("the candidate operator must be a coalgebra morphism")
-    if not hopf_endomorphism_report(phi_endo, d).passed:
+    if not hopf_morphism_report(phi_endo, d, d).passed:
         raise PreconditionNotMet("the twisting map must be a Hopf algebra endomorphism")
     i1 = d.obj.id(1)
     c = d.obj.braid

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import ShapeMismatch
 from .fields import Field
-from .linmap import LinMap, TensorShape
+from .linmap import LinMap
 
 
 def rref(rows, ncols: int, field: Field):
@@ -119,11 +119,3 @@ def _rows_of(m: LinMap):
         for i, v in col.items():
             rows[i][j] = v
     return rows
-
-
-def rows_to_linmap(field, rows, dom: TensorShape, cod: TensorShape) -> LinMap:
-    cols = [dict() for _ in range(dom.total)]
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            cols[j][i] = v
-    return LinMap(field, dom, cod, tuple(cols))

@@ -17,21 +17,26 @@ File layout (UTF-8, human-diffable)::
 
 Headers first, then one ``map NAME: RxC`` section per structure map with R
 rows of C exact scalars (rationals as ``a/b``, prime-field elements as
-canonical integers).  Matrix sizes follow from the declared kind and
-dimensions.  A structure with a non-flip braiding declares
-``braiding: explicit`` and ships the matrix as a map section.  Saving is
-canonical (same structure, same bytes) and atomic (temp file then rename).
+canonical integers).  ``SCHEMAS`` below is the single statement of what each
+kind's file holds: its map sections in file order, the attribute each one
+fills, and its shape; loading, saving, the CLI's kind list and the braiding
+generators of the checks are all read off it.  A structure with a non-flip
+braiding declares ``braiding: explicit`` and ships the matrix as a map
+section.  Saving is canonical (same structure, same bytes) and atomic (temp
+file then rename).
 """
 from __future__ import annotations
 
 import os
 import tempfile
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import reduce
+from typing import Dict, List, Optional
 
 from .errors import ParseError, ShapeMismatch, UnknownKind
 from .fields import Field, FieldError
-from .linmap import LinMap, TensorShape, UNIT_SHAPE
+from .linmap import LinMap, TensorShape
 from .post_hopf import PostHopfData
 from .rota_baxter import RotaBaxterData
 from .structures import (
@@ -43,7 +48,93 @@ from .truss import HopfTrussData
 
 FORMAT_VERSION = 1
 
-KINDS = ("hopf", "truss", "wtph", "wtrb")
+# ---------------------------------------------------------------------------
+# the schema
+# ---------------------------------------------------------------------------
+
+# The braided objects of a file, by the letter spelling their dimension in a
+# map shape: (dimension header, braiding header).  An explicit braiding is
+# shipped as a map section named like its header.
+_OBJECTS = {"n": ("dim", "braiding"), "k": ("dimB", "braidingB")}
+
+# One map section: its name, the dotted attribute path it fills, dom and cod
+# spelled in object letters ("nn" is carrier (x) carrier, "" the ground
+# field), the letter of the object whose braiding it must be natural for (if
+# any), and whether it may be absent.
+MapRow = namedtuple("MapRow", "section path dom cod generator optional",
+                    defaults=(None, False))
+
+
+def _hopf_rows(prefix=""):
+    return (
+        MapRow("eta", prefix + "eta", "", "n"),
+        MapRow("mu", prefix + "mu", "nn", "n", "n"),
+        MapRow("eps", prefix + "eps", "n", ""),
+        MapRow("delta", prefix + "delta", "n", "nn", "n"),
+        MapRow("lambda", prefix + "antipode", "n", "n", "n"),
+    )
+
+
+# kind -> (parts, map sections in file order).  Parts are the dataclasses the
+# structure is built from, by attribute ("" the structure itself), each with
+# the letter of its ``obj`` (None: it has no such field).
+SCHEMAS = {
+    "hopf": ({"": (HopfAlgebraData, "n")}, _hopf_rows()),
+    "truss": ({"": (HopfTrussData, "n")}, (
+        MapRow("eta", "eta", "", "n"),
+        MapRow("mu1", "mu1", "nn", "n", "n"),
+        MapRow("mu2", "mu2", "nn", "n", "n"),
+        MapRow("eps", "eps", "n", ""),
+        MapRow("delta", "delta", "n", "nn", "n"),
+        MapRow("lambda", "antipode", "n", "n", "n"),
+        MapRow("sigma", "cocycle", "n", "n", "n"),
+    )),
+    "wtph": ({"": (PostHopfData, None), "hopf": (HopfAlgebraData, "n")},
+             _hopf_rows("hopf.") + (
+                 MapRow("m", "action", "nn", "n", "n"),
+                 MapRow("phi", "cocycle", "n", "n", "n"),
+             )),
+    "wtrb": ({"": (RotaBaxterData, None), "hopf": (HopfAlgebraData, "n"),
+              "target": (NonUnitalBialgebraData, "k")},
+             _hopf_rows("hopf.") + (
+                 MapRow("muB", "target.mu", "kk", "k", "k"),
+                 MapRow("epsB", "target.eps", "k", ""),
+                 MapRow("deltaB", "target.delta", "k", "kk", "k"),
+                 MapRow("phi", "action", "kn", "n"),
+                 MapRow("T", "operator", "n", "k"),
+                 MapRow("psi", "cocycle", "n", "n", "n"),
+                 MapRow("etaB", "target.eta", "", "k", optional=True),
+             )),
+}
+
+KINDS = tuple(SCHEMAS)
+
+
+def _schema(kind):
+    if kind not in SCHEMAS:
+        raise UnknownKind(f"unknown structure kind {kind!r}")
+    return SCHEMAS[kind]
+
+
+def _attr(structure, path):
+    return reduce(getattr, path.split("."), structure)
+
+
+def _objects(parts, structure) -> Dict[str, BraidedObject]:
+    return {letter: _attr(structure, part + ".obj" if part else "obj")
+            for part, (_, letter) in parts.items() if letter}
+
+
+def _build(parts, objs, maps):
+    """The structure from its objects by letter and its maps by path."""
+    kwargs = {part: {"obj": objs[letter]} if letter else {}
+              for part, (_, letter) in parts.items()}
+    for path, m in maps.items():
+        part, _, attr = path.rpartition(".")
+        kwargs[part][attr] = m
+    top = kwargs.pop("")
+    top.update((part, parts[part][0](**kw)) for part, kw in kwargs.items())
+    return parts[""][0](**top)
 
 
 @dataclass
@@ -58,38 +149,11 @@ class StructureFile:
             self.metadata = {}
 
 
-def _hopf_roles(n):
-    v1, v2 = TensorShape((n,)), TensorShape((n, n))
-    return [
-        ("eta", UNIT_SHAPE, v1),
-        ("mu", v2, v1),
-        ("eps", v1, UNIT_SHAPE),
-        ("delta", v1, v2),
-        ("lambda", v1, v1),
-    ]
-
-
-def _roles(kind: str, n: int, k: Optional[int]) -> List[Tuple[str, TensorShape, TensorShape]]:
-    """(name, dom, cod) for every required map of the kind, in file order."""
-    v1, v2 = TensorShape((n,)), TensorShape((n, n))
-    roles = _hopf_roles(n)
-    if kind == "hopf":
-        return roles
-    if kind == "truss":
-        return [
-            ("eta", UNIT_SHAPE, v1), ("mu1", v2, v1), ("mu2", v2, v1),
-            ("eps", v1, UNIT_SHAPE), ("delta", v1, v2),
-            ("lambda", v1, v1), ("sigma", v1, v1),
-        ]
-    if kind == "wtph":
-        return roles + [("m", v2, v1), ("phi", v1, v1)]
-    if kind == "wtrb":
-        w1, w2 = TensorShape((k,)), TensorShape((k, k))
-        return roles + [
-            ("muB", w2, w1), ("epsB", w1, UNIT_SHAPE), ("deltaB", w1, w2),
-            ("phi", TensorShape((k, n)), v1), ("T", v1, w1), ("psi", v1, v1),
-        ]
-    raise UnknownKind(f"unknown structure kind {kind!r}")
+def braid_generators(sf: StructureFile, letter: str) -> Dict[str, LinMap]:
+    """Section name -> map, for every map of ``sf`` that must be natural for
+    the braiding of object ``letter`` (``"n"`` carrier, ``"k"`` target)."""
+    return {row.section: _attr(sf.structure, row.path)
+            for row in _schema(sf.kind)[1] if row.generator == letter}
 
 
 # ---------------------------------------------------------------------------
@@ -177,22 +241,21 @@ def loads(text: str) -> StructureFile:
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format-version {version}")
     kind = headers.get("kind")
-    if kind not in KINDS:
-        raise UnknownKind(f"unknown structure kind {kind!r}")
+    parts, rows = _schema(kind)
     if "field" not in headers:
         raise ParseError("missing header 'field'")
     try:
         field = Field.from_token(headers["field"])
     except FieldError as e:
         raise ParseError(f"bad field token: {e}") from None
-    n = _parse_int(headers, "dim")
-    if n < 1:
-        raise ParseError("dim must be positive")
-    k = None
-    if kind == "wtrb":
-        k = _parse_int(headers, "dimB")
-        if k < 1:
-            raise ParseError("dimB must be positive")
+    letters = [letter for _, letter in parts.values() if letter]
+    dims = {}
+    for letter in letters:
+        header = _OBJECTS[letter][0]
+        dims[letter] = _parse_int(headers, header)
+        if dims[letter] < 1:
+            raise ParseError(f"{header} must be positive")
+    n = dims["n"]
     basis = headers.get("basis")
     if basis is not None:
         basis = basis.split()
@@ -206,62 +269,43 @@ def loads(text: str) -> StructureFile:
             raise ParseError(f"duplicate map {name!r}")
         raw_maps[name] = payload
 
-    def take(name, dom, cod, required=True):
-        if name not in raw_maps:
-            if required:
-                raise ParseError(f"missing map {name!r} for kind {kind!r}")
-            return None
-        nrows, ncols, rows = raw_maps.pop(name)
+    def take(name, dom, cod):
+        nrows, ncols, entries = raw_maps.pop(name)
+        dom, cod = (TensorShape(tuple(dims[x] for x in s)) for s in (dom, cod))
         if (nrows, ncols) != (cod.total, dom.total):
             raise ShapeMismatch(
                 f"map {name!r}: declared {nrows}x{ncols}, "
                 f"role needs {cod.total}x{dom.total}")
-        return LinMap.from_entries(field, dom, cod, rows)
+        return LinMap.from_entries(field, dom, cod, entries)
 
-    def braid_for(header, mapname, dim):
+    braids = {}
+    for letter in letters:
+        header = _OBJECTS[letter][1]
         mode = headers.get(header, "flip")
-        sq = TensorShape((dim, dim))
         if mode == "flip":
-            if mapname in raw_maps:
-                raise ParseError(f"{header} is flip but map {mapname!r} supplied")
-            return None
-        if mode == "explicit":
-            got = take(mapname, sq, sq)
-            if got is None:
-                raise ParseError(f"{header} is explicit but map {mapname!r} missing")
-            return got
-        raise ParseError(f"{header} must be 'flip' or 'explicit', got {mode!r}")
-
-    braid = braid_for("braiding", "braiding", n)
-    obj = BraidedObject(field, n, braid=braid)
-    maps = {name: take(name, dom, cod) for name, dom, cod in _roles(kind, n, k)}
-
-    if kind == "hopf":
-        structure = HopfAlgebraData(obj, maps["eta"], maps["mu"], maps["eps"],
-                                    maps["delta"], maps["lambda"])
-    elif kind == "truss":
-        structure = HopfTrussData(obj, maps["eta"], maps["mu1"], maps["mu2"],
-                                  maps["eps"], maps["delta"], maps["lambda"],
-                                  maps["sigma"])
-    elif kind == "wtph":
-        hopf = HopfAlgebraData(obj, maps["eta"], maps["mu"], maps["eps"],
-                               maps["delta"], maps["lambda"])
-        structure = PostHopfData(hopf=hopf, action=maps["m"], cocycle=maps["phi"])
-    else:
-        hopf = HopfAlgebraData(obj, maps["eta"], maps["mu"], maps["eps"],
-                               maps["delta"], maps["lambda"])
-        bbraid = braid_for("braidingB", "braidingB", k)
-        bobj = BraidedObject(field, k, braid=bbraid)
-        etab = take("etaB", UNIT_SHAPE, TensorShape((k,)), required=False)
-        target = NonUnitalBialgebraData(bobj, maps["muB"], maps["epsB"],
-                                        maps["deltaB"], eta=etab)
-        structure = RotaBaxterData(hopf=hopf, target=target, action=maps["phi"],
-                                   operator=maps["T"], cocycle=maps["psi"])
+            if header in raw_maps:
+                raise ParseError(f"{header} is flip but map {header!r} supplied")
+        elif mode == "explicit":
+            if header not in raw_maps:
+                raise ParseError(f"{header} is explicit but map {header!r} missing")
+            braids[letter] = take(header, letter * 2, letter * 2)
+        else:
+            raise ParseError(f"{header} must be 'flip' or 'explicit', got {mode!r}")
+    maps = {}
+    for row in rows:
+        if row.section in raw_maps:
+            maps[row.path] = take(row.section, row.dom, row.cod)
+        elif not row.optional:
+            raise ParseError(f"missing map {row.section!r} for kind {kind!r}")
     if raw_maps:
         stray = ", ".join(sorted(raw_maps))
         raise ParseError(f"unexpected map sections: {stray}")
-    return StructureFile(kind=kind, structure=structure, basis=basis,
-                         metadata=meta)
+    # only now, with every section matched and sized, build the objects: a
+    # flip braiding is dim^2 columns, however short the file
+    objs = {letter: BraidedObject(field, dims[letter], braid=braids.get(letter))
+            for letter in letters}
+    return StructureFile(kind=kind, structure=_build(parts, objs, maps),
+                         basis=basis, metadata=meta)
 
 
 def load(path: str) -> StructureFile:
@@ -274,65 +318,29 @@ def load(path: str) -> StructureFile:
 # ---------------------------------------------------------------------------
 
 
-def _collect(sf: StructureFile):
-    """(field, dim, dimB, braid, braidB, ordered maps) of a structure."""
-    s = sf.structure
-    kind = sf.kind
-    if kind == "hopf":
-        obj = s.obj
-        maps = {"eta": s.eta, "mu": s.mu, "eps": s.eps, "delta": s.delta,
-                "lambda": s.antipode}
-        return obj, None, maps
-    if kind == "truss":
-        maps = {"eta": s.eta, "mu1": s.mu1, "mu2": s.mu2, "eps": s.eps,
-                "delta": s.delta, "lambda": s.antipode, "sigma": s.cocycle}
-        return s.obj, None, maps
-    if kind == "wtph":
-        h = s.hopf
-        maps = {"eta": h.eta, "mu": h.mu, "eps": h.eps, "delta": h.delta,
-                "lambda": h.antipode, "m": s.action, "phi": s.cocycle}
-        return h.obj, None, maps
-    if kind == "wtrb":
-        h = s.hopf
-        b = s.target
-        maps = {"eta": h.eta, "mu": h.mu, "eps": h.eps, "delta": h.delta,
-                "lambda": h.antipode, "muB": b.mu, "epsB": b.eps,
-                "deltaB": b.delta, "phi": s.action, "T": s.operator,
-                "psi": s.cocycle}
-        if b.eta is not None:
-            maps["etaB"] = b.eta
-        return h.obj, b.obj, maps
-    raise UnknownKind(f"unknown structure kind {kind!r}")
-
-
 def dumps(sf: StructureFile) -> str:
-    obj, bobj, maps = _collect(sf)
-    field = obj.field
+    parts, rows = _schema(sf.kind)
+    objs = _objects(parts, sf.structure)
+    flips = {letter: obj.is_flip for letter, obj in objs.items()}
+    field = objs["n"].field
     out = [f"format-version: {FORMAT_VERSION}",
            f"kind: {sf.kind}",
-           f"field: {field.token()}",
-           f"dim: {obj.dim}"]
-    if bobj is not None:
-        out.append(f"dimB: {bobj.dim}")
-    out.append(f"braiding: {'flip' if obj.is_flip else 'explicit'}")
-    if bobj is not None:
-        out.append(f"braidingB: {'flip' if bobj.is_flip else 'explicit'}")
+           f"field: {field.token()}"]
+    out.extend(f"{_OBJECTS[letter][0]}: {obj.dim}" for letter, obj in objs.items())
+    out.extend(f"{_OBJECTS[letter][1]}: {'flip' if flip else 'explicit'}"
+               for letter, flip in flips.items())
     if sf.basis is not None:
         out.append("basis: " + " ".join(sf.basis))
     for key in sorted(sf.metadata or {}):
         out.append(f"meta {key}: {sf.metadata[key]}")
 
-    sections = []
-    if not obj.is_flip:
-        sections.append(("braiding", obj.braid))
-    if bobj is not None and not bobj.is_flip:
-        sections.append(("braidingB", bobj.braid))
-    order = [name for name, _, _ in
-             _roles(sf.kind, obj.dim, bobj.dim if bobj else None)]
-    order.append("etaB")
-    sections.extend((name, maps[name]) for name in order if name in maps)
-
+    sections = [(_OBJECTS[letter][1], obj.braid) for letter, obj in objs.items()
+                if not flips[letter]]
+    sections.extend((row.section, _attr(sf.structure, row.path))
+                    for row in rows)
     for name, m in sections:
+        if m is None:  # an optional map the structure does not carry
+            continue
         out.append("")
         out.append(f"map {name}: {m.cod.total}x{m.dom.total}")
         for row in m.entries():

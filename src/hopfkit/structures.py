@@ -11,7 +11,7 @@ Design rules, applied uniformly:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields, is_dataclass
 from typing import Optional
 
 from .errors import (
@@ -82,12 +82,6 @@ class CheckReport:
     def failures(self):
         return [r for r in self.results if not (r.passed or r.skipped)]
 
-    def law(self, name: str) -> LawResult:
-        for r in self.results:
-            if r.law == name:
-                return r
-        raise KeyError(name)
-
     def add(self, name: str, lhs: LinMap, rhs: LinMap) -> "CheckReport":
         w = first_mismatch(lhs, rhs)
         self.results.append(LawResult(name, w is None, w))
@@ -115,9 +109,21 @@ class CheckReport:
         return "\n".join(self.lines())
 
 
-def law_check(name: str, lhs: LinMap, rhs: LinMap) -> LawResult:
-    w = first_mismatch(lhs, rhs)
-    return LawResult(name, w is None, w)
+def roundtrip_report(back, orig) -> CheckReport:
+    """``roundtrip.<field>`` for every structure map of the dataclass
+    ``orig`` against the same field of ``back``, in field order.  Nested
+    structures (``hopf``) are walked in place; fields declared with
+    ``compare=False`` (caches) and braided objects are not maps."""
+    rep = CheckReport()
+    for f in fields(orig):
+        if not f.compare:
+            continue
+        lhs, rhs = getattr(back, f.name), getattr(orig, f.name)
+        if isinstance(rhs, LinMap):
+            rep.add(f"roundtrip.{f.name}", lhs, rhs)
+        elif is_dataclass(rhs):
+            rep.merge(roundtrip_report(lhs, rhs))
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +331,6 @@ class HopfAlgebraData:
     def as_coalgebra(self) -> CoalgebraData:
         return CoalgebraData(self.obj, self.eps, self.delta)
 
-    def as_bialgebra(self) -> BialgebraData:
-        return BialgebraData(self.obj, self.eta, self.mu, self.eps, self.delta)
-
-    def structure_maps(self) -> dict:
-        return {
-            "eta": self.eta, "mu": self.mu, "eps": self.eps,
-            "delta": self.delta, "antipode": self.antipode,
-        }
-
 
 @dataclass
 class ModuleActionData:
@@ -498,11 +495,6 @@ def hopf_morphism_report(f: LinMap, src: HopfAlgebraData, dst: HopfAlgebraData,
     rep.merge(coalgebra_morphism_report(f, src, dst, prefix))
     rep.add(prefix + "morphism.antipode-commutes", f @ src.antipode, dst.antipode @ f)
     return rep
-
-
-def hopf_endomorphism_report(f: LinMap, h: HopfAlgebraData,
-                             prefix: str = "") -> CheckReport:
-    return hopf_morphism_report(f, h, h, prefix)
 
 
 # -- module algebra / module coalgebra ----------------------------------------

@@ -53,13 +53,6 @@ class HopfTrussData:
         return NonUnitalBialgebraData(self.obj, self.mu2, self.eps, self.delta,
                                       eta=eta)
 
-    def structure_maps(self) -> dict:
-        return {
-            "eta": self.eta, "mu1": self.mu1, "mu2": self.mu2, "eps": self.eps,
-            "delta": self.delta, "antipode": self.antipode,
-            "cocycle": self.cocycle,
-        }
-
 
 def truss_action(t: HopfTrussData) -> LinMap:
     """``gamma = mu1 . ((antipode . sigma) (x) mu2) . (delta (x) id)``."""

@@ -1,9 +1,21 @@
 """Command-line interface: exit codes, output formats, and file workflows."""
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfkit.cli import main
+from hopfkit.factories import group_algebra, linearize_endo, named_endo
+from hopfkit.fields import QQ
+from hopfkit.groups import cyclic
+from hopfkit.rota_baxter import truss_from_idempotent
+from hopfkit.storage import StructureFile, dumps, save
+
+from helpers import negated_flip_c2_post_hopf
 
 
 def run(capsys, *argv):
@@ -107,6 +119,59 @@ def test_check_law_violation_exits_one(capsys, tmp_path):
     assert "FAIL" in out
     assert "witness=" in out
     assert "laws checked" in out
+
+
+def test_check_non_flip_post_hopf_lists_laws(capsys, tmp_path):
+    path = str(tmp_path / "w.txt")
+    save(StructureFile("wtph", negated_flip_c2_post_hopf()), path)
+    code, out, err = run(capsys, "check", path)
+    assert code in (0, 1)
+    assert "failed:" not in err
+    assert "skip  twisted.curried-action-invertible (needs flip braiding)" in out
+    assert "laws checked" in out
+
+
+def _c3_truss_text():
+    g = cyclic(3)
+    q = linearize_endo(g, named_endo(g, "trivial"), QQ)
+    t = truss_from_idempotent(group_algebra(g, QQ), q)
+    return dumps(StructureFile("truss", t, basis=list(g.names)))
+
+
+C3_TRUSS = _c3_truss_text()
+# replacement tokens and header values: all small, some invalid
+SMALL = ["0", "1", "2", "3", "-1", "1/2", "2/0", "x", ":", "map", "3x3", "1x0",
+         "Q", "GF:2", "GF:4", "GF:5", "hopf", "truss", "wtph", "wtrb",
+         "flip", "explicit"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_check_exit_code_on_mutated_file(data):
+    lines = C3_TRUSS.split("\n")
+    n_headers = lines.index("")
+    op = data.draw(st.sampled_from(["token", "drop", "header"]))
+    if op == "header":
+        at = data.draw(st.integers(0, n_headers - 1))
+        key = lines[at].partition(":")[0]
+        lines[at] = f"{key}: {data.draw(st.sampled_from(SMALL))}"
+    else:
+        at = data.draw(st.integers(0, len(lines) - 1))
+        if op == "drop":
+            del lines[at]
+        else:
+            toks = lines[at].split() or [""]
+            toks[data.draw(st.integers(0, len(toks) - 1))] = \
+                data.draw(st.sampled_from(SMALL))
+            lines[at] = " ".join(toks)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t.txt")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["check", path])
+    assert code in (0, 1, 2)
 
 
 def test_report_has_timing(capsys, tmp_path):

@@ -41,6 +41,8 @@ from hopfkit.rota_baxter import truss_from_idempotent
 from hopfkit.structures import check_cocommutative, check_hopf, solve_antipode
 from hopfkit.truss import check_truss
 
+from helpers import negated_flip_c2_post_hopf
+
 
 def sign_retraction_post_hopf(fld=QQ):
     g = symmetric3()
@@ -56,6 +58,19 @@ def test_trivial_post_hopf_laws():
         assert check_post_hopf(w).passed, name
         assert check_twisted(w).passed, name
         assert lemma_suite(w).passed, name
+
+
+def test_check_twisted_reports_on_non_flip_carrier():
+    # currying the action needs the flip; the checker must still report
+    rep = check_twisted(negated_flip_c2_post_hopf())
+    assert [(r.law, r.passed, r.skipped, r.witness) for r in rep.results] == [
+        ("twisted.cocycle-unital", True, False, None),
+        ("twisted.curried-action-invertible", True, True, "needs flip braiding"),
+        ("twisted.derived.unit-acts-trivially", True, True,
+         "twisted axioms not established"),
+        ("twisted.derived.derived-product-left-unit", True, True,
+         "twisted axioms not established"),
+    ]
 
 
 def test_trivial_post_hopf_on_sweedler():

@@ -10,7 +10,8 @@ from hopfkit.groups import cyclic, group_by_name, symmetric3
 from hopfkit.linmap import LinMap, identity, shape
 from hopfkit.post_hopf import post_hopf_from_truss
 from hopfkit.rota_baxter import rota_baxter_from_truss, truss_from_idempotent
-from hopfkit.storage import StructureFile, dumps, load, loads, save
+from hopfkit import structures
+from hopfkit.storage import KINDS, StructureFile, dumps, load, loads, save
 from hopfkit.structures import BraidedObject
 
 
@@ -150,3 +151,16 @@ def test_basis_length_checked():
                                basis=["e", "g"]))
     with pytest.raises(ParseError):
         loads(text.replace("basis: e g", "basis: e g extra"))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_header_only_file_fails_before_building_a_braiding(monkeypatch, kind):
+    # a flip braiding is dim^2 columns: it must not be built for a file
+    # that is rejected anyway, whatever dimension its header claims
+    calls = []
+    monkeypatch.setattr(structures, "flip", lambda *args: calls.append(args))
+    text = (f"format-version: 1\nkind: {kind}\nfield: Q\n"
+            "dim: 100000\ndimB: 100000\nbraiding: flip\n")
+    with pytest.raises(ParseError):
+        loads(text)
+    assert calls == []
