@@ -42,7 +42,6 @@ from .structures import (
     CoalgebraData,
     HopfAlgebraData,
     LawResult,
-    ModuleActionData,
     NonUnitalBialgebraData,
     antipode_property_check,
     check_bialgebra,

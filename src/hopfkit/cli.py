@@ -53,7 +53,8 @@ from .structures import (
     antipode_property_check,
     check_braided_object,
     check_hopf,
-    is_coalgebra_morphism,
+    coalgebra_morphism_report,
+    is_entry_witness,
 )
 from .truss import check_truss, check_truss_derived, truss_class_condition
 
@@ -114,7 +115,7 @@ def _law_record(r) -> dict:
         return {"law": r.law, "status": "pass"}
     rec = {"law": r.law, "status": "fail"}
     w = r.witness
-    if isinstance(w, tuple) and len(w) == 4 and isinstance(w[0], int):
+    if is_entry_witness(w):
         rec["witness"] = {"row": w[0], "col": w[1],
                           "lhs": str(w[2]), "rhs": str(w[3])}
     else:
@@ -159,7 +160,8 @@ def _emit(sf: StructureFile, rep: CheckReport, star, mode: str,
 # ---------------------------------------------------------------------------
 
 
-def cmd_check(args, timed: bool = False) -> int:
+def cmd_check(args) -> int:
+    """``check``; ``report`` is the same plus the wall-clock time."""
     sf = load(args.path)
     if args.kind != "auto" and args.kind != sf.kind:
         raise DomainMismatch(
@@ -168,12 +170,9 @@ def cmd_check(args, timed: bool = False) -> int:
     rep = structure_report(sf)
     star = star_verdict(sf) if args.star else None
     elapsed = (time.perf_counter() - t0) * 1000.0
+    timed = args.command == "report"
     _emit(sf, rep, star, args.report, time_ms=elapsed if timed else None)
     return 0 if rep.passed else 1
-
-
-def cmd_report(args) -> int:
-    return cmd_check(args, timed=True)
 
 
 # functor -> (input kind, output kind, construction); each construction is
@@ -278,21 +277,19 @@ def cmd_search(args) -> int:
         raise InputError(
             f"file is over {h.obj.field.token()}, search field is {fld.token()}")
     n = h.obj.dim
-    limit = min(args.max_dim, _SEARCH_DIM)
-    if n > limit:
-        raise BoundExceeded(f"carrier dimension {n} exceeds search bound {limit}")
+    if n > _SEARCH_DIM:
+        raise BoundExceeded(f"carrier dimension {n} exceeds search bound {_SEARCH_DIM}")
     candidates = fld.char ** (n * n)
     if candidates > _SEARCH_BUDGET:
         raise BoundExceeded(
             f"{candidates} candidate matrices exceed the budget {_SEARCH_BUDGET}")
-    coalg = h.as_coalgebra()
     i1 = h.obj.id(1)
     vshape = TensorShape((n,))
     found = []
     for flat in itertools.product(range(fld.char), repeat=n * n):
         rows = [list(flat[r * n:(r + 1) * n]) for r in range(n)]
         q = LinMap.from_entries(fld, vshape, vshape, rows)
-        if not is_coalgebra_morphism(q, coalg, coalg):
+        if not coalgebra_morphism_report(q, h, h).passed:
             continue
         if h.mu @ tensor(q, q) != q @ h.mu @ tensor(q, i1):
             continue
@@ -360,13 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "small hopf file over GF(p)")
     sr.add_argument("--file", required=True)
     sr.add_argument("--field", required=True, help="GF:p")
-    sr.add_argument("--max-dim", dest="max_dim", type=int, default=2)
     return p
 
 
 _DISPATCH = {
     "check": cmd_check,
-    "report": cmd_report,
+    "report": cmd_check,
     "construct": cmd_construct,
     "gen": cmd_gen,
     "search": cmd_search,

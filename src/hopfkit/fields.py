@@ -16,6 +16,11 @@ class FieldError(InputError):
     pass
 
 
+# primality is tested by trial division, about sqrt(p) steps: milliseconds
+# below this bound, hours for a 24-digit p
+MAX_CHAR = 2 ** 31
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -40,8 +45,9 @@ class Field:
     __slots__ = ("char",)
 
     def __init__(self, char: int = 0):
-        if char != 0 and not _is_prime(char):
-            raise FieldError(f"field characteristic must be 0 or a prime, got {char}")
+        if char >= MAX_CHAR or (char != 0 and not _is_prime(char)):
+            raise FieldError(
+                f"field characteristic must be 0 or a prime below 2^31, got {char}")
         self.char = char
 
     # -- constructors ----------------------------------------------------

@@ -37,8 +37,8 @@ from .linmap import LinMap, tensor
 from .structures import (
     CheckReport,
     HopfAlgebraData,
-    ModuleActionData,
     NonUnitalBialgebraData,
+    adjoint_action,
     check_cocommutative,
     check_hopf,
     check_module_algebra,
@@ -100,21 +100,14 @@ def check_rota_baxter(w: RotaBaxterData) -> CheckReport:
     h = w.hopf
     b = w.target
     i1 = w.obj.id(1)
-    coalg = h.as_coalgebra()
-    bcoalg = b.as_coalgebra()
     rep = CheckReport()
     rep.merge(check_hopf(h), prefix="hopf.")
     rep.merge(check_nonunital_bialgebra(b), prefix="target.")
     # the action makes the carrier a non-unital module algebra-coalgebra
-    weak_acting = NonUnitalBialgebraData(b.obj, b.mu, b.eps, b.delta, eta=None)
-    act = ModuleActionData(acting=weak_acting, phi=w.action)
-    rep.merge(check_module_algebra(act, h.as_algebra()), prefix="module.")
-    rep.merge(check_module_coalgebra(act, coalg, with_module_law=False),
-              prefix="module.")
-    rep.merge(coalgebra_morphism_report(w.operator, coalg, bcoalg,
-                                        prefix="operator."))
-    rep.merge(coalgebra_morphism_report(w.cocycle, coalg, coalg,
-                                        prefix="cocycle."))
+    rep.merge(check_module_algebra(b, w.action, h), prefix="module.")
+    rep.merge(check_module_coalgebra(b, w.action, h), prefix="module.")
+    rep.merge(coalgebra_morphism_report(w.operator, h, b, prefix="operator."))
+    rep.merge(coalgebra_morphism_report(w.cocycle, h, h, prefix="cocycle."))
     frak = operator_action(w)
     tilde = derived_product(w)
     rep.add("rota-baxter.operator-multiplicative",
@@ -124,7 +117,7 @@ def check_rota_baxter(w: RotaBaxterData) -> CheckReport:
             h.mu @ tensor(w.cocycle, frak) @ tensor(h.delta, w.cocycle))
     rep.add("derived.operator-action-on-unit",
             frak @ tensor(i1, h.eta), h.eta @ h.eps)
-    rep.merge(square_coalgebra_morphism_report(frak, coalg,
+    rep.merge(square_coalgebra_morphism_report(frak, h,
                                                prefix="derived.operator-action."))
     rep.add("derived.operator-action-of-derived-product",
             frak @ tensor(tilde, i1), frak @ tensor(i1, frak))
@@ -134,7 +127,8 @@ def check_rota_baxter(w: RotaBaxterData) -> CheckReport:
 
 
 def check_twisted_operator(w: RotaBaxterData) -> CheckReport:
-    """The twisted refinement; demands a unital target up front."""
+    """The twisted refinement; demands a unital target up front.  The target's
+    own laws, unit laws included, are :func:`check_rota_baxter`'s."""
     if w.target.eta is None:
         raise PreconditionNotMet(
             "twisted checks need a unital target (no unit supplied)")
@@ -144,7 +138,6 @@ def check_twisted_operator(w: RotaBaxterData) -> CheckReport:
     frak = operator_action(w)
     tilde = derived_product(w)
     rep = CheckReport()
-    rep.merge(check_nonunital_bialgebra(b), prefix="target.")
     rep.add("twisted.module-unital", w.action @ tensor(b.eta, i1), i1)
     rep.add("twisted.cocycle-unital", w.cocycle @ h.eta, h.eta)
     rep.add("twisted.operator-unital", w.operator @ h.eta, b.eta)
@@ -164,8 +157,7 @@ def derived_product_check(w: RotaBaxterData) -> CheckReport:
     rep.add("derived-product.associative",
             tilde @ tensor(tilde, i1), tilde @ tensor(i1, tilde))
     if rb_class_condition(w):
-        rep.merge(square_coalgebra_morphism_report(
-            tilde, h.as_coalgebra(), prefix="derived-product."))
+        rep.merge(square_coalgebra_morphism_report(tilde, h, prefix="derived-product."))
     else:
         rep.add_skipped("derived-product.morphism.delta-commutes",
                         "class condition fails at the operator action")
@@ -227,9 +219,7 @@ def check_rb_morphism(pair: Tuple[LinMap, LinMap], src: RotaBaxterData,
     if src.target.eta is not None and dst.target.eta is not None:
         rep.add("target.morphism.eta-commutes", g @ src.target.eta,
                 dst.target.eta)
-    rep.merge(coalgebra_morphism_report(
-        g, src.target.as_coalgebra(), dst.target.as_coalgebra(),
-        prefix="target."))
+    rep.merge(coalgebra_morphism_report(g, src.target, dst.target, prefix="target."))
     rep.add("rb-morphism.operator-square",
             dst.operator @ f, g @ src.operator)
     rep.add("rb-morphism.cocycle-square", f @ src.cocycle, dst.cocycle @ f)
@@ -305,8 +295,7 @@ def rb_equivalence_check(w: RotaBaxterData) -> CheckReport:
 def truss_from_idempotent(d: HopfAlgebraData, q: LinMap) -> HopfTrussData:
     """Second product ``mu . (q (x) id)``, cocycle ``q``, for a coalgebra
     endomorphism with ``mu . (q (x) q) = q . mu . (q (x) id)``."""
-    coalg = d.as_coalgebra()
-    if not coalgebra_morphism_report(q, coalg, coalg).passed:
+    if not coalgebra_morphism_report(q, d, d).passed:
         raise PreconditionNotMet("q must be a coalgebra morphism")
     i1 = d.obj.id(1)
     lhs = d.mu @ tensor(q, q)
@@ -325,8 +314,7 @@ def is_phi_twisted(d: HopfAlgebraData, phi_endo: LinMap,
                    upsilon: LinMap) -> bool:
     """Whether ``upsilon`` solves the twisted-operator equation against the
     Hopf endomorphism ``phi_endo``."""
-    coalg = d.as_coalgebra()
-    if not coalgebra_morphism_report(upsilon, coalg, coalg).passed:
+    if not coalgebra_morphism_report(upsilon, d, d).passed:
         raise PreconditionNotMet("the candidate operator must be a coalgebra morphism")
     if not hopf_morphism_report(phi_endo, d, d).passed:
         raise PreconditionNotMet("the twisting map must be a Hopf algebra endomorphism")
@@ -351,16 +339,13 @@ def truss_from_twisted_operator(d: HopfAlgebraData, phi_endo: LinMap,
         raise NotPhiTwisted("the candidate operator fails the twisted equation")
     i1 = d.obj.id(1)
     c = d.obj.braid
-    coalg = d.as_coalgebra()
-    alg = d.as_algebra()
-    sigma = convolution(upsilon, d.antipode @ phi_endo @ upsilon, coalg, alg)
+    sigma = convolution(upsilon, d.antipode @ phi_endo @ upsilon, d, d)
     mu2 = (d.mu
            @ tensor(d.mu @ tensor(upsilon, i1), d.antipode @ phi_endo @ upsilon)
            @ tensor(i1, c) @ tensor(d.delta, i1))
     t = HopfTrussData(obj=d.obj, eta=d.eta, mu1=d.mu, mu2=mu2, eps=d.eps,
                       delta=d.delta, antipode=d.antipode, cocycle=sigma)
-    from .structures import adjoint_action
-    expected = adjoint_action(d).phi @ tensor(phi_endo @ upsilon, i1)
+    expected = adjoint_action(d) @ tensor(phi_endo @ upsilon, i1)
     if truss_action(t) != expected:
         raise LawViolation(
             "induced action differs from the adjoint form of the twisting map")

@@ -4,10 +4,15 @@ Design rules, applied uniformly:
 
 * constructors never validate -- every law lives in an explicit ``check_*``
   function, so deliberately broken data can be used in negative tests;
-* checkers never short-circuit -- a report lists *every* law with a pass flag
-  and, on failure, the first differing matrix entry as a witness;
-* anything that needs the dual object (evaluation/coevaluation pairing)
-  insists on the flip braiding and raises ``NonSymmetricBraiding`` otherwise.
+* checkers, convolution helpers and constructions take the structure they
+  work on and read ``obj``/``eta``/``mu``/``eps``/``delta``/... from it; any
+  structure carrying the attributes a function reads will do;
+* checkers never short-circuit and never raise -- a report lists *every* law
+  with a pass flag and, on failure, the first differing matrix entry as a
+  witness; a law whose hypothesis fails on the instance (no flip braiding, a
+  non-cocommutative carrier, ...) is reported as skipped, with the reason;
+* constructions that need the dual object (evaluation/coevaluation pairing)
+  insist on the flip braiding and raise ``NonSymmetricBraiding`` otherwise.
 """
 from __future__ import annotations
 
@@ -18,14 +23,12 @@ from .errors import (
     NoAntipode,
     NonSymmetricBraiding,
     NotInvertible,
-    ShapeMismatch,
 )
 from .fields import Field
 from .linmap import (
     LinMap,
     TensorShape,
     UNIT_SHAPE,
-    compose,
     first_mismatch,
     flip,
     identity,
@@ -54,18 +57,23 @@ class LawResult:
     witness: object = None
     skipped: bool = False
 
-    def line(self, fmt=str) -> str:
+    def line(self) -> str:
         if self.skipped:
             return f"skip  {self.law} ({self.witness})"
         if self.passed:
             return f"pass  {self.law}"
-        return f"FAIL  {self.law}  witness={_format_witness(self.witness, fmt)}"
+        return f"FAIL  {self.law}  witness={_format_witness(self.witness)}"
 
 
-def _format_witness(w, fmt):
-    if isinstance(w, tuple) and len(w) == 4 and isinstance(w[0], int):
+def is_entry_witness(w) -> bool:
+    """Whether ``w`` is a first differing entry ``(row, col, lhs, rhs)``."""
+    return isinstance(w, tuple) and len(w) == 4 and isinstance(w[0], int)
+
+
+def _format_witness(w):
+    if is_entry_witness(w):
         i, j, a, b = w
-        return f"entry ({i},{j}): {fmt(a)} != {fmt(b)}"
+        return f"entry ({i},{j}): {a} != {b}"
     return repr(w)
 
 
@@ -297,9 +305,6 @@ class NonUnitalBialgebraData:
     delta: LinMap
     eta: Optional[LinMap] = None
 
-    def as_coalgebra(self) -> CoalgebraData:
-        return CoalgebraData(self.obj, self.eps, self.delta)
-
 
 @dataclass
 class BialgebraData:
@@ -308,12 +313,6 @@ class BialgebraData:
     mu: LinMap
     eps: LinMap
     delta: LinMap
-
-    def as_algebra(self) -> AlgebraData:
-        return AlgebraData(self.obj, self.eta, self.mu)
-
-    def as_coalgebra(self) -> CoalgebraData:
-        return CoalgebraData(self.obj, self.eps, self.delta)
 
 
 @dataclass
@@ -325,23 +324,9 @@ class HopfAlgebraData:
     delta: LinMap
     antipode: LinMap
 
-    def as_algebra(self) -> AlgebraData:
-        return AlgebraData(self.obj, self.eta, self.mu)
-
     def as_coalgebra(self) -> CoalgebraData:
+        """The coalgebra part alone, as a value of its own."""
         return CoalgebraData(self.obj, self.eps, self.delta)
-
-
-@dataclass
-class ModuleActionData:
-    """A left action ``phi: acting (x) carrier -> carrier``.
-
-    ``acting`` is any structure with ``obj``/``mu``/``eps``/``delta`` (and
-    possibly ``eta``); the carrier object is implicit in ``phi.cod``.
-    """
-
-    acting: object
-    phi: LinMap
 
 
 @dataclass
@@ -377,23 +362,23 @@ def check_coalgebra(d: CoalgebraData) -> CheckReport:
     return rep
 
 
-def _mult_comul_laws(rep, obj, mu, eps, delta, prefix=""):
+def _mult_comul_laws(rep, b):
     """mu is a coalgebra morphism (w.r.t. the tensor-product coalgebra)."""
-    i1 = obj.id(1)
+    i1 = b.obj.id(1)
     rep.add(
-        prefix + "bialgebra.delta-multiplicative",
-        delta @ mu,
-        tensor(mu, mu) @ tensor(i1, obj.braid, i1) @ tensor(delta, delta),
+        "bialgebra.delta-multiplicative",
+        b.delta @ b.mu,
+        tensor(b.mu, b.mu) @ tensor(i1, b.obj.braid, i1) @ tensor(b.delta, b.delta),
     )
-    rep.add(prefix + "bialgebra.eps-multiplicative", eps @ mu, tensor(eps, eps))
+    rep.add("bialgebra.eps-multiplicative", b.eps @ b.mu, tensor(b.eps, b.eps))
 
 
 def check_nonunital_bialgebra(b: NonUnitalBialgebraData) -> CheckReport:
     rep = CheckReport()
     i1 = b.obj.id(1)
     rep.add("algebra.associative", b.mu @ tensor(b.mu, i1), b.mu @ tensor(i1, b.mu))
-    rep.merge(check_coalgebra(b.as_coalgebra()))
-    _mult_comul_laws(rep, b.obj, b.mu, b.eps, b.delta)
+    rep.merge(check_coalgebra(b))
+    _mult_comul_laws(rep, b)
     if b.eta is not None:
         rep.add("algebra.unit-left", b.mu @ tensor(b.eta, i1), i1)
         rep.add("algebra.unit-right", b.mu @ tensor(i1, b.eta), i1)
@@ -403,14 +388,12 @@ def check_nonunital_bialgebra(b: NonUnitalBialgebraData) -> CheckReport:
 
 
 def check_bialgebra(b) -> CheckReport:
-    """Full (unital, counital) bialgebra laws; accepts any data with the five maps."""
-    obj = b.obj
-    rep = CheckReport()
-    rep.merge(check_algebra(AlgebraData(obj, b.eta, b.mu)))
-    rep.merge(check_coalgebra(CoalgebraData(obj, b.eps, b.delta)))
-    _mult_comul_laws(rep, obj, b.mu, b.eps, b.delta)
+    """Full (unital, counital) bialgebra laws."""
+    rep = check_algebra(b)
+    rep.merge(check_coalgebra(b))
+    _mult_comul_laws(rep, b)
     rep.add("bialgebra.delta-unital", b.delta @ b.eta, tensor(b.eta, b.eta))
-    rep.add("bialgebra.eps-unital", b.eps @ b.eta, identity(obj.field, UNIT_SHAPE))
+    rep.add("bialgebra.eps-unital", b.eps @ b.eta, identity(b.obj.field, UNIT_SHAPE))
     return rep
 
 
@@ -459,10 +442,6 @@ def coalgebra_morphism_report(f: LinMap, src, dst, prefix: str = "") -> CheckRep
     return rep
 
 
-def is_coalgebra_morphism(f: LinMap, src, dst) -> bool:
-    return coalgebra_morphism_report(f, src, dst).passed
-
-
 def square_coalgebra_morphism_report(f: LinMap, coalg, prefix: str = "") -> CheckReport:
     """``f: [n,n] -> [n]`` as a coalgebra morphism from the tensor-square
     coalgebra ``(delta (x) delta)`` braided into place."""
@@ -479,87 +458,68 @@ def square_coalgebra_morphism_report(f: LinMap, coalg, prefix: str = "") -> Chec
     return rep
 
 
-def algebra_morphism_report(f: LinMap, src, dst, prefix: str = "",
-                            unital: bool = True) -> CheckReport:
-    rep = CheckReport()
-    rep.add(prefix + "morphism.mu-commutes", f @ src.mu, dst.mu @ tensor(f, f))
-    if unital:
-        rep.add(prefix + "morphism.eta-commutes", f @ src.eta, dst.eta)
-    return rep
-
-
 def hopf_morphism_report(f: LinMap, src: HopfAlgebraData, dst: HopfAlgebraData,
                          prefix: str = "") -> CheckReport:
     """Bialgebra-morphism laws plus the (automatic, still checked) antipode square."""
-    rep = algebra_morphism_report(f, src, dst, prefix)
+    rep = CheckReport()
+    rep.add(prefix + "morphism.mu-commutes", f @ src.mu, dst.mu @ tensor(f, f))
+    rep.add(prefix + "morphism.eta-commutes", f @ src.eta, dst.eta)
     rep.merge(coalgebra_morphism_report(f, src, dst, prefix))
     rep.add(prefix + "morphism.antipode-commutes", f @ src.antipode, dst.antipode @ f)
     return rep
 
 
 # -- module algebra / module coalgebra ----------------------------------------
+# ``phi: acting (x) carrier -> carrier`` is a left action; the laws that move a
+# strand of ``acting`` past the carrier are skipped when no braiding between
+# the two objects is known.
+
+_NO_CROSS_BRAIDING = "needs a braiding between target and carrier"
 
 
-def _action_pair(act: ModuleActionData, carrier_obj: BraidedObject) -> LinMap:
-    """The diagonal action on carrier (x) carrier."""
-    x = act.acting
-    phi = act.phi
-    ix = x.obj.id(1)
-    ic = identity(carrier_obj.field, TensorShape((carrier_obj.dim,)))
-    cxa = braiding_between(x.obj, carrier_obj)
-    return tensor(phi, phi) @ tensor(ix, cxa, ic) @ tensor(x.delta, ic, ic)
-
-
-def check_module(act: ModuleActionData, carrier_obj: BraidedObject) -> CheckReport:
-    """The plain (non-unital) action law, plus the unital law when available."""
-    x = act.acting
-    phi = act.phi
-    ic = identity(carrier_obj.field, TensorShape((carrier_obj.dim,)))
-    ix = x.obj.id(1)
+def check_module_algebra(acting, phi: LinMap, alg) -> CheckReport:
+    """The (non-unital) action law + the action respecting the carrier's unit
+    and product."""
+    obj = alg.obj
+    ic = obj.id(1)
+    ix = acting.obj.id(1)
     rep = CheckReport()
     rep.add("module.action-associative",
-            phi @ tensor(ix, phi), phi @ tensor(x.mu, ic))
-    if getattr(x, "eta", None) is not None:
-        rep.add("module.action-unital", phi @ tensor(x.eta, ic), ic)
-    return rep
-
-
-def check_module_algebra(act: ModuleActionData, alg: AlgebraData) -> CheckReport:
-    """Module law + the action respecting the carrier's unit and product."""
-    x = act.acting
-    phi = act.phi
-    obj = alg.obj
-    ix = x.obj.id(1)
-    rep = check_module(act, obj)
+            phi @ tensor(ix, phi), phi @ tensor(acting.mu, ic))
     rep.add("module-algebra.unit-compat",
-            phi @ tensor(ix, alg.eta), alg.eta @ x.eps)
+            phi @ tensor(ix, alg.eta), alg.eta @ acting.eps)
+    try:
+        cxa = braiding_between(acting.obj, obj)
+    except NonSymmetricBraiding:
+        return rep.add_skipped("module-algebra.product-compat", _NO_CROSS_BRAIDING)
+    pair = tensor(phi, phi) @ tensor(ix, cxa, ic) @ tensor(acting.delta, ic, ic)
     rep.add("module-algebra.product-compat",
-            phi @ tensor(ix, alg.mu), alg.mu @ _action_pair(act, obj))
+            phi @ tensor(ix, alg.mu), alg.mu @ pair)
     return rep
 
 
-def check_module_coalgebra(act: ModuleActionData, coalg: CoalgebraData,
-                           with_module_law: bool = True) -> CheckReport:
-    x = act.acting
-    phi = act.phi
+def check_module_coalgebra(acting, phi: LinMap, coalg) -> CheckReport:
+    """The action is a coalgebra morphism out of ``acting (x) carrier``."""
     obj = coalg.obj
     ic = obj.id(1)
-    ix = x.obj.id(1)
-    cxd = braiding_between(x.obj, obj)
-    rep = check_module(act, obj) if with_module_law else CheckReport()
+    ix = acting.obj.id(1)
+    rep = CheckReport()
     rep.add("module-coalgebra.counit-compat",
-            coalg.eps @ phi, tensor(x.eps, coalg.eps))
+            coalg.eps @ phi, tensor(acting.eps, coalg.eps))
+    try:
+        cxd = braiding_between(acting.obj, obj)
+    except NonSymmetricBraiding:
+        return rep.add_skipped("module-coalgebra.comul-compat", _NO_CROSS_BRAIDING)
     rep.add("module-coalgebra.comul-compat",
             coalg.delta @ phi,
-            tensor(phi, phi) @ tensor(ix, cxd, ic) @ tensor(x.delta, coalg.delta))
+            tensor(phi, phi) @ tensor(ix, cxd, ic) @ tensor(acting.delta, coalg.delta))
     return rep
 
 
-def adjoint_action(h: HopfAlgebraData) -> ModuleActionData:
+def adjoint_action(h: HopfAlgebraData) -> LinMap:
     """Conjugation: ``mu . (mu (x) antipode) . (id (x) c) . (delta (x) id)``."""
     i1 = h.obj.id(1)
-    phi = h.mu @ tensor(h.mu, h.antipode) @ tensor(i1, h.obj.braid) @ tensor(h.delta, i1)
-    return ModuleActionData(acting=h, phi=phi)
+    return h.mu @ tensor(h.mu, h.antipode) @ tensor(i1, h.obj.braid) @ tensor(h.delta, i1)
 
 
 # ---------------------------------------------------------------------------
@@ -618,10 +578,8 @@ def convolution_inverse(f: LinMap, coalg, alg) -> LinMap:
 
 def solve_antipode(b) -> LinMap:
     """Convolution inverse of the identity on a bialgebra; raises :class:`NoAntipode`."""
-    coalg = CoalgebraData(b.obj, b.eps, b.delta)
-    alg = AlgebraData(b.obj, b.eta, b.mu)
     try:
-        return convolution_inverse(b.obj.id(1), coalg, alg)
+        return convolution_inverse(b.obj.id(1), b, b)
     except NotInvertible as e:
         raise NoAntipode(f"identity has no convolution inverse: {e}") from None
 

@@ -17,11 +17,9 @@ from typing import Optional
 
 from .linmap import LinMap, tensor
 from .structures import (
-    AlgebraData,
     BraidedObject,
     CheckReport,
     HopfAlgebraData,
-    ModuleActionData,
     NonUnitalBialgebraData,
     check_hopf,
     check_module_algebra,
@@ -69,8 +67,7 @@ def check_truss(t: HopfTrussData) -> CheckReport:
     rep = CheckReport()
     rep.merge(check_hopf(t.hopf()), prefix="first.")
     rep.merge(check_nonunital_bialgebra(t.second()), prefix="second.")
-    coalg = t.hopf().as_coalgebra()
-    rep.merge(coalgebra_morphism_report(t.cocycle, coalg, coalg, prefix="cocycle."))
+    rep.merge(coalgebra_morphism_report(t.cocycle, t, t, prefix="cocycle."))
     gamma = truss_action(t)
     rep.add(
         "truss.distributivity",
@@ -90,8 +87,7 @@ def check_truss_derived(t: HopfTrussData) -> CheckReport:
     * ``gamma`` makes the first algebra a non-unital module algebra over the
       second structure.
     """
-    obj = t.obj
-    i1 = obj.id(1)
+    i1 = t.obj.id(1)
     gamma = truss_action(t)
     rep = CheckReport()
     rep.add("derived.mu2-factors",
@@ -99,15 +95,14 @@ def check_truss_derived(t: HopfTrussData) -> CheckReport:
     rep.add("derived.cocycle-recovered", t.cocycle, t.mu2 @ tensor(i1, t.eta))
     rep.add("derived.cocycle-mu2-linear",
             t.cocycle @ t.mu2, t.mu2 @ tensor(i1, t.cocycle))
-    action = ModuleActionData(acting=t.second(), phi=gamma)
-    alg = AlgebraData(obj, t.eta, t.mu1)
-    rep.merge(check_module_algebra(action, alg), prefix="derived.gamma.")
+    rep.merge(check_module_algebra(t.second(), gamma, t.hopf()),
+              prefix="derived.gamma.")
     return rep
 
 
 def truss_class_condition(t: HopfTrussData) -> bool:
     """The braided-cocommutativity gate, instantiated at ``gamma``."""
-    return cocommutativity_class_check(truss_action(t), t.hopf().as_coalgebra())
+    return cocommutativity_class_check(truss_action(t), t)
 
 
 def check_truss_morphism(f: LinMap, src: HopfTrussData, dst: HopfTrussData) -> CheckReport:

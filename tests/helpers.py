@@ -1,11 +1,12 @@
 """Builders shared between test modules."""
 from dataclasses import replace
 
-from hopfkit.factories import group_algebra
+from hopfkit.factories import group_algebra, linearize_endo
 from hopfkit.fields import QQ
 from hopfkit.groups import cyclic
 from hopfkit.linmap import LinMap, TensorShape, UNIT_SHAPE, flip
 from hopfkit.post_hopf import trivial_post_hopf
+from hopfkit.rota_baxter import rota_baxter_from_truss, truss_from_idempotent
 from hopfkit.structures import BialgebraData, BraidedObject
 
 # verdict lines collected by the acceptance tests; a terminal-summary hook in
@@ -29,10 +30,32 @@ def monoid_bialgebra(fld=QQ):
     return BialgebraData(obj, eta, mu, eps, delta)
 
 
+def negated_flip(fld, dim):
+    """A dim-``dim`` object braided by minus the flip: symmetric, but not the
+    flip, so nothing that needs the dual pairing applies to it."""
+    c = flip(fld, dim, dim)
+    minus = [{i: fld.neg(v) for i, v in col.items()} for col in c.cols]
+    return BraidedObject(fld, dim, braid=LinMap.from_cols(fld, c.dom, c.cod, minus))
+
+
 def negated_flip_c2_post_hopf(fld=QQ):
     """The trivial post-Hopf structure on the C2 group algebra braided by
     minus the flip, a braiding under which the action cannot be curried."""
-    c = flip(fld, 2, 2)
-    minus = [{i: fld.neg(v) for i, v in col.items()} for col in c.cols]
-    obj = BraidedObject(fld, 2, braid=LinMap.from_cols(fld, c.dom, c.cod, minus))
-    return trivial_post_hopf(replace(group_algebra(cyclic(2), fld), obj=obj))
+    h = group_algebra(cyclic(2), fld)
+    return trivial_post_hopf(replace(h, obj=negated_flip(fld, 2)))
+
+
+def c2_identity_truss(fld=QQ):
+    """The truss of the identity endomorphism of C2: both products the
+    group product, so the second one is unital."""
+    g = cyclic(2)
+    h = group_algebra(g, fld)
+    return truss_from_idempotent(h, linearize_endo(g, tuple(range(2)), fld))
+
+
+def mixed_braiding_c2_rota_baxter(fld=QQ):
+    """The operator structure of :func:`c2_identity_truss` with the carrier
+    braided by minus the flip and the target kept flip-braided, so no
+    braiding between the two objects is known."""
+    w = rota_baxter_from_truss(c2_identity_truss(fld))
+    return replace(w, hopf=replace(w.hopf, obj=negated_flip(fld, 2)))

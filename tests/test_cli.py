@@ -4,18 +4,27 @@ import io
 import json
 import os
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfkit.cli import main
+from hopfkit import fields
+from hopfkit.cli import main, structure_report
 from hopfkit.factories import group_algebra, linearize_endo, named_endo
 from hopfkit.fields import QQ
 from hopfkit.groups import cyclic
-from hopfkit.rota_baxter import truss_from_idempotent
+from hopfkit.post_hopf import post_hopf_from_truss
+from hopfkit.rota_baxter import rota_baxter_from_truss, truss_from_idempotent
 from hopfkit.storage import StructureFile, dumps, save
+from hopfkit.structures import BraidedObject
 
-from helpers import negated_flip_c2_post_hopf
+from helpers import (
+    c2_identity_truss,
+    mixed_braiding_c2_rota_baxter,
+    negated_flip,
+    negated_flip_c2_post_hopf,
+)
 
 
 def run(capsys, *argv):
@@ -129,6 +138,74 @@ def test_check_non_flip_post_hopf_lists_laws(capsys, tmp_path):
     assert "failed:" not in err
     assert "skip  twisted.curried-action-invertible (needs flip braiding)" in out
     assert "laws checked" in out
+
+
+def _never_called(n):
+    raise AssertionError("primality of a characteristic beyond the bound was tested")
+
+
+@pytest.mark.parametrize("p, code", [
+    ("2147483659", 2),                # the first prime above 2^31
+    ("100000000000000000000117", 2),  # a 24-digit prime: hours of trial division
+    ("2147483647", 0),                # 2^31 - 1, the largest allowed prime
+])
+def test_check_bounds_the_field_characteristic(capsys, tmp_path, monkeypatch, p, code):
+    path = gen(capsys, tmp_path, "c2.txt", "gen", "group-algebra", "--group", "C2")
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text.replace("field: Q", f"field: GF:{p}"))
+    if code == 2:
+        monkeypatch.setattr(fields, "_is_prime", _never_called)
+    assert run(capsys, "check", path)[0] == code
+
+
+def test_check_wtrb_without_a_cross_braiding_lists_laws(capsys, tmp_path):
+    path = str(tmp_path / "w.txt")
+    save(StructureFile("wtrb", mixed_braiding_c2_rota_baxter()), path)
+    code, out, err = run(capsys, "check", path)
+    assert code in (0, 1)
+    assert "failed:" not in err
+    reason = "(needs a braiding between target and carrier)"
+    assert f"skip  module.module-algebra.product-compat {reason}" in out
+    assert f"skip  module.module-coalgebra.comul-compat {reason}" in out
+    assert "laws checked" in out
+
+
+def _braided(kind, carrier, target=None):
+    """A valid C2 structure of ``kind`` with its carrier (and, for wtrb, its
+    target) object braided by the flip or by minus the flip."""
+    def obj(braiding):
+        return BraidedObject(QQ, 2) if braiding == "flip" else negated_flip(QQ, 2)
+
+    t = c2_identity_truss()
+    if kind == "hopf":
+        return replace(t.hopf(), obj=obj(carrier))
+    if kind == "truss":
+        return replace(t, obj=obj(carrier))
+    w = post_hopf_from_truss(t) if kind == "wtph" else rota_baxter_from_truss(t)
+    w = replace(w, hopf=replace(w.hopf, obj=obj(carrier)))
+    if kind == "wtrb":
+        w = replace(w, target=replace(w.target, obj=obj(target)))
+    return w
+
+
+BRAIDINGS = [("hopf", c, None) for c in ("flip", "negflip")] \
+    + [("truss", c, None) for c in ("flip", "negflip")] \
+    + [("wtph", c, None) for c in ("flip", "negflip")] \
+    + [("wtrb", c, b) for c in ("flip", "negflip") for b in ("flip", "negflip")]
+
+
+@pytest.mark.parametrize("kind, carrier, target", BRAIDINGS,
+                         ids=["-".join(filter(None, case)) for case in BRAIDINGS])
+def test_structure_report_never_aborts(kind, carrier, target):
+    # every law of the kind is listed whatever the braidings; the ones whose
+    # hypothesis fails are skipped, not dropped
+    rep = structure_report(StructureFile(kind, _braided(kind, carrier, target)))
+    flip_rep = structure_report(
+        StructureFile(kind, _braided(kind, "flip", target and "flip")))
+    assert [r.law for r in rep.results] == [r.law for r in flip_rep.results]
+    assert flip_rep.passed and not any(r.skipped for r in flip_rep.results)
 
 
 def _c3_truss_text():

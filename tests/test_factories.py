@@ -19,7 +19,7 @@ from hopfkit.structures import (
     antipode_property_check,
     check_cocommutative,
     check_hopf,
-    is_coalgebra_morphism,
+    coalgebra_morphism_report,
 )
 
 F = Fraction
@@ -104,7 +104,7 @@ def test_linearize_endo():
     q = linearize_endo(g, (0, 1, 1, 0, 0, 1), QQ)
     assert q @ q == q
     h = group_algebra(g, QQ)
-    assert is_coalgebra_morphism(q, h.as_coalgebra(), h.as_coalgebra())
+    assert coalgebra_morphism_report(q, h, h).passed
     with pytest.raises(InputError):
         linearize_endo(g, (0, 1), QQ)
     with pytest.raises(InputError):

@@ -226,7 +226,7 @@ GOLDEN = {
         0,
         'f7212bd4ce25b9648ec409e81b35afdaa860d8a87d73e77e344a9b7e1e3fa6d6',
         0,
-        '06e9338a662c55611dd0520cac0c62c362374a50a2be3069aab62588baa37f45',
+        'f758d5960f3b1d98f7ce062f21418e3d6ff6dcede49ed5a603112f34951667be',
     ),
     'Omega-c3': (
         0,

@@ -14,7 +14,7 @@ from hopfkit.errors import (
 from hopfkit.factories import group_algebra, linearize_endo, named_endo, sweedler_h4
 from hopfkit.fields import Field, QQ
 from hopfkit.groups import cyclic, group_by_name, symmetric3
-from hopfkit.linmap import LinMap, identity, shape, tensor
+from hopfkit.linmap import LinMap, identity, shape, tensor, zero_map
 from hopfkit.post_hopf import (
     PostHopfData,
     check_post_hopf,
@@ -126,6 +126,30 @@ def test_derived_antipode_suite_sign_retraction():
     assert rep.passed, str(rep)
     skipped = [r.law for r in rep.results if r.skipped]
     assert skipped == []
+
+
+def _zero_action_c2():
+    h = group_algebra(cyclic(2), QQ)
+    return PostHopfData(hopf=h, action=zero_map(QQ, shape(2, 2), shape(2)),
+                        cocycle=h.obj.id(1))
+
+
+@pytest.mark.parametrize("build, flip, reason", [
+    (negated_flip_c2_post_hopf, False,
+     "derived antipode needs a cocommutative carrier"),
+    (lambda: trivial_post_hopf(sweedler_h4(QQ)), True,
+     "derived antipode needs a cocommutative carrier"),
+    (_zero_action_c2, True, "no solution of f * x = unit"),
+], ids=["c2-negated-flip", "sweedler-h4", "c2-zero-action"])
+def test_derived_antipode_suite_reports_when_antipode_is_missing(build, flip, reason):
+    rep = derived_antipode_suite(build())
+    laws = [r.law for r in derived_antipode_suite(sign_retraction_post_hopf()).results]
+    assert len(laws) == 9
+    assert [r.law for r in rep.results] == laws
+    # the paired-action laws run exactly when the carrier is flip-braided
+    assert [r.skipped for r in rep.results[:3]] == [not flip] * 3
+    for r in rep.results[3:]:
+        assert r.skipped and str(r.witness).startswith(reason), r.line()
 
 
 def test_antipode_convolution_laws_explicitly():

@@ -39,6 +39,8 @@ from hopfkit.rota_baxter import (
 from hopfkit.structures import NonUnitalBialgebraData, BraidedObject
 from hopfkit.truss import check_truss, truss_action
 
+from helpers import c2_identity_truss, mixed_braiding_c2_rota_baxter
+
 
 def dq(group_name, endo_name, fld=QQ):
     g = group_by_name(group_name)
@@ -260,3 +262,16 @@ def test_gf5_wtrb():
     w = rota_baxter_from_truss(t)
     assert check_rota_baxter(w).passed
     assert truss_from_rota_baxter(w) == t
+
+
+def test_check_rota_baxter_reports_without_a_cross_braiding():
+    # carrier braided by minus the flip, target by the flip: only the two
+    # laws that move a target strand past a carrier strand cannot be stated
+    rep = check_rota_baxter(mixed_braiding_c2_rota_baxter())
+    flip_rep = check_rota_baxter(rota_baxter_from_truss(c2_identity_truss()))
+    assert [r.law for r in rep.results] == [r.law for r in flip_rep.results]
+    reason = "needs a braiding between target and carrier"
+    assert [(r.law, r.witness) for r in rep.results if r.skipped] == [
+        ("module.module-algebra.product-compat", reason),
+        ("module.module-coalgebra.comul-compat", reason),
+    ]

@@ -92,21 +92,19 @@ def test_bialgebra_law_failure_carries_witness():
 
 def test_convolution_unit_and_inverse():
     h = group_algebra(symmetric3(), QQ)
-    coalg, alg = h.as_coalgebra(), h.as_algebra()
-    e = convolution_unit(coalg, alg)
-    assert convolution(e, e, coalg, alg) == e
+    e = convolution_unit(h, h)
+    assert convolution(e, e, h, h) == e
     ident = identity(QQ, shape(6))
-    inv = convolution_inverse(ident, coalg, alg)
+    inv = convolution_inverse(ident, h, h)
     assert inv == h.antipode
-    assert convolution(ident, inv, coalg, alg) == e
-    assert convolution(inv, ident, coalg, alg) == e
+    assert convolution(ident, inv, h, h) == e
+    assert convolution(inv, ident, h, h) == e
 
 
 def test_convolution_inverse_missing():
     b = monoid_bialgebra()
     with pytest.raises(NotInvertible):
-        convolution_inverse(identity(QQ, shape(2)), b.as_coalgebra(),
-                            b.as_algebra())
+        convolution_inverse(identity(QQ, shape(2)), b, b)
 
 
 def test_solve_antipode_group_algebra_is_inversion():
