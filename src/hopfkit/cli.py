@@ -373,17 +373,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MathFailure as e:
         print(f"failed: {e}", file=sys.stderr)
-        rep = getattr(e, "report", None)
-        if rep is not None:
-            for r in rep.failures():
+        if e.report is not None:
+            for r in e.report.failures():
                 print(r.line(), file=sys.stderr)
         return 1
 

@@ -20,7 +20,12 @@ class InputError(HopfkitError):
 
 
 class MathFailure(HopfkitError):
-    """A mathematical condition failed on well-formed input (CLI exit code 1)."""
+    """A mathematical condition failed on well-formed input (CLI exit code 1);
+    ``report`` is the check report that shows it, if there is one."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 # -- input family -----------------------------------------------------------
@@ -72,10 +77,6 @@ class DomainMismatch(InputError):
 class LawViolation(MathFailure):
     """A construction's self-check failed; carries the offending report."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class NotInvertible(MathFailure):
     """A map has no (convolution or composition) inverse."""
@@ -118,12 +119,8 @@ class NotPhiTwisted(MathFailure):
 
 
 class NotATrussMorphism(MathFailure):
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """A supplied map is not a truss morphism; carries the report."""
 
 
 class NotAnRBMorphism(MathFailure):
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """A supplied pair is not a morphism of operators; carries the report."""

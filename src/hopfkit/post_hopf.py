@@ -198,9 +198,7 @@ def lemma_suite(w: PostHopfData) -> CheckReport:
         rep.add_skipped("lemma.cocycle-idempotent", "cocycle is not unital")
     rep.add("lemma.action-absorbs-cocycle", m @ tensor(phi, i1), m)
     if obj.is_flip:
-        pair = require_flip(obj, "pairing lemmas")
-        alpha = curried_action(w)
-        via = tensor(pair.b, i1) @ tensor(i1, alpha)
+        via = pairing_of_curried_action(w)
         rep.add("lemma.action-via-pairing", m, via @ obj.braid)
         rep.add("lemma.action-via-pairing-unbraided", m @ obj.braid_inverse(), via)
     else:
@@ -264,8 +262,8 @@ def truss_roundtrip_check(t: HopfTrussData) -> CheckReport:
 def derived_antipode(w: PostHopfData) -> LinMap:
     """``(b (x) id) . ((antipode . cocycle) (x) beta) . c . delta``.
 
-    Needs a cocommutative carrier; the form without the braiding is computed
-    too and must agree (it does whenever cocommutativity holds)."""
+    Needs a cocommutative carrier; then ``c . delta == delta``, so the form
+    without ``c`` is the same map and only this one is built."""
     h = w.hopf
     obj = w.obj
     if not check_cocommutative(h):
@@ -274,12 +272,7 @@ def derived_antipode(w: PostHopfData) -> LinMap:
     beta = curried_action_inverse(w)
     i1 = obj.id(1)
     core = tensor(pair.b, i1) @ tensor(h.antipode @ w.cocycle, beta)
-    s_braided = core @ obj.braid @ h.delta
-    s_plain = core @ h.delta
-    if s_braided != s_plain:
-        raise LawViolation(
-            "braided and unbraided derived-antipode forms disagree")
-    return s_braided
+    return core @ obj.braid @ h.delta
 
 
 _PAIRED_ACTION_LAWS = (
@@ -309,14 +302,16 @@ def derived_antipode_suite(w: PostHopfData) -> CheckReport:
     obj = w.obj
     i1 = obj.id(1)
     rep = CheckReport()
-    try:  # the pairing needs the flip braiding: raises before any law is added
-        rep.merge(square_coalgebra_morphism_report(
-            pairing_of_curried_action(w), h, prefix="antipode.paired-action."))
-        rep.add("antipode.paired-action-recovers-action",
-                pairing_of_curried_action(w), w.action @ obj.braid)
+    try:
+        paired = pairing_of_curried_action(w)
     except NonSymmetricBraiding:
         for law in _PAIRED_ACTION_LAWS:
             rep.add_skipped(law, "needs flip braiding")
+    else:
+        rep.merge(square_coalgebra_morphism_report(
+            paired, h, prefix="antipode.paired-action."))
+        rep.add("antipode.paired-action-recovers-action",
+                paired, w.action @ obj.braid)
     try:
         s = derived_antipode(w)
     except (NotCocommutative, NonSymmetricBraiding, NotInvertible) as e:

@@ -300,8 +300,6 @@ def loads(text: str) -> StructureFile:
     if raw_maps:
         stray = ", ".join(sorted(raw_maps))
         raise ParseError(f"unexpected map sections: {stray}")
-    # only now, with every section matched and sized, build the objects: a
-    # flip braiding is dim^2 columns, however short the file
     objs = {letter: BraidedObject(field, dims[letter], braid=braids.get(letter))
             for letter in letters}
     return StructureFile(kind=kind, structure=_build(parts, objs, maps),
@@ -321,21 +319,20 @@ def load(path: str) -> StructureFile:
 def dumps(sf: StructureFile) -> str:
     parts, rows = _schema(sf.kind)
     objs = _objects(parts, sf.structure)
-    flips = {letter: obj.is_flip for letter, obj in objs.items()}
     field = objs["n"].field
     out = [f"format-version: {FORMAT_VERSION}",
            f"kind: {sf.kind}",
            f"field: {field.token()}"]
     out.extend(f"{_OBJECTS[letter][0]}: {obj.dim}" for letter, obj in objs.items())
-    out.extend(f"{_OBJECTS[letter][1]}: {'flip' if flip else 'explicit'}"
-               for letter, flip in flips.items())
+    out.extend(f"{_OBJECTS[letter][1]}: {'flip' if obj.is_flip else 'explicit'}"
+               for letter, obj in objs.items())
     if sf.basis is not None:
         out.append("basis: " + " ".join(sf.basis))
     for key in sorted(sf.metadata or {}):
         out.append(f"meta {key}: {sf.metadata[key]}")
 
     sections = [(_OBJECTS[letter][1], obj.braid) for letter, obj in objs.items()
-                if not flips[letter]]
+                if not obj.is_flip]
     sections.extend((row.section, _attr(sf.structure, row.path))
                     for row in rows)
     for name, m in sections:

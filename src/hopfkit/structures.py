@@ -147,37 +147,36 @@ class BraidedObject:
     ``c_{M,N(x)P} = (N (x) c_{M,P}) . (c_{M,N} (x) P)`` and
     ``c_{M(x)N,P} = (c_{M,P} (x) N) . (M (x) c_{N,P})``, with the ground field
     braiding trivially.  ``braid=None`` means the flip (symmetric) braiding.
+
+    ``is_flip`` is decided once, here (true for ``braid=None`` and for a braid
+    equal to the flip); the ``n^2``-column flip matrix is only built on the
+    first read of ``braid``.
     """
 
-    __slots__ = ("field", "dim", "braid", "dual", "_flip", "_powers", "_braid_inv")
+    __slots__ = ("field", "dim", "is_flip", "dual", "_braid", "_powers", "_braid_inv")
 
-    def __init__(self, field: Field, dim: int, braid: Optional[LinMap] = None,
-                 dual: "Optional[DualityData]" = None):
+    def __init__(self, field: Field, dim: int, braid: Optional[LinMap] = None):
         self.field = field
         self.dim = dim
-        self._flip = None
-        if braid is None:
-            braid = self.flip_braid()
-        self.braid = braid
-        self.dual = dual
+        self.is_flip = braid is None or braid == flip(field, dim, dim)
+        self._braid = braid
+        self.dual = None
         self._powers = {}
         self._braid_inv = None
 
+    @property
+    def braid(self) -> LinMap:
+        if self._braid is None:
+            self._braid = flip(self.field, self.dim, self.dim)
+        return self._braid
+
     def __eq__(self, other):
         return (isinstance(other, BraidedObject) and self.field == other.field
-                and self.dim == other.dim and self.braid == other.braid)
+                and self.dim == other.dim and self.is_flip == other.is_flip
+                and (self.is_flip or self.braid == other.braid))
 
     def __hash__(self):
         return hash(("BraidedObject", self.field, self.dim))
-
-    def flip_braid(self) -> LinMap:
-        if self._flip is None:
-            self._flip = flip(self.field, self.dim, self.dim)
-        return self._flip
-
-    @property
-    def is_flip(self) -> bool:
-        return self.braid == self.flip_braid()
 
     def shape(self, k: int = 1) -> TensorShape:
         return TensorShape((self.dim,) * k)
@@ -223,7 +222,7 @@ def braiding_between(left: BraidedObject, right: BraidedObject) -> LinMap:
     For a single object this is its own braid; across distinct objects only
     the symmetric case is determined by the data we carry.
     """
-    if left is right or (left.dim == right.dim and left.braid == right.braid):
+    if left is right or left == right:
         return left.braid
     if left.is_flip and right.is_flip:
         return flip(left.field, left.dim, right.dim)
@@ -601,9 +600,8 @@ def cocommutativity_class_check(f: LinMap, coalg) -> bool:
     obj = coalg.obj
     i1 = obj.id(1)
     c = obj.braid
-    left = tensor(f, i1) @ tensor(i1, c) @ tensor(c @ coalg.delta, i1)
-    right = tensor(f, i1) @ tensor(i1, c) @ tensor(coalg.delta, i1)
-    return left == right
+    prefix = tensor(f, i1) @ tensor(i1, c)
+    return prefix @ tensor(c @ coalg.delta, i1) == prefix @ tensor(coalg.delta, i1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 from hopfkit.factories import group_algebra, linearize_endo
 from hopfkit.fields import QQ
-from hopfkit.groups import cyclic
+from hopfkit.groups import GROUPS, cyclic, group_by_name, idempotent_endos
 from hopfkit.linmap import LinMap, TensorShape, UNIT_SHAPE, flip
 from hopfkit.post_hopf import trivial_post_hopf
 from hopfkit.rota_baxter import rota_baxter_from_truss, truss_from_idempotent
@@ -28,6 +28,18 @@ def monoid_bialgebra(fld=QQ):
     eps = LinMap.from_cols(fld, v1, UNIT_SHAPE, [{0: one}, {0: one}])
     delta = LinMap.from_cols(fld, v1, v2, [{0: one}, {3: one}])
     return BialgebraData(obj, eta, mu, eps, delta)
+
+
+def suite_trusses():
+    """Every idempotent-endomorphism truss over the group catalog, over Q."""
+    out = []
+    for gname in GROUPS:
+        g = group_by_name(gname)
+        h = group_algebra(g, QQ)
+        for endo in idempotent_endos(g):
+            q = linearize_endo(g, endo, QQ)
+            out.append((f"{gname}/{endo}", truss_from_idempotent(h, q)))
+    return out
 
 
 def negated_flip(fld, dim):

@@ -13,12 +13,12 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import VERDICTS, monoid_bialgebra
+from helpers import VERDICTS, monoid_bialgebra, suite_trusses
 from hopfkit.errors import NoAntipode
 from hopfkit.factories import (function_algebra, group_algebra, linearize_endo,
                                named_endo, sweedler_h4)
 from hopfkit.fields import Field, QQ
-from hopfkit.groups import GROUPS, group_by_name, idempotent_endos, symmetric3
+from hopfkit.groups import GROUPS, group_by_name, symmetric3
 from hopfkit.linmap import LinMap, identity, shape, tensor
 from hopfkit.post_hopf import (cocycle_identity_equivalence, conjugation_post_hopf,
                                derived_antipode, derived_product, check_twisted,
@@ -50,18 +50,6 @@ def criterion(num: int, title: str):
 
 
 GF5 = Field.prime(5)
-
-
-def suite_trusses():
-    """Every idempotent-endomorphism truss over the group catalog, over Q."""
-    out = []
-    for gname in GROUPS:
-        g = group_by_name(gname)
-        h = group_algebra(g, QQ)
-        for endo in idempotent_endos(g):
-            q = linearize_endo(g, endo, QQ)
-            out.append((f"{gname}/{endo}", truss_from_idempotent(h, q)))
-    return out
 
 
 def example_post_hopf_structures():

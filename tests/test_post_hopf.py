@@ -38,10 +38,10 @@ from hopfkit.post_hopf import (
     truss_roundtrip_check,
 )
 from hopfkit.rota_baxter import truss_from_idempotent
-from hopfkit.structures import check_cocommutative, check_hopf, solve_antipode
+from hopfkit.structures import check_cocommutative, check_hopf, require_flip, solve_antipode
 from hopfkit.truss import check_truss
 
-from helpers import negated_flip_c2_post_hopf
+from helpers import negated_flip_c2_post_hopf, suite_trusses
 
 
 def sign_retraction_post_hopf(fld=QQ):
@@ -112,6 +112,24 @@ def test_derived_antipode_is_antipode_on_trivial():
 def test_derived_antipode_is_antipode_on_conjugation():
     h = group_algebra(symmetric3(), QQ)
     assert derived_antipode(conjugation_post_hopf(h)) == h.antipode
+
+
+def test_derived_antipode_equals_its_unbraided_form():
+    # on a cocommutative carrier c . delta == delta, so the braided form that
+    # derived_antipode returns is the form without the braiding
+    checked = 0
+    for name, t in suite_trusses():
+        w = post_hopf_from_truss(t)
+        if not check_cocommutative(w.hopf) or not check_twisted(w).passed:
+            continue
+        h = w.hopf
+        b = require_flip(w.obj, "test").b
+        unbraided = (tensor(b, w.obj.id(1))
+                     @ tensor(h.antipode @ w.cocycle, curried_action_inverse(w))
+                     @ h.delta)
+        assert derived_antipode(w) == unbraided, name
+        checked += 1
+    assert checked > 0
 
 
 def test_derived_antipode_needs_cocommutativity():

@@ -184,8 +184,16 @@ def test_twisted_check_requires_unital_target():
     t = dq("S3", "sign-retraction")
     w = rota_baxter_from_truss(t)
     assert w.target.eta is None
-    with pytest.raises(PreconditionNotMet):
-        check_twisted_operator(w)
+    rep = check_twisted_operator(w)
+    assert [r.law for r in rep.results] == [
+        "twisted.module-unital",
+        "twisted.cocycle-unital",
+        "twisted.operator-unital",
+        "twisted.derived.unit-acts-trivially",
+        "twisted.derived.derived-product-left-unit",
+    ]
+    assert all(r.skipped and r.witness == "needs a unital target"
+               for r in rep.results)
 
 
 def test_truss_from_idempotent_on_all_named_endos():

@@ -7,7 +7,7 @@ from hopfkit.errors import ParseError, ShapeMismatch, UnknownKind
 from hopfkit.factories import group_algebra, linearize_endo, named_endo, sweedler_h4
 from hopfkit.fields import Field, QQ
 from hopfkit.groups import cyclic, group_by_name, symmetric3
-from hopfkit.linmap import LinMap, identity, shape
+from hopfkit.linmap import LinMap, flip, identity, shape
 from hopfkit.post_hopf import post_hopf_from_truss
 from hopfkit.rota_baxter import rota_baxter_from_truss, truss_from_idempotent
 from hopfkit import structures
@@ -134,6 +134,17 @@ def test_explicit_braiding_round_trip():
     back = loads(text)
     assert not back.structure.obj.is_flip
     assert back.structure.obj.braid == braid
+    assert dumps(back) == text
+
+
+def test_explicit_flip_braiding_saves_as_flip():
+    text = dumps(StructureFile("hopf", group_algebra(cyclic(2), QQ)))
+    rows = "\n".join(" ".join(str(v) for v in row)
+                     for row in flip(QQ, 2, 2).entries())
+    explicit = (text.replace("braiding: flip", "braiding: explicit")
+                + f"\nmap braiding: 4x4\n{rows}\n")
+    back = loads(explicit)
+    assert back.structure.obj.is_flip
     assert dumps(back) == text
 
 

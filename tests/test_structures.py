@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import monoid_bialgebra
+from helpers import monoid_bialgebra, negated_flip
 from hopfkit.errors import NoAntipode, NonSymmetricBraiding, NotInvertible
 from hopfkit.factories import group_algebra, sweedler_h4
 from hopfkit.fields import Field, QQ
 from hopfkit.groups import cyclic, group_by_name, symmetric3
 from hopfkit.linmap import LinMap, TensorShape, flip, identity, shape, tensor
+from hopfkit import structures
 from hopfkit.structures import (
     BraidedObject,
     antipode_property_check,
@@ -33,6 +34,39 @@ def test_flip_braided_object_passes_all_laws():
                             [[1, 2, 0], [0, 1, 0], [5, 0, 1]])
     rep = check_braided_object(obj, {"f": f})
     assert rep.passed, str(rep)
+
+
+def _permuted_flip(fld, n):
+    """The flip followed by swapping basis vectors 0 and 1 of [n,n]: a
+    permutation, like the flip, but not the flip."""
+    cols = [dict(col) for col in flip(fld, n, n).cols]
+    cols[0], cols[1] = cols[1], cols[0]
+    return LinMap.from_cols(fld, shape(n, n), shape(n, n), cols)
+
+
+@pytest.mark.parametrize("braid, is_flip", [
+    (lambda fld, n: flip(fld, n, n), True),
+    (lambda fld, n: negated_flip(fld, n).braid, False),
+    (_permuted_flip, False),
+], ids=["flip", "negated-flip", "permutation"])
+def test_is_flip_is_decided_by_the_braid(braid, is_flip):
+    obj = BraidedObject(QQ, 3, braid=braid(QQ, 3))
+    assert obj.is_flip is is_flip
+    assert (obj == BraidedObject(QQ, 3)) is is_flip
+
+
+def test_flip_matrix_is_built_on_first_read(monkeypatch):
+    calls = []
+    real_flip = structures.flip
+    monkeypatch.setattr(structures, "flip",
+                        lambda *args: calls.append(args) or real_flip(*args))
+    obj = BraidedObject(QQ, 5)
+    alg = dual_algebra(8, QQ)
+    assert obj.is_flip and alg.obj.is_flip
+    assert repr(obj) == "BraidedObject(dim=5, Q, flip)"
+    assert calls == []
+    assert obj.braid == flip(QQ, 5, 5)
+    assert calls == [(QQ, 5, 5)]
 
 
 def test_braiding_powers_compose():
