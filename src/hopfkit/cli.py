@@ -7,6 +7,7 @@ precondition failed, 2 the input itself was unusable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import sys
@@ -123,6 +124,20 @@ def _law_record(r) -> dict:
     return rec
 
 
+@contextlib.contextmanager
+def _any_int_digits():
+    """Lift Python's 4300-digit int -> str cap while a report prints: exact
+    arithmetic grows witnesses past it.  Parsing keeps it, bounding its cost."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+
+
 def _emit(sf: StructureFile, rep: CheckReport, star, mode: str,
           time_ms=None) -> None:
     obj = sf.structure.obj
@@ -171,7 +186,8 @@ def cmd_check(args) -> int:
     star = star_verdict(sf) if args.star else None
     elapsed = (time.perf_counter() - t0) * 1000.0
     timed = args.command == "report"
-    _emit(sf, rep, star, args.report, time_ms=elapsed if timed else None)
+    with _any_int_digits():
+        _emit(sf, rep, star, args.report, time_ms=elapsed if timed else None)
     return 0 if rep.passed else 1
 
 
@@ -379,8 +395,9 @@ def main(argv=None) -> int:
     except MathFailure as e:
         print(f"failed: {e}", file=sys.stderr)
         if e.report is not None:
-            for r in e.report.failures():
-                print(r.line(), file=sys.stderr)
+            with _any_int_digits():
+                for r in e.report.failures():
+                    print(r.line(), file=sys.stderr)
         return 1
 
 

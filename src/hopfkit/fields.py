@@ -7,6 +7,7 @@ needs to know which kind of scalar it is holding.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import InputError
@@ -19,6 +20,11 @@ class FieldError(InputError):
 # primality is tested by trial division, about sqrt(p) steps: milliseconds
 # below this bound, hours for a 24-digit p
 MAX_CHAR = 2 ** 31
+
+
+# a scalar token as ``dumps`` writes it: an integer, or over Q a fraction a/b,
+# each integer within Python's default 4300-digit cap on int <-> str
+_SCALAR = re.compile(r"(-?[0-9]{1,4300})(?:/([0-9]{1,4300}))?")
 
 
 def _is_prime(n: int) -> bool:
@@ -131,16 +137,15 @@ class Field:
 
     def parse(self, token: str):
         """Parse one scalar token as written in structure files."""
-        token = token.strip()
+        m = _SCALAR.fullmatch(token)
         if self.char:
-            try:
-                return int(token, 10) % self.char
-            except ValueError:
-                raise FieldError(f"bad GF({self.char}) scalar {token!r}") from None
-        try:
-            return Fraction(token)
-        except (ValueError, ZeroDivisionError):
-            raise FieldError(f"bad rational scalar {token!r}") from None
+            if m is None or m[2] is not None:
+                raise FieldError(f"bad GF({self.char}) scalar {token!r}")
+            return int(m[1]) % self.char
+        den = int(m[2] or 1) if m else 0
+        if den == 0:
+            raise FieldError(f"bad rational scalar {token!r}")
+        return Fraction(int(m[1]), den)
 
     def format(self, a) -> str:
         return str(a)

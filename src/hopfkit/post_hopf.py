@@ -44,12 +44,13 @@ from .structures import (
     check_cocommutative,
     check_hopf,
     coalgebra_morphism_report,
+    coalgebra_morphism_rows,
     cocommutativity_class_check,
     convolution_inverse,
     dual_algebra,
     require_flip,
     roundtrip_report,
-    square_coalgebra_morphism_report,
+    tensor_square,
 )
 from .truss import HopfTrussData, truss_action, truss_class_condition
 from . import solve as _solve
@@ -60,7 +61,8 @@ class PostHopfData:
     hopf: HopfAlgebraData
     action: LinMap   # [n,n] -> [n]
     cocycle: LinMap  # [n] -> [n]
-    _beta: Optional[LinMap] = dc_field(default=None, repr=False, compare=False)
+    _beta: Optional[LinMap] = dc_field(default=None, init=False, repr=False,
+                                       compare=False)
 
     @property
     def obj(self) -> BraidedObject:
@@ -120,7 +122,8 @@ def pairing_of_curried_inverse(w: PostHopfData) -> LinMap:
 
 
 def pairing_inverse_is_coalg_morphism(w: PostHopfData) -> bool:
-    return square_coalgebra_morphism_report(pairing_of_curried_inverse(w), w.hopf).passed
+    return coalgebra_morphism_report(pairing_of_curried_inverse(w),
+                                     tensor_square(w.hopf), w.hopf).passed
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +141,7 @@ def check_post_hopf(w: PostHopfData) -> CheckReport:
     phi = w.cocycle
     rep = CheckReport()
     rep.merge(check_hopf(h), prefix="hopf.")
-    rep.merge(square_coalgebra_morphism_report(m, h, prefix="action."))
+    rep.merge(coalgebra_morphism_report(m, tensor_square(h), h, prefix="action."))
     rep.merge(coalgebra_morphism_report(phi, h, h, prefix="cocycle."))
     bar = derived_product(w)
     rep.add("post-hopf.cocycle-product-twist",
@@ -153,13 +156,24 @@ def check_post_hopf(w: PostHopfData) -> CheckReport:
     return rep
 
 
+def left_unit_rows(w: Optional[PostHopfData]):
+    """The left-unit consequences of the twisted axioms on ``w``, as rows; ``w``
+    is read only when a row runs, so it may be ``None`` if all are skipped."""
+    return (
+        ("twisted.derived.unit-acts-trivially",
+         lambda: w.action @ tensor(w.hopf.eta, w.obj.id(1)), lambda: w.obj.id(1)),
+        ("twisted.derived.derived-product-left-unit",
+         lambda: derived_product(w) @ tensor(w.hopf.eta, w.obj.id(1)),
+         lambda: w.obj.id(1)),
+    )
+
+
 def check_twisted(w: PostHopfData) -> CheckReport:
     """The twisted refinement: unital cocycle, invertible curried action, and
     (once both hold) the left-unit consequences.  Currying needs the flip
     braiding; on any other carrier the invertibility law is skipped, and with
     it the consequences."""
     h = w.hopf
-    i1 = w.obj.id(1)
     rep = CheckReport()
     rep.add("twisted.cocycle-unital", w.cocycle @ h.eta, h.eta)
     invertible = "twisted.curried-action-invertible"
@@ -170,18 +184,9 @@ def check_twisted(w: PostHopfData) -> CheckReport:
         rep.add_result(LawResult(invertible, False, str(e)))
     except NonSymmetricBraiding:
         rep.add_skipped(invertible, "needs flip braiding")
-    if all(r.passed and not r.skipped for r in rep.results):
-        bar = derived_product(w)
-        rep.add("twisted.derived.unit-acts-trivially",
-                w.action @ tensor(h.eta, i1), i1)
-        rep.add("twisted.derived.derived-product-left-unit",
-                bar @ tensor(h.eta, i1), i1)
-    else:
-        rep.add_skipped("twisted.derived.unit-acts-trivially",
-                        "twisted axioms not established")
-        rep.add_skipped("twisted.derived.derived-product-left-unit",
-                        "twisted axioms not established")
-    return rep
+    established = all(r.passed and not r.skipped for r in rep.results)
+    return rep.laws(left_unit_rows(w),
+                    None if established else "twisted axioms not established")
 
 
 def lemma_suite(w: PostHopfData) -> CheckReport:
@@ -192,19 +197,15 @@ def lemma_suite(w: PostHopfData) -> CheckReport:
     m = w.action
     phi = w.cocycle
     rep = CheckReport()
-    if phi @ h.eta == h.eta:
-        rep.add("lemma.cocycle-idempotent", phi @ phi, phi)
-    else:
-        rep.add_skipped("lemma.cocycle-idempotent", "cocycle is not unital")
+    rep.laws((("lemma.cocycle-idempotent", lambda: phi @ phi, lambda: phi),),
+             None if phi @ h.eta == h.eta else "cocycle is not unital")
     rep.add("lemma.action-absorbs-cocycle", m @ tensor(phi, i1), m)
-    if obj.is_flip:
-        via = pairing_of_curried_action(w)
-        rep.add("lemma.action-via-pairing", m, via @ obj.braid)
-        rep.add("lemma.action-via-pairing-unbraided", m @ obj.braid_inverse(), via)
-    else:
-        rep.add_skipped("lemma.action-via-pairing", "needs flip braiding")
-        rep.add_skipped("lemma.action-via-pairing-unbraided", "needs flip braiding")
-    return rep
+    via = pairing_of_curried_action(w) if obj.is_flip else None
+    return rep.laws((
+        ("lemma.action-via-pairing", lambda: m, lambda: via @ obj.braid),
+        ("lemma.action-via-pairing-unbraided",
+         lambda: m @ obj.braid_inverse(), lambda: via),
+    ), None if obj.is_flip else "needs flip braiding")
 
 
 def class_condition(w: PostHopfData) -> bool:
@@ -275,21 +276,6 @@ def derived_antipode(w: PostHopfData) -> LinMap:
     return core @ obj.braid @ h.delta
 
 
-_PAIRED_ACTION_LAWS = (
-    "antipode.paired-action.morphism.delta-commutes",
-    "antipode.paired-action.morphism.eps-commutes",
-    "antipode.paired-action-recovers-action",
-)
-_DERIVED_ANTIPODE_LAWS = (
-    "antipode.morphism.delta-commutes",
-    "antipode.morphism.eps-commutes",
-    "antipode.square-is-cocycle",
-    "antipode.cocycle-sandwich",
-    "antipode.factors-twisted-antipode",
-    "antipode.right-convolution-inverse",
-)
-
-
 def derived_antipode_suite(w: PostHopfData) -> CheckReport:
     """Everything provable about the derived antipode on this instance.
 
@@ -302,36 +288,33 @@ def derived_antipode_suite(w: PostHopfData) -> CheckReport:
     obj = w.obj
     i1 = obj.id(1)
     rep = CheckReport()
+    flip = obj.is_flip
+    skip = None if flip else "needs flip braiding"
+    paired = pairing_of_curried_action(w) if flip else None
+    square = tensor_square(h) if flip else None
+    rep.laws(coalgebra_morphism_rows(paired, square, h), skip,
+             prefix="antipode.paired-action.")
+    rep.laws((("antipode.paired-action-recovers-action",
+               lambda: paired, lambda: w.action @ obj.braid),), skip)
     try:
-        paired = pairing_of_curried_action(w)
-    except NonSymmetricBraiding:
-        for law in _PAIRED_ACTION_LAWS:
-            rep.add_skipped(law, "needs flip braiding")
-    else:
-        rep.merge(square_coalgebra_morphism_report(
-            paired, h, prefix="antipode.paired-action."))
-        rep.add("antipode.paired-action-recovers-action",
-                paired, w.action @ obj.braid)
-    try:
-        s = derived_antipode(w)
+        s, skip = derived_antipode(w), None
     except (NotCocommutative, NonSymmetricBraiding, NotInvertible) as e:
-        for law in _DERIVED_ANTIPODE_LAWS:
-            rep.add_skipped(law, str(e))
-        return rep
-    bar = derived_product(w)
-    if pairing_inverse_is_coalg_morphism(w):
-        rep.merge(coalgebra_morphism_report(s, h, h, prefix="antipode."))
-        rep.add("antipode.square-is-cocycle", s @ s, w.cocycle)
-        rep.add("antipode.cocycle-sandwich",
-                w.cocycle @ s @ s @ w.cocycle, w.cocycle)
-    else:
-        for law in _DERIVED_ANTIPODE_LAWS[:4]:
-            rep.add_skipped(law, "paired inverse action is not a coalgebra morphism")
-    rep.add("antipode.factors-twisted-antipode",
-            h.antipode @ w.cocycle, w.action @ tensor(i1, s) @ h.delta)
-    rep.add("antipode.right-convolution-inverse",
-            bar @ tensor(i1, s) @ h.delta, h.eta @ h.eps)
-    return rep
+        s, skip = None, str(e)
+    theorems = skip
+    if skip is None and not pairing_inverse_is_coalg_morphism(w):
+        theorems = "paired inverse action is not a coalgebra morphism"
+    rep.laws(coalgebra_morphism_rows(s, h, h), theorems, prefix="antipode.")
+    rep.laws((
+        ("antipode.square-is-cocycle", lambda: s @ s, lambda: w.cocycle),
+        ("antipode.cocycle-sandwich",
+         lambda: w.cocycle @ s @ s @ w.cocycle, lambda: w.cocycle),
+    ), theorems)
+    return rep.laws((
+        ("antipode.factors-twisted-antipode",
+         lambda: h.antipode @ w.cocycle, lambda: w.action @ tensor(i1, s) @ h.delta),
+        ("antipode.right-convolution-inverse",
+         lambda: derived_product(w) @ tensor(i1, s) @ h.delta, lambda: h.eta @ h.eps),
+    ), skip)
 
 
 def cocycle_identity_equivalence(w: PostHopfData) -> Tuple[bool, bool]:
@@ -485,6 +468,7 @@ __all__ = [
     "pairing_inverse_is_coalg_morphism",
     "check_post_hopf",
     "check_twisted",
+    "left_unit_rows",
     "lemma_suite",
     "class_condition",
     "truss_from_post_hopf",

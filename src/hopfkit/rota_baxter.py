@@ -44,10 +44,11 @@ from .structures import (
     check_module_coalgebra,
     check_nonunital_bialgebra,
     coalgebra_morphism_report,
+    coalgebra_morphism_rows,
     convolution,
     hopf_morphism_report,
     roundtrip_report,
-    square_coalgebra_morphism_report,
+    tensor_square,
 )
 from .truss import HopfTrussData, check_truss_morphism, truss_action
 from . import post_hopf
@@ -117,22 +118,13 @@ def check_rota_baxter(w: RotaBaxterData) -> CheckReport:
             h.mu @ tensor(w.cocycle, frak) @ tensor(h.delta, w.cocycle))
     rep.add("derived.operator-action-on-unit",
             frak @ tensor(i1, h.eta), h.eta @ h.eps)
-    rep.merge(square_coalgebra_morphism_report(frak, h,
-                                               prefix="derived.operator-action."))
+    rep.merge(coalgebra_morphism_report(frak, tensor_square(h), h,
+                                        prefix="derived.operator-action."))
     rep.add("derived.operator-action-of-derived-product",
             frak @ tensor(tilde, i1), frak @ tensor(i1, frak))
     rep.add("derived.derived-product-right-unit",
             tilde @ tensor(i1, h.eta), w.cocycle)
     return rep
-
-
-_TWISTED_LAWS = (
-    "twisted.module-unital",
-    "twisted.cocycle-unital",
-    "twisted.operator-unital",
-    "twisted.derived.unit-acts-trivially",
-    "twisted.derived.derived-product-left-unit",
-)
 
 
 def check_twisted_operator(w: RotaBaxterData) -> CheckReport:
@@ -141,20 +133,15 @@ def check_twisted_operator(w: RotaBaxterData) -> CheckReport:
     :func:`check_rota_baxter`'s."""
     h = w.hopf
     b = w.target
-    rep = CheckReport()
-    if b.eta is None:
-        for law in _TWISTED_LAWS:
-            rep.add_skipped(law, "needs a unital target")
-        return rep
     i1 = w.obj.id(1)
-    ph = as_post_hopf(w)
-    rep.add("twisted.module-unital", w.action @ tensor(b.eta, i1), i1)
-    rep.add("twisted.cocycle-unital", w.cocycle @ h.eta, h.eta)
-    rep.add("twisted.operator-unital", w.operator @ h.eta, b.eta)
-    rep.add("twisted.derived.unit-acts-trivially", ph.action @ tensor(h.eta, i1), i1)
-    rep.add("twisted.derived.derived-product-left-unit",
-            post_hopf.derived_product(ph) @ tensor(h.eta, i1), i1)
-    return rep
+    unital = b.eta is not None
+    ph = as_post_hopf(w) if unital else None
+    return CheckReport().laws((
+        ("twisted.module-unital", lambda: w.action @ tensor(b.eta, i1), lambda: i1),
+        ("twisted.cocycle-unital", lambda: w.cocycle @ h.eta, lambda: h.eta),
+        ("twisted.operator-unital", lambda: w.operator @ h.eta, lambda: b.eta),
+        *post_hopf.left_unit_rows(ph),
+    ), None if unital else "needs a unital target")
 
 
 def derived_product_check(w: RotaBaxterData) -> CheckReport:
@@ -167,13 +154,10 @@ def derived_product_check(w: RotaBaxterData) -> CheckReport:
     rep = CheckReport()
     rep.add("derived-product.associative",
             tilde @ tensor(tilde, i1), tilde @ tensor(i1, tilde))
-    if post_hopf.class_condition(ph):
-        rep.merge(square_coalgebra_morphism_report(tilde, h, prefix="derived-product."))
-    else:
-        rep.add_skipped("derived-product.morphism.delta-commutes",
-                        "class condition fails at the operator action")
-        rep.add_skipped("derived-product.morphism.eps-commutes",
-                        "class condition fails at the operator action")
+    star = post_hopf.class_condition(ph)
+    rep.laws(coalgebra_morphism_rows(tilde, tensor_square(h) if star else None, h),
+             None if star else "class condition fails at the operator action",
+             prefix="derived-product.")
     rep.add("derived-product.right-unit", tilde @ tensor(i1, h.eta), w.cocycle)
     return rep
 
@@ -243,11 +227,11 @@ def adjunction_check(t: HopfTrussData, w: RotaBaxterData,
     Forward: a truss morphism ``f: t -> truss(w)`` becomes the pair
     ``(f, T . f)``; backward: a pair ``(x, y)`` collapses to ``x`` and is
     recovered because ``y = T . x`` is forced."""
+    if f is None and pair is None:
+        raise PreconditionNotMet("nothing to check: no morphism supplied")
     omega = truss_from_rota_baxter(w)
     lam = rota_baxter_from_truss(t)
     rep = CheckReport()
-    if f is None and pair is None:
-        raise PreconditionNotMet("nothing to check: no morphism supplied")
     if f is not None:
         tr = check_truss_morphism(f, t, omega)
         if not tr.passed:
@@ -315,24 +299,27 @@ def truss_from_idempotent(d: HopfAlgebraData, q: LinMap) -> HopfTrussData:
 
 
 def _twisted_product(d: HopfAlgebraData, phi_endo: LinMap,
-                     upsilon: LinMap) -> LinMap:
+                     upsilon: LinMap) -> Optional[LinMap]:
     """``mu . ((mu . (upsilon (x) id)) (x) (antipode . phi_endo . upsilon))
-    . (id (x) c) . (delta (x) id)``: the product a twisted operator induces."""
+    . (id (x) c) . (delta (x) id)``, the product a twisted operator induces, or
+    ``None`` when ``upsilon`` fails the twisted-operator equation against the
+    Hopf endomorphism ``phi_endo``."""
+    if not coalgebra_morphism_report(upsilon, d, d).passed:
+        raise PreconditionNotMet("the candidate operator must be a coalgebra morphism")
+    if not hopf_morphism_report(phi_endo, d, d).passed:
+        raise PreconditionNotMet("the twisting map must be a Hopf algebra endomorphism")
     i1 = d.obj.id(1)
+    lhs = d.mu @ tensor(upsilon, upsilon)
     inner = tensor(d.mu @ tensor(upsilon, i1), d.antipode @ phi_endo @ upsilon)
-    return d.mu @ inner @ tensor(i1, d.obj.braid) @ tensor(d.delta, i1)
+    product = d.mu @ inner @ tensor(i1, d.obj.braid) @ tensor(d.delta, i1)
+    return product if lhs == upsilon @ product else None
 
 
 def is_phi_twisted(d: HopfAlgebraData, phi_endo: LinMap,
                    upsilon: LinMap) -> bool:
     """Whether ``upsilon`` solves the twisted-operator equation against the
     Hopf endomorphism ``phi_endo``."""
-    if not coalgebra_morphism_report(upsilon, d, d).passed:
-        raise PreconditionNotMet("the candidate operator must be a coalgebra morphism")
-    if not hopf_morphism_report(phi_endo, d, d).passed:
-        raise PreconditionNotMet("the twisting map must be a Hopf algebra endomorphism")
-    return (d.mu @ tensor(upsilon, upsilon)
-            == upsilon @ _twisted_product(d, phi_endo, upsilon))
+    return _twisted_product(d, phi_endo, upsilon) is not None
 
 
 def truss_from_twisted_operator(d: HopfAlgebraData, phi_endo: LinMap,
@@ -344,12 +331,12 @@ def truss_from_twisted_operator(d: HopfAlgebraData, phi_endo: LinMap,
     ``phi_endo . upsilon``; that identity is asserted, not assumed."""
     if not check_cocommutative(d):
         raise NotCocommutative("twisted-operator trusses need a cocommutative carrier")
-    if not is_phi_twisted(d, phi_endo, upsilon):
+    mu2 = _twisted_product(d, phi_endo, upsilon)
+    if mu2 is None:
         raise NotPhiTwisted("the candidate operator fails the twisted equation")
     i1 = d.obj.id(1)
     sigma = convolution(upsilon, d.antipode @ phi_endo @ upsilon, d, d)
-    t = HopfTrussData(obj=d.obj, eta=d.eta, mu1=d.mu,
-                      mu2=_twisted_product(d, phi_endo, upsilon), eps=d.eps,
+    t = HopfTrussData(obj=d.obj, eta=d.eta, mu1=d.mu, mu2=mu2, eps=d.eps,
                       delta=d.delta, antipode=d.antipode, cocycle=sigma)
     expected = adjoint_action(d) @ tensor(phi_endo @ upsilon, i1)
     if truss_action(t) != expected:

@@ -11,6 +11,9 @@ Design rules, applied uniformly:
   with a pass flag and, on failure, the first differing matrix entry as a
   witness; a law whose hypothesis fails on the instance (no flip braiding, a
   non-cocommutative carrier, ...) is reported as skipped, with the reason;
+* a gated law is a row, not a branch: ``(law id, lhs, rhs)`` with zero-argument
+  sides, handed to :meth:`CheckReport.laws` together with the gate's skip
+  reason, so its id is written once and a skipped law builds no map;
 * constructions that need the dual object (evaluation/coevaluation pairing)
   insist on the flip braiding and raise ``NonSymmetricBraiding`` otherwise.
 """
@@ -101,6 +104,16 @@ class CheckReport:
 
     def add_skipped(self, name: str, reason: str) -> "CheckReport":
         self.results.append(LawResult(name, True, reason, skipped=True))
+        return self
+
+    def laws(self, rows, skip: Optional[str] = None, prefix: str = "") -> "CheckReport":
+        """Check each ``(law id, lhs, rhs)`` row (zero-argument sides) through
+        :meth:`add`, or, given a ``skip`` reason, list it as skipped unevaluated."""
+        for name, lhs, rhs in rows:
+            if skip is None:
+                self.add(prefix + name, lhs(), rhs())
+            else:
+                self.add_skipped(prefix + name, skip)
         return self
 
     def merge(self, other: "CheckReport", prefix: str = "") -> "CheckReport":
@@ -216,19 +229,17 @@ class BraidedObject:
         return f"BraidedObject(dim={self.dim}, {self.field!r}, {kind})"
 
 
-def braiding_between(left: BraidedObject, right: BraidedObject) -> LinMap:
+def braiding_between(left: BraidedObject, right: BraidedObject) -> Optional[LinMap]:
     """The braiding ``left (x) right -> right (x) left`` between two objects.
 
     For a single object this is its own braid; across distinct objects only
-    the symmetric case is determined by the data we carry.
+    the symmetric case is determined by the data we carry (else ``None``).
     """
     if left is right or left == right:
         return left.braid
     if left.is_flip and right.is_flip:
         return flip(left.field, left.dim, right.dim)
-    raise NonSymmetricBraiding(
-        "no braiding data between distinct non-flip braided objects"
-    )
+    return None
 
 
 def check_braided_object(obj: BraidedObject, generators: Optional[dict] = None) -> CheckReport:
@@ -341,14 +352,30 @@ class DualityData:
 # ---------------------------------------------------------------------------
 
 
+def _algebra_rows(a):
+    """Associativity, then the two unit laws, which read ``eta``."""
+    i1 = a.obj.id(1)
+    return (
+        ("algebra.associative",
+         lambda: a.mu @ tensor(a.mu, i1), lambda: a.mu @ tensor(i1, a.mu)),
+        ("algebra.unit-left", lambda: a.mu @ tensor(a.eta, i1), lambda: i1),
+        ("algebra.unit-right", lambda: a.mu @ tensor(i1, a.eta), lambda: i1),
+    )
+
+
+def _unital_rows(b):
+    """The coalgebra maps respect the unit."""
+    return (
+        ("bialgebra.delta-unital",
+         lambda: b.delta @ b.eta, lambda: tensor(b.eta, b.eta)),
+        ("bialgebra.eps-unital",
+         lambda: b.eps @ b.eta, lambda: identity(b.obj.field, UNIT_SHAPE)),
+    )
+
+
 def check_algebra(a: AlgebraData) -> CheckReport:
     """Associativity and both unit laws."""
-    i1 = a.obj.id(1)
-    rep = CheckReport()
-    rep.add("algebra.associative", a.mu @ tensor(a.mu, i1), a.mu @ tensor(i1, a.mu))
-    rep.add("algebra.unit-left", a.mu @ tensor(a.eta, i1), i1)
-    rep.add("algebra.unit-right", a.mu @ tensor(i1, a.eta), i1)
-    return rep
+    return CheckReport().laws(_algebra_rows(a))
 
 
 def check_coalgebra(d: CoalgebraData) -> CheckReport:
@@ -373,16 +400,12 @@ def _mult_comul_laws(rep, b):
 
 
 def check_nonunital_bialgebra(b: NonUnitalBialgebraData) -> CheckReport:
-    rep = CheckReport()
-    i1 = b.obj.id(1)
-    rep.add("algebra.associative", b.mu @ tensor(b.mu, i1), b.mu @ tensor(i1, b.mu))
+    associative, *unit = _algebra_rows(b)
+    rep = CheckReport().laws((associative,))
     rep.merge(check_coalgebra(b))
     _mult_comul_laws(rep, b)
     if b.eta is not None:
-        rep.add("algebra.unit-left", b.mu @ tensor(b.eta, i1), i1)
-        rep.add("algebra.unit-right", b.mu @ tensor(i1, b.eta), i1)
-        rep.add("bialgebra.delta-unital", b.delta @ b.eta, tensor(b.eta, b.eta))
-        rep.add("bialgebra.eps-unital", b.eps @ b.eta, identity(b.obj.field, UNIT_SHAPE))
+        rep.laws((*unit, *_unital_rows(b)))
     return rep
 
 
@@ -391,9 +414,7 @@ def check_bialgebra(b) -> CheckReport:
     rep = check_algebra(b)
     rep.merge(check_coalgebra(b))
     _mult_comul_laws(rep, b)
-    rep.add("bialgebra.delta-unital", b.delta @ b.eta, tensor(b.eta, b.eta))
-    rep.add("bialgebra.eps-unital", b.eps @ b.eta, identity(b.obj.field, UNIT_SHAPE))
-    return rep
+    return rep.laws(_unital_rows(b))
 
 
 def check_hopf(h: HopfAlgebraData) -> CheckReport:
@@ -417,13 +438,9 @@ def antipode_property_check(h: HopfAlgebraData) -> CheckReport:
     rep.add("antipode.co-anti-morphism", h.delta @ lam, c @ tensor(lam, lam) @ h.delta)
     rep.add("antipode.unit", lam @ h.eta, h.eta)
     rep.add("antipode.counit", h.eps @ lam, h.eps)
-    commutative = h.mu == h.mu @ c
-    cocommutative = check_cocommutative(h)
-    if commutative or cocommutative:
-        rep.add("antipode.involutive", lam @ lam, i1)
-    else:
-        rep.add_skipped("antipode.involutive", "neither commutative nor cocommutative")
-    return rep
+    symmetric = h.mu == h.mu @ c or check_cocommutative(h)
+    return rep.laws((("antipode.involutive", lambda: lam @ lam, lambda: i1),),
+                    None if symmetric else "neither commutative nor cocommutative")
 
 
 def check_cocommutative(d) -> bool:
@@ -434,27 +451,25 @@ def check_cocommutative(d) -> bool:
 # -- morphism law helpers -----------------------------------------------------
 
 
-def coalgebra_morphism_report(f: LinMap, src, dst, prefix: str = "") -> CheckReport:
-    rep = CheckReport()
-    rep.add(prefix + "morphism.delta-commutes", dst.delta @ f, tensor(f, f) @ src.delta)
-    rep.add(prefix + "morphism.eps-commutes", dst.eps @ f, src.eps)
-    return rep
-
-
-def square_coalgebra_morphism_report(f: LinMap, coalg, prefix: str = "") -> CheckReport:
-    """``f: [n,n] -> [n]`` as a coalgebra morphism from the tensor-square
-    coalgebra ``(delta (x) delta)`` braided into place."""
-    obj = coalg.obj
-    i1 = obj.id(1)
-    rep = CheckReport()
-    rep.add(
-        prefix + "morphism.delta-commutes",
-        coalg.delta @ f,
-        tensor(f, f) @ tensor(i1, obj.braid, i1) @ tensor(coalg.delta, coalg.delta),
+def coalgebra_morphism_rows(f: LinMap, src, dst):
+    """``f`` commutes with the coproducts and the counits of ``src`` and ``dst``."""
+    return (
+        ("morphism.delta-commutes",
+         lambda: dst.delta @ f, lambda: tensor(f, f) @ src.delta),
+        ("morphism.eps-commutes", lambda: dst.eps @ f, lambda: src.eps),
     )
-    rep.add(prefix + "morphism.eps-commutes",
-            coalg.eps @ f, tensor(coalg.eps, coalg.eps))
-    return rep
+
+
+def coalgebra_morphism_report(f: LinMap, src, dst, prefix: str = "") -> CheckReport:
+    return CheckReport().laws(coalgebra_morphism_rows(f, src, dst), prefix=prefix)
+
+
+def tensor_square(coalg) -> CoalgebraData:
+    """The coalgebra ``[n,n]`` with counit ``eps (x) eps`` and coproduct
+    ``(id (x) c (x) id) . (delta (x) delta)``; ``obj`` is ``None``."""
+    i1 = coalg.obj.id(1)
+    delta = tensor(i1, coalg.obj.braid, i1) @ tensor(coalg.delta, coalg.delta)
+    return CoalgebraData(None, tensor(coalg.eps, coalg.eps), delta)
 
 
 def hopf_morphism_report(f: LinMap, src: HopfAlgebraData, dst: HopfAlgebraData,
@@ -479,40 +494,36 @@ _NO_CROSS_BRAIDING = "needs a braiding between target and carrier"
 def check_module_algebra(acting, phi: LinMap, alg) -> CheckReport:
     """The (non-unital) action law + the action respecting the carrier's unit
     and product."""
-    obj = alg.obj
-    ic = obj.id(1)
+    ic = alg.obj.id(1)
     ix = acting.obj.id(1)
     rep = CheckReport()
     rep.add("module.action-associative",
             phi @ tensor(ix, phi), phi @ tensor(acting.mu, ic))
     rep.add("module-algebra.unit-compat",
             phi @ tensor(ix, alg.eta), alg.eta @ acting.eps)
-    try:
-        cxa = braiding_between(acting.obj, obj)
-    except NonSymmetricBraiding:
-        return rep.add_skipped("module-algebra.product-compat", _NO_CROSS_BRAIDING)
-    pair = tensor(phi, phi) @ tensor(ix, cxa, ic) @ tensor(acting.delta, ic, ic)
-    rep.add("module-algebra.product-compat",
-            phi @ tensor(ix, alg.mu), alg.mu @ pair)
-    return rep
+    cxa = braiding_between(acting.obj, alg.obj)
+    return rep.laws(((
+        "module-algebra.product-compat",
+        lambda: phi @ tensor(ix, alg.mu),
+        lambda: alg.mu @ (tensor(phi, phi) @ tensor(ix, cxa, ic)
+                          @ tensor(acting.delta, ic, ic)),
+    ),), _NO_CROSS_BRAIDING if cxa is None else None)
 
 
 def check_module_coalgebra(acting, phi: LinMap, coalg) -> CheckReport:
     """The action is a coalgebra morphism out of ``acting (x) carrier``."""
-    obj = coalg.obj
-    ic = obj.id(1)
+    ic = coalg.obj.id(1)
     ix = acting.obj.id(1)
     rep = CheckReport()
     rep.add("module-coalgebra.counit-compat",
             coalg.eps @ phi, tensor(acting.eps, coalg.eps))
-    try:
-        cxd = braiding_between(acting.obj, obj)
-    except NonSymmetricBraiding:
-        return rep.add_skipped("module-coalgebra.comul-compat", _NO_CROSS_BRAIDING)
-    rep.add("module-coalgebra.comul-compat",
-            coalg.delta @ phi,
-            tensor(phi, phi) @ tensor(ix, cxd, ic) @ tensor(acting.delta, coalg.delta))
-    return rep
+    cxd = braiding_between(acting.obj, coalg.obj)
+    return rep.laws(((
+        "module-coalgebra.comul-compat",
+        lambda: coalg.delta @ phi,
+        lambda: tensor(phi, phi) @ tensor(ix, cxd, ic)
+        @ tensor(acting.delta, coalg.delta),
+    ),), _NO_CROSS_BRAIDING if cxd is None else None)
 
 
 def adjoint_action(h: HopfAlgebraData) -> LinMap:

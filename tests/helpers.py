@@ -4,8 +4,8 @@ from dataclasses import replace
 from hopfkit.factories import group_algebra, linearize_endo
 from hopfkit.fields import QQ
 from hopfkit.groups import GROUPS, cyclic, group_by_name, idempotent_endos
-from hopfkit.linmap import LinMap, TensorShape, UNIT_SHAPE, flip
-from hopfkit.post_hopf import trivial_post_hopf
+from hopfkit.linmap import LinMap, TensorShape, UNIT_SHAPE, flip, shape, zero_map
+from hopfkit.post_hopf import PostHopfData, trivial_post_hopf
 from hopfkit.rota_baxter import rota_baxter_from_truss, truss_from_idempotent
 from hopfkit.structures import BialgebraData, BraidedObject
 
@@ -55,6 +55,14 @@ def negated_flip_c2_post_hopf(fld=QQ):
     minus the flip, a braiding under which the action cannot be curried."""
     h = group_algebra(cyclic(2), fld)
     return trivial_post_hopf(replace(h, obj=negated_flip(fld, 2)))
+
+
+def zero_action_c2_post_hopf(fld=QQ):
+    """The C2 group algebra acted on by zero, cocycle the identity: the
+    curried action has no convolution inverse."""
+    h = group_algebra(cyclic(2), fld)
+    return PostHopfData(hopf=h, action=zero_map(fld, shape(2, 2), shape(2)),
+                        cocycle=h.obj.id(1))
 
 
 def c2_identity_truss(fld=QQ):

@@ -3,7 +3,9 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
+import time
 from dataclasses import replace
 
 import pytest
@@ -158,6 +160,46 @@ def test_check_bounds_the_field_characteristic(capsys, tmp_path, monkeypatch, p,
     if code == 2:
         monkeypatch.setattr(fields, "_is_prime", _never_called)
     assert run(capsys, "check", path)[0] == code
+
+
+def _c2_file_with(capsys, tmp_path, old, new):
+    path = gen(capsys, tmp_path, "c2.txt", "gen", "group-algebra", "--group", "C2")
+    with open(path) as fh:
+        text = fh.read()
+    assert old in text
+    with open(path, "w") as fh:
+        fh.write(text.replace(old, new, 1))
+    return path
+
+
+def test_check_rejects_an_exponent_scalar_quickly(capsys, tmp_path):
+    # Fraction() reads this token as a two-million-digit integer
+    path = _c2_file_with(capsys, tmp_path, "map delta: 4x2\n1 0\n0 0",
+                         "map delta: 4x2\n1 0\n1e2000000 0")
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "check", path)
+    assert code == 2
+    assert "1e2000000" in err
+    assert time.perf_counter() - t0 < 5
+
+
+def test_check_prints_witnesses_past_the_int_str_limit(capsys, tmp_path):
+    big = "9" * 4000  # accepted by the parser; its square has 8000 digits
+    path = _c2_file_with(capsys, tmp_path, "map eta: 2x1\n1\n",
+                         f"map eta: 2x1\n{big}\n")
+    square = "9" * 3999 + "8" + "0" * 3999 + "1"  # (10^4000 - 1)^2
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "check", path)
+    assert code == 1, err
+    assert (f"FAIL  bialgebra.delta-unital  witness=entry (0,0): {big} != {square}"
+            in out.split("\n"))
+    assert "laws checked" in out
+    code, out, err = run(capsys, "check", path, "--report", "machine")
+    assert code == 1, err
+    laws = {r["law"]: r for r in json.loads(out)["laws"]}
+    assert laws["bialgebra.delta-unital"]["witness"] == {
+        "row": 0, "col": 0, "lhs": big, "rhs": square}
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_check_wtrb_without_a_cross_braiding_lists_laws(capsys, tmp_path):

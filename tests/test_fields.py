@@ -57,6 +57,16 @@ def test_parse_and_format_round_trip():
         QQ.parse("x")
     with pytest.raises(FieldError):
         f7.parse("1/2")
+    assert QQ.parse("9" * 4300 + "/" + "7" * 4300) > 1
+    # only the tokens ``dumps`` writes, each integer within 4300 digits
+    too_long = "9" * 4301
+    for bad in ("1e2000000", "1.5", "+3", "1/0", "1/-2", "1_0", too_long,
+                "1/" + too_long):
+        with pytest.raises(FieldError):
+            QQ.parse(bad)
+        if "/" not in bad:
+            with pytest.raises(FieldError):
+                f7.parse(bad)
 
 
 def test_tokens():

@@ -11,13 +11,27 @@ import contextlib
 import hashlib
 import io
 import os
+from dataclasses import replace
 
 import pytest
 
+from helpers import (mixed_braiding_c2_rota_baxter, negated_flip_c2_post_hopf,
+                     suite_trusses, zero_action_c2_post_hopf)
 from hopfkit.cli import main
-from hopfkit.post_hopf import roundtrip_check, truss_roundtrip_check
-from hopfkit.rota_baxter import truss_equivalence_check
+from hopfkit.factories import group_algebra, sweedler_h4
+from hopfkit.fields import QQ
+from hopfkit.groups import cyclic, symmetric3
+from hopfkit.linmap import LinMap, shape, tensor, zero_map
+from hopfkit.post_hopf import (PostHopfData, check_post_hopf, check_twisted,
+                               conjugation_post_hopf, derived_antipode_suite,
+                               lemma_suite, post_hopf_from_truss,
+                               roundtrip_check, trivial_post_hopf,
+                               truss_roundtrip_check)
+from hopfkit.rota_baxter import (check_rota_baxter, check_twisted_operator,
+                                 derived_product_check, rota_baxter_from_truss,
+                                 truss_equivalence_check)
 from hopfkit.storage import load
+from hopfkit.structures import BraidedObject, antipode_property_check
 
 # name -> gen arguments
 GEN = [
@@ -303,3 +317,348 @@ def test_golden_file_and_report(observed, name):
 @pytest.mark.parametrize("check", sorted(ROUNDTRIP))
 def test_golden_roundtrip_laws(observed, check):
     assert observed[check] == ROUNDTRIP[check]
+
+
+# -- checkers the CLI never runs ---------------------------------------------
+# ``structure_report`` runs none of these checkers (or runs them only under a
+# gate), so the file pins above cannot see a change to their law lines.  The
+# cases below reach every skip reason the checkers can give.
+
+
+def _c2_signed_flip_post_hopf():
+    """C2 braided by the flip with the off-diagonal entries negated: it fixes
+    ``g (x) g``, so the carrier counts as cocommutative, but it is not the
+    flip."""
+    w = trivial_post_hopf(group_algebra(cyclic(2), QQ))
+    cols = [{0: 1}, {2: -1}, {1: -1}, {3: 1}]
+    braid = LinMap.from_cols(QQ, shape(2, 2), shape(2, 2), cols)
+    return replace(w, hopf=replace(w.hopf, obj=BraidedObject(QQ, 2, braid)))
+
+
+def _c2_doubling_post_hopf():
+    """Every element acts on C2 as 2: the curried action is invertible, but
+    its inverse halves, so the paired inverse is no coalgebra morphism."""
+    h = group_algebra(cyclic(2), QQ)
+    act = tensor(h.eps, h.obj.id(1))
+    two = tuple({i: 2 * v for i, v in col.items()} for col in act.cols)
+    return PostHopfData(hopf=h, action=LinMap(QQ, act.dom, act.cod, two),
+                        cocycle=h.obj.id(1))
+
+
+def _c2_zero_cocycle_post_hopf():
+    h = group_algebra(cyclic(2), QQ)
+    return replace(trivial_post_hopf(h), cocycle=zero_map(QQ, shape(2), shape(2)))
+
+
+def checker_reports():
+    """``{case/checker: law lines}`` for every pinned checker run."""
+    s3 = group_algebra(symmetric3(), QQ)
+    h4 = sweedler_h4(QQ)
+    c2 = group_algebra(cyclic(2), QQ)
+    trusses = suite_trusses()[::3]
+    post_hopf = [
+        ("trivial-s3", trivial_post_hopf(s3)),
+        ("conjugation-s3", conjugation_post_hopf(s3)),
+        ("trivial-h4", trivial_post_hopf(h4)),
+        ("c2-negated-flip", negated_flip_c2_post_hopf()),
+        ("c2-signed-flip", _c2_signed_flip_post_hopf()),
+        ("c2-zero-action", zero_action_c2_post_hopf()),
+        ("c2-doubling-action", _c2_doubling_post_hopf()),
+        ("c2-zero-cocycle", _c2_zero_cocycle_post_hopf()),
+    ] + [(f"G({name})", post_hopf_from_truss(t)) for name, t in trusses]
+    operators = [("c2-mixed-braiding", mixed_braiding_c2_rota_baxter())] + [
+        (f"Lambda({name})", rota_baxter_from_truss(t)) for name, t in trusses]
+    out = {}
+    for name, w in post_hopf:
+        for check in (check_post_hopf, check_twisted, lemma_suite,
+                      derived_antipode_suite):
+            out[f"{name}/{check.__name__}"] = check(w).lines()
+    for name, h in (("s3", s3), ("h4", h4), ("c2", c2)):
+        out[f"{name}/antipode_property_check"] = antipode_property_check(h).lines()
+    for name, w in operators:
+        for check in (check_rota_baxter, check_twisted_operator,
+                      derived_product_check):
+            out[f"{name}/{check.__name__}"] = check(w).lines()
+    return out
+
+
+# case/checker -> sha256 of the report's law lines, joined by newlines;
+# recorded before the gated laws became rows
+CHECKERS = {
+    'trivial-s3/check_post_hopf':
+        'a75d009f327dbda1e48edc208cfc4417619f63f9b3d86ffc6a324231f69221a6',
+    'trivial-s3/check_twisted':
+        '729fb4f50e4bcd71b66bd14b7413499817886d06b51945d00e7d4cd3d37950b1',
+    'trivial-s3/lemma_suite':
+        '7785263f926bee3df2ff7a120de915082dbc8d86a3527f586c1d3b63c6bc3b7e',
+    'trivial-s3/derived_antipode_suite':
+        'b83a9f1a6178114de5725b1b57aa4bd5417fadcea4de0236154c0924826e43de',
+    'conjugation-s3/check_post_hopf':
+        'a75d009f327dbda1e48edc208cfc4417619f63f9b3d86ffc6a324231f69221a6',
+    'conjugation-s3/check_twisted':
+        '729fb4f50e4bcd71b66bd14b7413499817886d06b51945d00e7d4cd3d37950b1',
+    'conjugation-s3/lemma_suite':
+        '7785263f926bee3df2ff7a120de915082dbc8d86a3527f586c1d3b63c6bc3b7e',
+    'conjugation-s3/derived_antipode_suite':
+        'b83a9f1a6178114de5725b1b57aa4bd5417fadcea4de0236154c0924826e43de',
+    'trivial-h4/check_post_hopf':
+        'a75d009f327dbda1e48edc208cfc4417619f63f9b3d86ffc6a324231f69221a6',
+    'trivial-h4/check_twisted':
+        '729fb4f50e4bcd71b66bd14b7413499817886d06b51945d00e7d4cd3d37950b1',
+    'trivial-h4/lemma_suite':
+        '7785263f926bee3df2ff7a120de915082dbc8d86a3527f586c1d3b63c6bc3b7e',
+    'trivial-h4/derived_antipode_suite':
+        '78197b1b6e8b74d07b36bf4feb030e262f99d987a40b15691a6d626f9871b422',
+    'c2-negated-flip/check_post_hopf':
+        '8b95a57fa1adf2dcedfbb79921155555e3c345d5406c916134bb23662880c096',
+    'c2-negated-flip/check_twisted':
+        '498f5df0962a716257d7eba8a49a93543b31957121f90353ae20e9644cdd356f',
+    'c2-negated-flip/lemma_suite':
+        'bb9720b485493d6b2c83e6407585a950f43baadcd560f89a6abe66d6f917e92f',
+    'c2-negated-flip/derived_antipode_suite':
+        '4430bcfcf9c010f26a0979a943120d386cc92a15332db3f09452214ba340652f',
+    'c2-signed-flip/check_post_hopf':
+        '8d63650dd024c10ffbb6491bdca91daf2b9b5565d2bfa56f070dc1e397d01ce4',
+    'c2-signed-flip/check_twisted':
+        '498f5df0962a716257d7eba8a49a93543b31957121f90353ae20e9644cdd356f',
+    'c2-signed-flip/lemma_suite':
+        'bb9720b485493d6b2c83e6407585a950f43baadcd560f89a6abe66d6f917e92f',
+    'c2-signed-flip/derived_antipode_suite':
+        '882922d507d25d73d1cf234f9b07e041f99d03930b0b8013af70fba49aa79a17',
+    'c2-zero-action/check_post_hopf':
+        'c1f8c4d8c87e36cea9947c2c063c55d993f2e3724aa6eb025fc8245eaac7922b',
+    'c2-zero-action/check_twisted':
+        'fbc05008ef6276850ab828e19d275677c6b9de24687e3e6191cf28f58630ef00',
+    'c2-zero-action/lemma_suite':
+        '7785263f926bee3df2ff7a120de915082dbc8d86a3527f586c1d3b63c6bc3b7e',
+    'c2-zero-action/derived_antipode_suite':
+        'd1b6b445d3467afd990faf9e07c306a5b8f0ad2ba07278d3f3b9519bb4a0d925',
+    'c2-doubling-action/check_post_hopf':
+        '3c9bfa0463afb0691e8588230e935c528a0072eed6944f0cca7cbd56d552d4f0',
+    'c2-doubling-action/check_twisted':
+        '62fabfffb407c468a02cd097f015836893189e4bb9d9b226484f452c6a0c99ac',
+    'c2-doubling-action/lemma_suite':
+        '7785263f926bee3df2ff7a120de915082dbc8d86a3527f586c1d3b63c6bc3b7e',
+    'c2-doubling-action/derived_antipode_suite':
+        'f43634f0d8729acae3d2fa5d823b94dd81ec81ddb6d785360cc35fefca4e8ccc',
+    'c2-zero-cocycle/check_post_hopf':
+        '34d23807fe9a87c8cad018388b955fbf0a973c4defd9320efec8e3299a38373f',
+    'c2-zero-cocycle/check_twisted':
+        '6d744f71007cce66d5d720d83361ddc83208aef13dc9c71bb99ae883149842e4',
+    'c2-zero-cocycle/lemma_suite':
+        'd09372a3bdc487b9e9a16a1312063a4f27f142e6bc7c414cdf3096483e7cb9f0',
+    'c2-zero-cocycle/derived_antipode_suite':
+        '0d8f5a688f9b12af673c7200fe96ff596bbe7a4dcd954eef221488494b4a3949',
+    'G(C1/(0,))/check_post_hopf':
+        'a75d009f327dbda1e48edc208cfc4417619f63f9b3d86ffc6a324231f69221a6',
+    'G(C1/(0,))/check_twisted':
+        '729fb4f50e4bcd71b66bd14b7413499817886d06b51945d00e7d4cd3d37950b1',
+    'G(C1/(0,))/lemma_suite':
+        '7785263f926bee3df2ff7a120de915082dbc8d86a3527f586c1d3b63c6bc3b7e',
+    'G(C1/(0,))/derived_antipode_suite':
+        'b83a9f1a6178114de5725b1b57aa4bd5417fadcea4de0236154c0924826e43de',
+    'G(C3/(0, 0, 0))/check_post_hopf':
+        'a75d009f327dbda1e48edc208cfc4417619f63f9b3d86ffc6a324231f69221a6',
+    'G(C3/(0, 0, 0))/check_twisted':
+        '729fb4f50e4bcd71b66bd14b7413499817886d06b51945d00e7d4cd3d37950b1',
+    'G(C3/(0, 0, 0))/lemma_suite':
+        '7785263f926bee3df2ff7a120de915082dbc8d86a3527f586c1d3b63c6bc3b7e',
+    'G(C3/(0, 0, 0))/derived_antipode_suite':
+        'b83a9f1a6178114de5725b1b57aa4bd5417fadcea4de0236154c0924826e43de',
+    'G(C4/(0, 1, 2, 3))/check_post_hopf':
+        'a75d009f327dbda1e48edc208cfc4417619f63f9b3d86ffc6a324231f69221a6',
+    'G(C4/(0, 1, 2, 3))/check_twisted':
+        '729fb4f50e4bcd71b66bd14b7413499817886d06b51945d00e7d4cd3d37950b1',
+    'G(C4/(0, 1, 2, 3))/lemma_suite':
+        '7785263f926bee3df2ff7a120de915082dbc8d86a3527f586c1d3b63c6bc3b7e',
+    'G(C4/(0, 1, 2, 3))/derived_antipode_suite':
+        'b83a9f1a6178114de5725b1b57aa4bd5417fadcea4de0236154c0924826e43de',
+    'G(C6/(0, 0, 0, 0, 0, 0))/check_post_hopf':
+        'a75d009f327dbda1e48edc208cfc4417619f63f9b3d86ffc6a324231f69221a6',
+    'G(C6/(0, 0, 0, 0, 0, 0))/check_twisted':
+        '729fb4f50e4bcd71b66bd14b7413499817886d06b51945d00e7d4cd3d37950b1',
+    'G(C6/(0, 0, 0, 0, 0, 0))/lemma_suite':
+        '7785263f926bee3df2ff7a120de915082dbc8d86a3527f586c1d3b63c6bc3b7e',
+    'G(C6/(0, 0, 0, 0, 0, 0))/derived_antipode_suite':
+        'b83a9f1a6178114de5725b1b57aa4bd5417fadcea4de0236154c0924826e43de',
+    'G(C6/(0, 4, 2, 0, 4, 2))/check_post_hopf':
+        'a75d009f327dbda1e48edc208cfc4417619f63f9b3d86ffc6a324231f69221a6',
+    'G(C6/(0, 4, 2, 0, 4, 2))/check_twisted':
+        '729fb4f50e4bcd71b66bd14b7413499817886d06b51945d00e7d4cd3d37950b1',
+    'G(C6/(0, 4, 2, 0, 4, 2))/lemma_suite':
+        '7785263f926bee3df2ff7a120de915082dbc8d86a3527f586c1d3b63c6bc3b7e',
+    'G(C6/(0, 4, 2, 0, 4, 2))/derived_antipode_suite':
+        'b83a9f1a6178114de5725b1b57aa4bd5417fadcea4de0236154c0924826e43de',
+    'G(C8/(0, 0, 0, 0, 0, 0, 0, 0))/check_post_hopf':
+        'a75d009f327dbda1e48edc208cfc4417619f63f9b3d86ffc6a324231f69221a6',
+    'G(C8/(0, 0, 0, 0, 0, 0, 0, 0))/check_twisted':
+        '729fb4f50e4bcd71b66bd14b7413499817886d06b51945d00e7d4cd3d37950b1',
+    'G(C8/(0, 0, 0, 0, 0, 0, 0, 0))/lemma_suite':
+        '7785263f926bee3df2ff7a120de915082dbc8d86a3527f586c1d3b63c6bc3b7e',
+    'G(C8/(0, 0, 0, 0, 0, 0, 0, 0))/derived_antipode_suite':
+        'b83a9f1a6178114de5725b1b57aa4bd5417fadcea4de0236154c0924826e43de',
+    'G(S3/(0, 1, 1, 0, 0, 1))/check_post_hopf':
+        'a75d009f327dbda1e48edc208cfc4417619f63f9b3d86ffc6a324231f69221a6',
+    'G(S3/(0, 1, 1, 0, 0, 1))/check_twisted':
+        '729fb4f50e4bcd71b66bd14b7413499817886d06b51945d00e7d4cd3d37950b1',
+    'G(S3/(0, 1, 1, 0, 0, 1))/lemma_suite':
+        '7785263f926bee3df2ff7a120de915082dbc8d86a3527f586c1d3b63c6bc3b7e',
+    'G(S3/(0, 1, 1, 0, 0, 1))/derived_antipode_suite':
+        'b83a9f1a6178114de5725b1b57aa4bd5417fadcea4de0236154c0924826e43de',
+    'G(S3/(0, 5, 5, 0, 0, 5))/check_post_hopf':
+        'a75d009f327dbda1e48edc208cfc4417619f63f9b3d86ffc6a324231f69221a6',
+    'G(S3/(0, 5, 5, 0, 0, 5))/check_twisted':
+        '729fb4f50e4bcd71b66bd14b7413499817886d06b51945d00e7d4cd3d37950b1',
+    'G(S3/(0, 5, 5, 0, 0, 5))/lemma_suite':
+        '7785263f926bee3df2ff7a120de915082dbc8d86a3527f586c1d3b63c6bc3b7e',
+    'G(S3/(0, 5, 5, 0, 0, 5))/derived_antipode_suite':
+        'b83a9f1a6178114de5725b1b57aa4bd5417fadcea4de0236154c0924826e43de',
+    'G(D4/(0, 0, 0, 0, 5, 5, 5, 5))/check_post_hopf':
+        'a75d009f327dbda1e48edc208cfc4417619f63f9b3d86ffc6a324231f69221a6',
+    'G(D4/(0, 0, 0, 0, 5, 5, 5, 5))/check_twisted':
+        '729fb4f50e4bcd71b66bd14b7413499817886d06b51945d00e7d4cd3d37950b1',
+    'G(D4/(0, 0, 0, 0, 5, 5, 5, 5))/lemma_suite':
+        '7785263f926bee3df2ff7a120de915082dbc8d86a3527f586c1d3b63c6bc3b7e',
+    'G(D4/(0, 0, 0, 0, 5, 5, 5, 5))/derived_antipode_suite':
+        'b83a9f1a6178114de5725b1b57aa4bd5417fadcea4de0236154c0924826e43de',
+    'G(D4/(0, 1, 2, 3, 4, 5, 6, 7))/check_post_hopf':
+        'a75d009f327dbda1e48edc208cfc4417619f63f9b3d86ffc6a324231f69221a6',
+    'G(D4/(0, 1, 2, 3, 4, 5, 6, 7))/check_twisted':
+        '729fb4f50e4bcd71b66bd14b7413499817886d06b51945d00e7d4cd3d37950b1',
+    'G(D4/(0, 1, 2, 3, 4, 5, 6, 7))/lemma_suite':
+        '7785263f926bee3df2ff7a120de915082dbc8d86a3527f586c1d3b63c6bc3b7e',
+    'G(D4/(0, 1, 2, 3, 4, 5, 6, 7))/derived_antipode_suite':
+        'b83a9f1a6178114de5725b1b57aa4bd5417fadcea4de0236154c0924826e43de',
+    'G(D4/(0, 6, 0, 6, 6, 0, 6, 0))/check_post_hopf':
+        'a75d009f327dbda1e48edc208cfc4417619f63f9b3d86ffc6a324231f69221a6',
+    'G(D4/(0, 6, 0, 6, 6, 0, 6, 0))/check_twisted':
+        '729fb4f50e4bcd71b66bd14b7413499817886d06b51945d00e7d4cd3d37950b1',
+    'G(D4/(0, 6, 0, 6, 6, 0, 6, 0))/lemma_suite':
+        '7785263f926bee3df2ff7a120de915082dbc8d86a3527f586c1d3b63c6bc3b7e',
+    'G(D4/(0, 6, 0, 6, 6, 0, 6, 0))/derived_antipode_suite':
+        'b83a9f1a6178114de5725b1b57aa4bd5417fadcea4de0236154c0924826e43de',
+    'G(Q8/(0, 1, 2, 3, 4, 5, 6, 7))/check_post_hopf':
+        'a75d009f327dbda1e48edc208cfc4417619f63f9b3d86ffc6a324231f69221a6',
+    'G(Q8/(0, 1, 2, 3, 4, 5, 6, 7))/check_twisted':
+        '729fb4f50e4bcd71b66bd14b7413499817886d06b51945d00e7d4cd3d37950b1',
+    'G(Q8/(0, 1, 2, 3, 4, 5, 6, 7))/lemma_suite':
+        '7785263f926bee3df2ff7a120de915082dbc8d86a3527f586c1d3b63c6bc3b7e',
+    'G(Q8/(0, 1, 2, 3, 4, 5, 6, 7))/derived_antipode_suite':
+        'b83a9f1a6178114de5725b1b57aa4bd5417fadcea4de0236154c0924826e43de',
+    's3/antipode_property_check':
+        '4ff181d0e104b092ede1656628521cbe14e521d32ab1c3528525c52f9502e3d5',
+    'h4/antipode_property_check':
+        'ba06a484dc0465f7f41326e555e0066548cdb11ca2a6de855611cf6b2f252222',
+    'c2/antipode_property_check':
+        '4ff181d0e104b092ede1656628521cbe14e521d32ab1c3528525c52f9502e3d5',
+    'c2-mixed-braiding/check_rota_baxter':
+        'ca639b8656d616856278628a02bc7c8acc6054499c1dda0d001e6bc78b3d6952',
+    'c2-mixed-braiding/check_twisted_operator':
+        '5923adf7283d0b707cc9b5e57529451b9da99947c74ec6452a1ccd3e8b29acb0',
+    'c2-mixed-braiding/derived_product_check':
+        'bde28052c7f3c6531e5b37f5433d0300338ee0296d22221df9284706ba29ae33',
+    'Lambda(C1/(0,))/check_rota_baxter':
+        '455a3ca3b062b128fd58ceb82cb26657230670d30090aa8d02481aea4777fd92',
+    'Lambda(C1/(0,))/check_twisted_operator':
+        '5923adf7283d0b707cc9b5e57529451b9da99947c74ec6452a1ccd3e8b29acb0',
+    'Lambda(C1/(0,))/derived_product_check':
+        'b76784be79ff8523eeb0e20a2766e758113309007e06b0ab4719def7b9e61575',
+    'Lambda(C3/(0, 0, 0))/check_rota_baxter':
+        '8b3530f1a9af4c836b22cba622767eb0e7aeb82349243e498fc20e715ad94a88',
+    'Lambda(C3/(0, 0, 0))/check_twisted_operator':
+        '43ed449e92ab1b8a016e46092a8ae4cdb1cecf636cfb9eafcaae93fa747007b1',
+    'Lambda(C3/(0, 0, 0))/derived_product_check':
+        'b76784be79ff8523eeb0e20a2766e758113309007e06b0ab4719def7b9e61575',
+    'Lambda(C4/(0, 1, 2, 3))/check_rota_baxter':
+        '455a3ca3b062b128fd58ceb82cb26657230670d30090aa8d02481aea4777fd92',
+    'Lambda(C4/(0, 1, 2, 3))/check_twisted_operator':
+        '5923adf7283d0b707cc9b5e57529451b9da99947c74ec6452a1ccd3e8b29acb0',
+    'Lambda(C4/(0, 1, 2, 3))/derived_product_check':
+        'b76784be79ff8523eeb0e20a2766e758113309007e06b0ab4719def7b9e61575',
+    'Lambda(C6/(0, 0, 0, 0, 0, 0))/check_rota_baxter':
+        '8b3530f1a9af4c836b22cba622767eb0e7aeb82349243e498fc20e715ad94a88',
+    'Lambda(C6/(0, 0, 0, 0, 0, 0))/check_twisted_operator':
+        '43ed449e92ab1b8a016e46092a8ae4cdb1cecf636cfb9eafcaae93fa747007b1',
+    'Lambda(C6/(0, 0, 0, 0, 0, 0))/derived_product_check':
+        'b76784be79ff8523eeb0e20a2766e758113309007e06b0ab4719def7b9e61575',
+    'Lambda(C6/(0, 4, 2, 0, 4, 2))/check_rota_baxter':
+        '8b3530f1a9af4c836b22cba622767eb0e7aeb82349243e498fc20e715ad94a88',
+    'Lambda(C6/(0, 4, 2, 0, 4, 2))/check_twisted_operator':
+        '43ed449e92ab1b8a016e46092a8ae4cdb1cecf636cfb9eafcaae93fa747007b1',
+    'Lambda(C6/(0, 4, 2, 0, 4, 2))/derived_product_check':
+        'b76784be79ff8523eeb0e20a2766e758113309007e06b0ab4719def7b9e61575',
+    'Lambda(C8/(0, 0, 0, 0, 0, 0, 0, 0))/check_rota_baxter':
+        '8b3530f1a9af4c836b22cba622767eb0e7aeb82349243e498fc20e715ad94a88',
+    'Lambda(C8/(0, 0, 0, 0, 0, 0, 0, 0))/check_twisted_operator':
+        '43ed449e92ab1b8a016e46092a8ae4cdb1cecf636cfb9eafcaae93fa747007b1',
+    'Lambda(C8/(0, 0, 0, 0, 0, 0, 0, 0))/derived_product_check':
+        'b76784be79ff8523eeb0e20a2766e758113309007e06b0ab4719def7b9e61575',
+    'Lambda(S3/(0, 1, 1, 0, 0, 1))/check_rota_baxter':
+        '8b3530f1a9af4c836b22cba622767eb0e7aeb82349243e498fc20e715ad94a88',
+    'Lambda(S3/(0, 1, 1, 0, 0, 1))/check_twisted_operator':
+        '43ed449e92ab1b8a016e46092a8ae4cdb1cecf636cfb9eafcaae93fa747007b1',
+    'Lambda(S3/(0, 1, 1, 0, 0, 1))/derived_product_check':
+        'b76784be79ff8523eeb0e20a2766e758113309007e06b0ab4719def7b9e61575',
+    'Lambda(S3/(0, 5, 5, 0, 0, 5))/check_rota_baxter':
+        '8b3530f1a9af4c836b22cba622767eb0e7aeb82349243e498fc20e715ad94a88',
+    'Lambda(S3/(0, 5, 5, 0, 0, 5))/check_twisted_operator':
+        '43ed449e92ab1b8a016e46092a8ae4cdb1cecf636cfb9eafcaae93fa747007b1',
+    'Lambda(S3/(0, 5, 5, 0, 0, 5))/derived_product_check':
+        'b76784be79ff8523eeb0e20a2766e758113309007e06b0ab4719def7b9e61575',
+    'Lambda(D4/(0, 0, 0, 0, 5, 5, 5, 5))/check_rota_baxter':
+        '8b3530f1a9af4c836b22cba622767eb0e7aeb82349243e498fc20e715ad94a88',
+    'Lambda(D4/(0, 0, 0, 0, 5, 5, 5, 5))/check_twisted_operator':
+        '43ed449e92ab1b8a016e46092a8ae4cdb1cecf636cfb9eafcaae93fa747007b1',
+    'Lambda(D4/(0, 0, 0, 0, 5, 5, 5, 5))/derived_product_check':
+        'b76784be79ff8523eeb0e20a2766e758113309007e06b0ab4719def7b9e61575',
+    'Lambda(D4/(0, 1, 2, 3, 4, 5, 6, 7))/check_rota_baxter':
+        '455a3ca3b062b128fd58ceb82cb26657230670d30090aa8d02481aea4777fd92',
+    'Lambda(D4/(0, 1, 2, 3, 4, 5, 6, 7))/check_twisted_operator':
+        '5923adf7283d0b707cc9b5e57529451b9da99947c74ec6452a1ccd3e8b29acb0',
+    'Lambda(D4/(0, 1, 2, 3, 4, 5, 6, 7))/derived_product_check':
+        'b76784be79ff8523eeb0e20a2766e758113309007e06b0ab4719def7b9e61575',
+    'Lambda(D4/(0, 6, 0, 6, 6, 0, 6, 0))/check_rota_baxter':
+        '8b3530f1a9af4c836b22cba622767eb0e7aeb82349243e498fc20e715ad94a88',
+    'Lambda(D4/(0, 6, 0, 6, 6, 0, 6, 0))/check_twisted_operator':
+        '43ed449e92ab1b8a016e46092a8ae4cdb1cecf636cfb9eafcaae93fa747007b1',
+    'Lambda(D4/(0, 6, 0, 6, 6, 0, 6, 0))/derived_product_check':
+        'b76784be79ff8523eeb0e20a2766e758113309007e06b0ab4719def7b9e61575',
+    'Lambda(Q8/(0, 1, 2, 3, 4, 5, 6, 7))/check_rota_baxter':
+        '455a3ca3b062b128fd58ceb82cb26657230670d30090aa8d02481aea4777fd92',
+    'Lambda(Q8/(0, 1, 2, 3, 4, 5, 6, 7))/check_twisted_operator':
+        '5923adf7283d0b707cc9b5e57529451b9da99947c74ec6452a1ccd3e8b29acb0',
+    'Lambda(Q8/(0, 1, 2, 3, 4, 5, 6, 7))/derived_product_check':
+        'b76784be79ff8523eeb0e20a2766e758113309007e06b0ab4719def7b9e61575',
+}
+
+# every reason the pinned checkers give for a skip
+SKIP_REASONS = {
+    'class condition fails at the operator action',
+    'cocycle is not unital',
+    'derived antipode needs a cocommutative carrier',
+    'derived antipode needs the flip braiding',
+    'needs a braiding between target and carrier',
+    'needs a unital target',
+    'needs flip braiding',
+    'neither commutative nor cocommutative',
+    'no solution of f * x = unit (not convolution invertible)',
+    'paired inverse action is not a coalgebra morphism',
+    'twisted axioms not established',
+}
+
+
+@pytest.fixture(scope="module")
+def checker_lines():
+    return checker_reports()
+
+
+def test_golden_checker_laws(checker_lines):
+    assert {name: _sha("\n".join(lines))
+            for name, lines in checker_lines.items()} == CHECKERS
+
+
+def test_golden_checkers_reach_every_skip_reason(checker_lines):
+    reasons = {line.split(" (", 1)[1][:-1]
+               for lines in checker_lines.values()
+               for line in lines if line.startswith("skip")}
+    assert reasons == SKIP_REASONS

@@ -1,5 +1,6 @@
 """Weak twisted post-Hopf structures: axioms, derived antipode, splitting,
 and the two functors to and from Hopf trusses."""
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -41,7 +42,7 @@ from hopfkit.rota_baxter import truss_from_idempotent
 from hopfkit.structures import check_cocommutative, check_hopf, require_flip, solve_antipode
 from hopfkit.truss import check_truss
 
-from helpers import negated_flip_c2_post_hopf, suite_trusses
+from helpers import negated_flip_c2_post_hopf, suite_trusses, zero_action_c2_post_hopf
 
 
 def sign_retraction_post_hopf(fld=QQ):
@@ -146,18 +147,12 @@ def test_derived_antipode_suite_sign_retraction():
     assert skipped == []
 
 
-def _zero_action_c2():
-    h = group_algebra(cyclic(2), QQ)
-    return PostHopfData(hopf=h, action=zero_map(QQ, shape(2, 2), shape(2)),
-                        cocycle=h.obj.id(1))
-
-
 @pytest.mark.parametrize("build, flip, reason", [
     (negated_flip_c2_post_hopf, False,
      "derived antipode needs a cocommutative carrier"),
     (lambda: trivial_post_hopf(sweedler_h4(QQ)), True,
      "derived antipode needs a cocommutative carrier"),
-    (_zero_action_c2, True, "no solution of f * x = unit"),
+    (zero_action_c2_post_hopf, True, "no solution of f * x = unit"),
 ], ids=["c2-negated-flip", "sweedler-h4", "c2-zero-action"])
 def test_derived_antipode_suite_reports_when_antipode_is_missing(build, flip, reason):
     rep = derived_antipode_suite(build())
@@ -189,6 +184,15 @@ def test_cocycle_identity_equivalence():
     assert cocycle_identity_equivalence(triv) == (True, True)
     assert cocycle_identity_equivalence(sign_retraction_post_hopf()) == \
         (False, False)
+
+
+def test_replace_does_not_carry_the_curried_action_inverse():
+    w = trivial_post_hopf(group_algebra(cyclic(3), QQ))
+    assert check_twisted(w).passed  # caches the inverse on w
+    zero = replace(w, action=zero_map(QQ, shape(3, 3), shape(3)))
+    fresh = PostHopfData(hopf=w.hopf, action=zero.action, cocycle=w.cocycle)
+    assert check_twisted(zero).lines() == check_twisted(fresh).lines()
+    assert "FAIL  twisted.curried-action-invertible" in str(check_twisted(zero))
 
 
 def test_curried_action_invertible_on_twisted():

@@ -18,6 +18,7 @@ from hopfkit.factories import group_algebra, linearize_endo, named_endo, sweedle
 from hopfkit.fields import Field, QQ
 from hopfkit.groups import cyclic, group_by_name, symmetric3
 from hopfkit.linmap import LinMap, TensorShape, UNIT_SHAPE, identity, shape, tensor
+from hopfkit import rota_baxter
 from hopfkit.rota_baxter import (
     RotaBaxterData,
     adjunction_check,
@@ -178,6 +179,32 @@ def test_adjunction_rejects_non_morphisms():
         adjunction_check(t, w, pair=(bad, bad))
     with pytest.raises(PreconditionNotMet):
         adjunction_check(t, w)
+
+
+def _functor_called(*args):
+    raise AssertionError("a functor image was built")
+
+
+def test_adjunction_without_a_morphism_builds_nothing(monkeypatch):
+    t = c2_identity_truss()
+    w = rota_baxter_from_truss(t)
+    monkeypatch.setattr(rota_baxter, "truss_from_rota_baxter", _functor_called)
+    monkeypatch.setattr(rota_baxter, "rota_baxter_from_truss", _functor_called)
+    with pytest.raises(PreconditionNotMet):
+        adjunction_check(t, w)
+
+
+def test_twisted_operator_truss_builds_its_product_once(monkeypatch):
+    g = symmetric3()
+    h = group_algebra(g, QQ)
+    ups = linearize_endo(g, named_endo(g, "sign-retraction"), QQ)
+    triv = linearize_endo(g, named_endo(g, "trivial"), QQ)
+    built = []
+    product = rota_baxter._twisted_product
+    monkeypatch.setattr(rota_baxter, "_twisted_product",
+                        lambda *args: built.append(product(*args)) or built[-1])
+    t = truss_from_twisted_operator(h, triv, ups)
+    assert len(built) == 1 and t.mu2 is built[0]
 
 
 def test_twisted_check_requires_unital_target():

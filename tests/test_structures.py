@@ -1,4 +1,7 @@
 """Braiding, (co)algebra law checkers, convolution, duals."""
+import collections
+import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -203,3 +206,26 @@ def test_gf5_group_algebra():
     h = group_algebra(group_by_name("Q8"), f5)
     assert check_hopf(h).passed
     assert solve_antipode(h) == h.antipode
+
+
+# law ids a checker legitimately writes twice: one law with two outcomes
+# (checked, or failed on a singular braiding), and the two laws stated both
+# for a post-Hopf structure and for the operator structure of a Rota-Baxter
+# datum, in checkers whose other laws differ
+SHARED_LAW_IDS = {
+    "braid.invertible",
+    "derived.derived-product-right-unit",
+    "twisted.cocycle-unital",
+}
+
+
+def test_each_law_id_is_stated_once():
+    src = os.path.dirname(structures.__file__)
+    literal = re.compile(r'"[a-z0-9.-]*[a-z]\.[a-z][a-z0-9.-]*"')
+    counts = collections.Counter()
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                counts.update(literal.findall(fh.read()))
+    stated_twice = {lit.strip('"') for lit, n in counts.items() if n > 1}
+    assert stated_twice == SHARED_LAW_IDS
