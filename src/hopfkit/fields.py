@@ -1,9 +1,16 @@
 """Exact scalar arithmetic: the rationals and prime fields GF(p).
 
-Scalars are plain Python values -- ``fractions.Fraction`` over the rationals
-and canonical ``int`` representatives in ``[0, p)`` over GF(p).  A ``Field``
-object mediates every arithmetic operation so that the linear-map layer never
-needs to know which kind of scalar it is holding.
+Scalars are plain Python values.  Over the rationals an integral value is an
+``int`` and any other value a ``fractions.Fraction``; over GF(p) a value is its
+canonical ``int`` representative in ``[0, p)``.  A ``Field`` object mediates
+every arithmetic operation so that the linear-map layer never needs to know
+which kind of scalar it is holding.
+
+Over Q, equality, not type, is the contract: sums and products of
+``Fraction`` values may be integral ``Fraction`` values, which compare (and
+print) equal to the matching ``int``.  Keeping the entries that structure maps
+mostly hold, 0 and 1, as ``int`` makes the kernel's products and its
+``== one`` tests machine-integer operations instead of ``Fraction`` ones.
 """
 from __future__ import annotations
 
@@ -43,9 +50,13 @@ def _is_prime(n: int) -> bool:
 class Field:
     """The rationals (``char == 0``) or GF(p) (``char == p`` prime).
 
-    Values of the field are *not* wrapped: rational scalars are ``Fraction``
-    (always gcd-reduced with positive denominator, which ``Fraction``
-    guarantees) and GF(p) scalars are ints already reduced mod p.
+    Values of the field are *not* wrapped.  A rational scalar is an ``int``
+    when it is integral and otherwise a ``Fraction`` (always gcd-reduced with
+    positive denominator, which ``Fraction`` guarantees); ``coerce``,
+    ``parse``, ``inv``, ``zero`` and ``one`` give the ``int`` form, while
+    arithmetic on ``Fraction`` inputs may return an integral ``Fraction``.
+    Compare scalars by value, never by type.  GF(p) scalars are ints already
+    reduced mod p.
     """
 
     __slots__ = ("char",)
@@ -85,13 +96,8 @@ class Field:
 
     # -- elements ---------------------------------------------------------
 
-    @property
-    def zero(self):
-        return 0 if self.char else _QZERO
-
-    @property
-    def one(self):
-        return 1 if self.char else _QONE
+    zero = 0
+    one = 1
 
     def coerce(self, x):
         """Turn an int / Fraction / string into a canonical scalar."""
@@ -104,9 +110,9 @@ class Field:
                 raise FieldError(f"cannot coerce {x!r} into {self}")
             return x % self.char
         if isinstance(x, Fraction):
-            return x
+            return _normal(x)
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)
         raise FieldError(f"cannot coerce {x!r} into {self}")
 
     # -- arithmetic ---------------------------------------------------------
@@ -131,7 +137,7 @@ class Field:
             return pow(a, self.char - 2, self.char)
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / a
+        return _normal(Fraction(1, a))
 
     # -- text ---------------------------------------------------------------
 
@@ -140,12 +146,13 @@ class Field:
         m = _SCALAR.fullmatch(token)
         if self.char:
             if m is None or m[2] is not None:
-                raise FieldError(f"bad GF({self.char}) scalar {token!r}")
+                raise FieldError(f"bad GF({self.char}) scalar {_echo(token)}")
             return int(m[1]) % self.char
         den = int(m[2] or 1) if m else 0
         if den == 0:
-            raise FieldError(f"bad rational scalar {token!r}")
-        return Fraction(int(m[1]), den)
+            raise FieldError(f"bad rational scalar {_echo(token)}")
+        num = int(m[1])
+        return num if den == 1 else _normal(Fraction(num, den))
 
     def format(self, a) -> str:
         return str(a)
@@ -169,7 +176,16 @@ class Field:
         raise FieldError(f"bad field token {tok!r} (expected 'Q' or 'GF:p')")
 
 
-_QZERO = Fraction(0)
-_QONE = Fraction(1)
+def _normal(x: Fraction):
+    """A rational in its canonical form: ``int`` when integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _echo(token: str) -> str:
+    """A rejected token for an error message, cut to its first 40 characters
+    so that a hostile token does not make the message as long as itself."""
+    if len(token) <= 40:
+        return repr(token)
+    return f"{token[:40]!r}... ({len(token)} characters)"
 
 QQ = Field.rationals()

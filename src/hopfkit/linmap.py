@@ -236,13 +236,14 @@ def compose(g: LinMap, f: LinMap) -> LinMap:
         raise ShapeMismatch(f"cannot compose: {f.dom}->{f.cod} then {g.dom}->{g.cod}")
     mul = g.field.mul
     add = g.field.add
+    one = g.field.one
     gcols = g.cols
     out = []
     for fcol in f.cols:
         if len(fcol) == 1:
             # permutation-like fast path: a single scalar times a column of g
             (k, v), = fcol.items()
-            if v == g.field.one:
+            if v == one:
                 out.append(dict(gcols[k]))
             else:
                 out.append({i: mul(w, v) for i, w in gcols[k].items()})
@@ -273,15 +274,22 @@ def _tensor2(f: LinMap, g: LinMap) -> LinMap:
     if f.field != g.field:
         raise ShapeMismatch(f"tensor of maps over {f.field!r} and {g.field!r}")
     mul = f.field.mul
+    one = f.field.one
     ncg = g.cod.total
     cols = []
     for fcol in f.cols:
+        # a factor equal to one is copied, not multiplied: structure maps hold
+        # mostly ones, and ``== one`` on an int costs far less than ``mul``
+        fitems = [(i_f * ncg, vf, vf == one) for i_f, vf in fcol.items()]
         for gcol in g.cols:
             col = {}
-            for i_f, vf in fcol.items():
-                base = i_f * ncg
-                for i_g, vg in gcol.items():
-                    col[base + i_g] = mul(vf, vg)
+            for base, vf, vf_is_one in fitems:
+                if vf_is_one:
+                    for i_g, vg in gcol.items():
+                        col[base + i_g] = vg
+                else:
+                    for i_g, vg in gcol.items():
+                        col[base + i_g] = vf if vg == one else mul(vf, vg)
             cols.append(col)
     return LinMap(f.field, f.dom * g.dom, f.cod * g.cod, tuple(cols))
 

@@ -61,6 +61,8 @@ class PostHopfData:
     hopf: HopfAlgebraData
     action: LinMap   # [n,n] -> [n]
     cocycle: LinMap  # [n] -> [n]
+    _bar: Optional[LinMap] = dc_field(default=None, init=False, repr=False,
+                                      compare=False)
     _beta: Optional[LinMap] = dc_field(default=None, init=False, repr=False,
                                        compare=False)
 
@@ -75,10 +77,12 @@ class PostHopfData:
 
 
 def derived_product(w: PostHopfData) -> LinMap:
-    """``mu . (cocycle (x) action) . (delta (x) id)``."""
-    h = w.hopf
-    i1 = w.obj.id(1)
-    return h.mu @ tensor(w.cocycle, w.action) @ tensor(h.delta, i1)
+    """``mu . (cocycle (x) action) . (delta (x) id)``.  Cached."""
+    if w._bar is None:
+        h = w.hopf
+        i1 = w.obj.id(1)
+        w._bar = h.mu @ tensor(w.cocycle, w.action) @ tensor(h.delta, i1)
+    return w._bar
 
 
 def curried_action(w: PostHopfData) -> LinMap:

@@ -19,7 +19,7 @@ operators against a Hopf endomorphism).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Optional, Tuple
 
 from .errors import (
@@ -62,6 +62,8 @@ class RotaBaxterData:
     action: LinMap    # [dim target, dim H] -> [dim H]
     operator: LinMap  # [dim H] -> [dim target]
     cocycle: LinMap   # [dim H] -> [dim H]
+    _post_hopf: Optional[post_hopf.PostHopfData] = dc_field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def obj(self):
@@ -76,8 +78,10 @@ def operator_action(w: RotaBaxterData) -> LinMap:
 def as_post_hopf(w: RotaBaxterData) -> post_hopf.PostHopfData:
     """The carrier with the operator action as its action, cocycle kept: the
     derived product, the class condition and the truss are all that
-    structure's."""
-    return post_hopf.PostHopfData(w.hopf, operator_action(w), w.cocycle)
+    structure's.  Cached, and with it that structure's derived product."""
+    if w._post_hopf is None:
+        w._post_hopf = post_hopf.PostHopfData(w.hopf, operator_action(w), w.cocycle)
+    return w._post_hopf
 
 
 def derived_product(w: RotaBaxterData) -> LinMap:

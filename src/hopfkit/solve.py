@@ -1,8 +1,9 @@
 """Gaussian elimination over exact fields.
 
 Rows are sparse dicts {column: nonzero value}; elimination only ever touches
-the nonzero entries of the pivot row, which keeps the block-diagonal systems
-produced by convolution inverses cheap.
+the rows holding the pivot column and, in them, the nonzero entries of the
+pivot row, which keeps the block-diagonal systems produced by convolution
+inverses cheap.
 """
 from __future__ import annotations
 
@@ -17,39 +18,49 @@ def rref(rows, ncols: int, field: Field):
     ``rows`` is a list of sparse row dicts (consumed as given, not mutated).
     Returns ``(reduced_rows, pivot_cols)`` where ``reduced_rows`` contains
     only the nonzero rows, each with leading entry 1 in its pivot column and
-    zeros above and below, ordered by pivot column.
+    zeros above and below, ordered by pivot column.  The pivot of a column is
+    its lowest-numbered row not yet used as a pivot.
     """
+    mul, sub, one = field.mul, field.sub, field.one
     work = [dict(r) for r in rows]
+    # column -> the rows with a nonzero entry there, for the columns that can
+    # hold a pivot; updated whenever an entry appears or cancels, so a pivot
+    # search and an elimination visit only the rows they concern
+    holders = [set() for _ in range(ncols)]
+    for r, row in enumerate(work):
+        for c, v in row.items():
+            if v and c < ncols:
+                holders[c].add(r)
     pivots = []
     pivot_rows = []
     used = [False] * len(work)
     for col in range(ncols):
-        pivot = None
-        for r, row in enumerate(work):
-            if not used[r] and row.get(col):
-                pivot = r
-                break
+        rs = holders[col]
+        pivot = min((r for r in rs if not used[r]), default=None)
         if pivot is None:
             continue
         used[pivot] = True
         prow = work[pivot]
         inv = field.inv(prow[col])
-        if inv != field.one:
-            prow = {c: field.mul(inv, v) for c, v in prow.items()}
+        if inv != one:
+            prow = {c: mul(inv, v) for c, v in prow.items()}
             work[pivot] = prow
         items = list(prow.items())
-        for r, row in enumerate(work):
-            if r == pivot:
-                continue
-            factor = row.get(col)
-            if not factor:
-                continue
+        for r in [r for r in rs if r != pivot]:
+            row = work[r]
+            factor = row[col]
             for c, v in items:
-                t = field.sub(row.get(c, field.zero), field.mul(factor, v))
+                t = sub(row.get(c, 0), mul(factor, v))
                 if t:
                     row[c] = t
+                    if c < ncols:
+                        holders[c].add(r)
                 else:
-                    row.pop(c, None)
+                    # fields have no zero divisors: t is 0 only where the
+                    # row held the entry the product cancels
+                    del row[c]
+                    if c < ncols:
+                        holders[c].discard(r)
         pivots.append(col)
         pivot_rows.append(prow)
     return pivot_rows, pivots

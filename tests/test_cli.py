@@ -183,6 +183,15 @@ def test_check_rejects_an_exponent_scalar_quickly(capsys, tmp_path):
     assert time.perf_counter() - t0 < 5
 
 
+def test_check_error_on_a_huge_scalar_is_bounded(capsys, tmp_path):
+    path = _c2_file_with(capsys, tmp_path, "map delta: 4x2\n1 0\n0 0",
+                         "map delta: 4x2\n1 0\n" + "9" * 1_000_000 + " 0")
+    code, _, err = run(capsys, "check", path)
+    assert code == 2
+    assert len(err.encode()) < 300
+    assert "(1000000 characters)" in err
+
+
 def test_check_prints_witnesses_past_the_int_str_limit(capsys, tmp_path):
     big = "9" * 4000  # accepted by the parser; its square has 8000 digits
     path = _c2_file_with(capsys, tmp_path, "map eta: 2x1\n1\n",

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfkit.fields import Field, FieldError, QQ
@@ -88,3 +88,49 @@ def test_gf7_is_a_field(a, b, c):
     assert f.add(a, f.neg(a)) == 0
     if a != 0:
         assert f.mul(a, f.inv(a)) == 1
+
+
+q_values = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+def _forms(q):
+    """Every way a caller may hold the rational ``q``: always a ``Fraction``,
+    and a plain ``int`` too when ``q`` is integral."""
+    return [q, q.numerator] if q.denominator == 1 else [q]
+
+
+def _check_q_value(x, expected):
+    assert not isinstance(x, float)
+    assert x == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(q_values, q_values)
+def test_q_operations_are_exact_whatever_the_input_type(p, q):
+    for op, exact in ((QQ.add, p + q), (QQ.sub, p - q), (QQ.mul, p * q)):
+        for a in _forms(p):
+            for b in _forms(q):
+                _check_q_value(op(a, b), exact)
+    for a in _forms(p):
+        _check_q_value(QQ.neg(a), -p)
+        # coerce, parse and inv give the canonical form: int when integral
+        canonical = int if p.denominator == 1 else Fraction
+        for got in (QQ.coerce(a), QQ.parse(str(a))):
+            _check_q_value(got, p)
+            assert type(got) is canonical
+        if p:
+            inverse = QQ.inv(a)
+            _check_q_value(inverse, 1 / p)
+            assert type(inverse) is (int if p.numerator in (1, -1) else Fraction)
+
+
+def test_parse_error_quotes_a_bounded_prefix_of_the_token():
+    huge = "9" * 1_000_000
+    for fld in (QQ, Field.prime(7)):
+        with pytest.raises(FieldError) as info:
+            fld.parse(huge)
+        msg = str(info.value)
+        assert len(msg) < 120 and "1000000 characters" in msg
+        assert "9" * 40 in msg
+    with pytest.raises(FieldError, match=r"'x'$"):
+        QQ.parse("x")

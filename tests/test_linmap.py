@@ -1,4 +1,5 @@
 """The linear-map layer against hand-computed Kronecker/flip oracles."""
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hopfkit.linmap import (
     LinMap,
     TensorShape,
     UNIT_SHAPE,
+    first_mismatch,
     flip,
     identity,
     shape,
@@ -152,3 +154,46 @@ def test_flip_conjugation_naturality(a):
     B = M([[2, 1], [0, 1]])
     c = flip(QQ, 2, 2)
     assert c @ tensor(A, B) == tensor(B, A) @ c
+
+
+# mostly zeros and ones, as in structure maps, with a few non-integers
+kernel_scalar = st.sampled_from(
+    [0, 0, 0, 1, 1, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+
+
+def kernel_mat(n, m):
+    return st.lists(st.lists(kernel_scalar, min_size=m, max_size=m),
+                    min_size=n, max_size=n)
+
+
+def _both_forms(rows):
+    """The map of ``rows`` twice: as ``from_entries`` stores it (integral
+    entries as ``int``) and with every entry an explicit ``Fraction``."""
+    a = M(rows)
+    b = LinMap(QQ, a.dom, a.cod,
+               tuple({i: Fraction(v) for i, v in c.items()} for c in a.cols))
+    return a, b
+
+
+def _printed(m):
+    return [{i: str(v) for i, v in c.items()} for c in m.cols]
+
+
+def _printed_witness(w):
+    return None if w is None else [str(x) for x in w]
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_mat(2, 3), kernel_mat(3, 2), kernel_mat(2, 3))
+def test_kernel_agrees_on_int_and_fraction_entries(a, b, c):
+    # the same map held with int or with Fraction entries gives the same
+    # tensor products, composites and witnesses, entry for printed entry
+    forms = [_both_forms(x) for x in (a, b, c)]
+    a0, b0, c0 = (f[0] for f in forms)
+    tensored = _printed(tensor(a0, b0, c0))
+    composed = _printed(a0 @ b0)
+    witness = _printed_witness(first_mismatch(a0, c0))
+    for fa, fb, fc in itertools.product(*forms):
+        assert _printed(tensor(fa, fb, fc)) == tensored
+        assert _printed(fa @ fb) == composed
+        assert _printed_witness(first_mismatch(fa, fc)) == witness

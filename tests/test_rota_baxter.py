@@ -18,7 +18,8 @@ from hopfkit.factories import group_algebra, linearize_endo, named_endo, sweedle
 from hopfkit.fields import Field, QQ
 from hopfkit.groups import cyclic, group_by_name, symmetric3
 from hopfkit.linmap import LinMap, TensorShape, UNIT_SHAPE, identity, shape, tensor
-from hopfkit import rota_baxter
+from hopfkit import post_hopf, rota_baxter
+from hopfkit.cli import structure_report
 from hopfkit.rota_baxter import (
     RotaBaxterData,
     adjunction_check,
@@ -37,6 +38,7 @@ from hopfkit.rota_baxter import (
     truss_from_rota_baxter,
     truss_from_twisted_operator,
 )
+from hopfkit.storage import StructureFile
 from hopfkit.structures import NonUnitalBialgebraData, BraidedObject
 from hopfkit.truss import check_truss, truss_action
 
@@ -205,6 +207,24 @@ def test_twisted_operator_truss_builds_its_product_once(monkeypatch):
                         lambda *args: built.append(product(*args)) or built[-1])
     t = truss_from_twisted_operator(h, triv, ups)
     assert len(built) == 1 and t.mu2 is built[0]
+
+
+def test_unital_operator_report_builds_its_post_hopf_view_once(monkeypatch):
+    w = rota_baxter_from_truss(dq("S3", "identity"))
+    assert w.target.eta is not None
+    actions, products = [], []
+    action = rota_baxter.operator_action
+    product = post_hopf.derived_product
+    monkeypatch.setattr(rota_baxter, "operator_action",
+                        lambda *args: actions.append(action(*args)) or actions[-1])
+    monkeypatch.setattr(post_hopf, "derived_product",
+                        lambda *args: products.append(product(*args)) or products[-1])
+    rep = structure_report(StructureFile("wtrb", w))
+    assert rep.passed
+    assert "twisted.derived.derived-product-left-unit" in [r.law for r in rep.results]
+    # the rota-baxter and twisted checks share one view and one product
+    assert len(actions) == 1
+    assert len(products) >= 2 and all(p is products[0] for p in products)
 
 
 def test_twisted_check_requires_unital_target():

@@ -87,3 +87,70 @@ def test_rref_is_projection(rows):
         for other in range(len(pivots)):
             if other != k:
                 assert p not in reduced[other]
+
+
+def _rref_by_row_scan(rows, ncols, field):
+    """Gauss-Jordan elimination that scans every row for each column: the
+    reference the column-indexed :func:`rref` must agree with exactly."""
+    work = [dict(r) for r in rows]
+    pivots, pivot_rows = [], []
+    used = [False] * len(work)
+    for col in range(ncols):
+        pivot = next((r for r, row in enumerate(work)
+                      if not used[r] and row.get(col)), None)
+        if pivot is None:
+            continue
+        used[pivot] = True
+        prow = work[pivot]
+        inv = field.inv(prow[col])
+        if inv != field.one:
+            prow = {c: field.mul(inv, v) for c, v in prow.items()}
+            work[pivot] = prow
+        for r, row in enumerate(work):
+            factor = row.get(col)
+            if r == pivot or not factor:
+                continue
+            for c, v in prow.items():
+                t = field.sub(row.get(c, field.zero), field.mul(factor, v))
+                if t:
+                    row[c] = t
+                else:
+                    row.pop(c, None)
+        pivots.append(col)
+        pivot_rows.append(prow)
+    return pivot_rows, pivots
+
+
+# mostly zero: sparse rows, often singular
+sparse_scalar = st.sampled_from([0, 0, 0, 0, 1, -1, 2, 3])
+
+
+@st.composite
+def sparse_system(draw):
+    """Rows of an augmented system ``[A | b]``, sometimes with a repeated row
+    of ``A`` whose right-hand side differs, which makes it inconsistent."""
+    width = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(sparse_scalar, min_size=width + 1,
+                                  max_size=width + 1),
+                         min_size=1, max_size=7))
+    if draw(st.booleans()):
+        copy = list(draw(st.sampled_from(rows)))
+        copy[-1] += 1
+        rows.append(copy)
+    return width, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_system(), st.sampled_from([QQ, Field.prime(5)]))
+def test_rref_matches_the_row_scan_reference(system, fld):
+    width, dense = system
+    rows = [{c: fld.coerce(v) for c, v in enumerate(r) if fld.coerce(v)}
+            for r in dense]
+    # width + 1 lets the right-hand side hold a pivot (inconsistent systems);
+    # width keeps it an augmented column, as ``invert`` does
+    for ncols in (width, width + 1):
+        got = rref(rows, ncols, fld)
+        want = _rref_by_row_scan(rows, ncols, fld)
+        assert got[1] == want[1]
+        assert [[(c, str(v)) for c, v in r.items()] for r in got[0]] == \
+            [[(c, str(v)) for c, v in r.items()] for r in want[0]]
