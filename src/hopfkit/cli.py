@@ -67,9 +67,9 @@ from .truss import check_truss, check_truss_derived, truss_class_condition
 def structure_report(sf: StructureFile) -> CheckReport:
     """Every law the declared kind must satisfy, as one flat report.
 
-    Refinement laws (unital cocycle / unital target) are included
-    automatically when their shape-level precondition is present, so a file
-    never silently under-claims.
+    The twisted refinement laws are included when their precondition holds
+    (a wtph cocycle that fixes the unit, a wtrb target with a unit), so a
+    file never silently under-claims.
     """
     s = sf.structure
     rep = CheckReport()
@@ -82,8 +82,9 @@ def structure_report(sf: StructureFile) -> CheckReport:
         rep.merge(check_truss_derived(s))
     elif sf.kind == "wtph":
         rep.merge(check_post_hopf(s))
-        if s.cocycle @ s.hopf.eta == s.hopf.eta:
-            rep.merge(check_twisted(s))
+        twisted = check_twisted(s)
+        if twisted.results[0].passed:  # twisted.cocycle-unital
+            rep.merge(twisted)
     else:
         rep.merge(check_braided_object(s.target.obj, braid_generators(sf, "k")),
                   prefix="target.")

@@ -11,6 +11,14 @@ Two families matter to callers (and to the CLI's exit codes):
 from __future__ import annotations
 
 
+def _echo(token: str) -> str:
+    """A rejected token for an error message, cut to its first 40 characters
+    so that a hostile token does not make the message as long as itself."""
+    if len(token) <= 40:
+        return repr(token)
+    return f"{token[:40]!r}... ({len(token)} characters)"
+
+
 class HopfkitError(Exception):
     """Base class for every error raised by this package."""
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, _echo
 
 
 class FieldError(InputError):
@@ -30,8 +30,15 @@ MAX_CHAR = 2 ** 31
 
 
 # a scalar token as ``dumps`` writes it: an integer, or over Q a fraction a/b,
-# each integer within Python's default 4300-digit cap on int <-> str
+# each integer within Python's default 4300-digit cap on int <-> str; a header
+# integer (dimension, map size, characteristic) is the same digits, unsigned
 _SCALAR = re.compile(r"(-?[0-9]{1,4300})(?:/([0-9]{1,4300}))?")
+_NATURAL = re.compile(r"[0-9]{1,4300}")
+
+
+def parse_natural(token: str):
+    """A header integer: 1 to 4300 ASCII digits as an ``int``, else ``None``."""
+    return int(token) if _NATURAL.fullmatch(token) else None
 
 
 def _is_prime(n: int) -> bool:
@@ -64,7 +71,8 @@ class Field:
     def __init__(self, char: int = 0):
         if char >= MAX_CHAR or (char != 0 and not _is_prime(char)):
             raise FieldError(
-                f"field characteristic must be 0 or a prime below 2^31, got {char}")
+                "field characteristic must be 0 or a prime below 2^31, "
+                f"got {_echo(str(char))}")
         self.char = char
 
     # -- constructors ----------------------------------------------------
@@ -167,25 +175,15 @@ class Field:
         tok = tok.strip()
         if tok == "Q":
             return Field.rationals()
-        if tok.startswith("GF:"):
-            try:
-                p = int(tok[3:], 10)
-            except ValueError:
-                raise FieldError(f"bad field token {tok!r}") from None
-            return Field.prime(p)
-        raise FieldError(f"bad field token {tok!r} (expected 'Q' or 'GF:p')")
+        p = parse_natural(tok[3:]) if tok.startswith("GF:") else None
+        if p is None:
+            raise FieldError(f"bad field token {_echo(tok)} (expected 'Q' or 'GF:p')")
+        return Field.prime(p)
 
 
 def _normal(x: Fraction):
     """A rational in its canonical form: ``int`` when integral."""
     return x.numerator if x.denominator == 1 else x
 
-
-def _echo(token: str) -> str:
-    """A rejected token for an error message, cut to its first 40 characters
-    so that a hostile token does not make the message as long as itself."""
-    if len(token) <= 40:
-        return repr(token)
-    return f"{token[:40]!r}... ({len(token)} characters)"
 
 QQ = Field.rationals()

@@ -138,16 +138,6 @@ class LinMap:
                     cols[j][i] = v
         return LinMap(field, dom, cod, tuple(cols))
 
-    @staticmethod
-    def single(field, dom, cod, row: int, col: int, value=1) -> "LinMap":
-        """The map whose matrix has a single nonzero entry."""
-        dom, cod = _as_shape(dom), _as_shape(cod)
-        cols = [dict() for _ in range(dom.total)]
-        v = field.coerce(value)
-        if v:
-            cols[col][row] = v
-        return LinMap(field, dom, cod, tuple(cols))
-
     # -- views ---------------------------------------------------------------
 
     def entry(self, i: int, j: int):

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Dict, List, Optional
 
-from .errors import ParseError, ShapeMismatch, UnknownKind
-from .fields import Field, FieldError
+from .errors import ParseError, ShapeMismatch, UnknownKind, _echo
+from .fields import Field, FieldError, parse_natural
 from .linmap import LinMap, TensorShape
 from .post_hopf import PostHopfData
 from .rota_baxter import RotaBaxterData
@@ -111,8 +111,10 @@ KINDS = tuple(SCHEMAS)
 
 
 def _schema(kind):
+    if kind is None:
+        raise UnknownKind("missing header 'kind'")
     if kind not in SCHEMAS:
-        raise UnknownKind(f"unknown structure kind {kind!r}")
+        raise UnknownKind(f"unknown structure kind {_echo(kind)}")
     return SCHEMAS[kind]
 
 
@@ -172,14 +174,14 @@ def _parse_headers(lines):
         if raw.startswith("map "):
             break
         if ":" not in raw:
-            raise ParseError(f"expected 'key: value', got {raw!r}", line=lineno)
+            raise ParseError(f"expected 'key: value', got {_echo(raw)}", line=lineno)
         key, _, value = raw.partition(":")
         key = key.strip()
         value = value.strip()
         if key.startswith("meta "):
             meta[key[5:].strip()] = value
         elif key in headers:
-            raise ParseError(f"duplicate header {key!r}", line=lineno)
+            raise ParseError(f"duplicate header {_echo(key)}", line=lineno)
         else:
             headers[key] = value
         i += 1
@@ -189,10 +191,10 @@ def _parse_headers(lines):
 def _parse_int(headers, key, lineno=None):
     if key not in headers:
         raise ParseError(f"missing header {key!r}", line=lineno)
-    try:
-        return int(headers[key])
-    except ValueError:
-        raise ParseError(f"header {key!r} is not an integer") from None
+    value = parse_natural(headers[key])
+    if value is None:
+        raise ParseError(f"header {key!r} is not an integer")
+    return value
 
 
 def _read_map(lines, i, field):
@@ -203,30 +205,30 @@ def _read_map(lines, i, field):
         raise ParseError("malformed map header", line=lineno)
     name, _, size = head.partition(":")
     name = name.strip()
+    label = f"map {_echo(name)}"
     size = size.strip().lower()
     if "x" not in size:
-        raise ParseError(f"map {name!r}: size must look like RxC", line=lineno)
+        raise ParseError(f"{label}: size must look like RxC", line=lineno)
     rtok, _, ctok = size.partition("x")
-    try:
-        nrows, ncols = int(rtok), int(ctok)
-    except ValueError:
-        raise ParseError(f"map {name!r}: bad size {size!r}", line=lineno) from None
+    nrows, ncols = parse_natural(rtok), parse_natural(ctok)
+    if nrows is None or ncols is None:
+        raise ParseError(f"{label}: bad size {_echo(size)}", line=lineno)
     i += 1
     rows = []
     for r in range(nrows):
         if i >= len(lines):
-            raise ParseError(f"map {name!r}: expected {nrows} rows, file ended",
+            raise ParseError(f"{label}: expected {nrows} rows, file ended",
                              line=lineno)
         rlineno, rraw = lines[i]
         toks = rraw.split()
         if len(toks) != ncols:
             raise ParseError(
-                f"map {name!r} row {r}: expected {ncols} entries, got {len(toks)}",
+                f"{label} row {r}: expected {ncols} entries, got {len(toks)}",
                 line=rlineno)
         try:
             rows.append([field.parse(t) for t in toks])
         except Exception as e:
-            raise ParseError(f"map {name!r} row {r}: {e}", line=rlineno) from None
+            raise ParseError(f"{label} row {r}: {e}", line=rlineno) from None
         i += 1
     return name, (nrows, ncols, rows), i
 
@@ -239,7 +241,8 @@ def loads(text: str) -> StructureFile:
     headers, meta, i = _parse_headers(lines)
     version = _parse_int(headers, "format-version", lines[0][0])
     if version != FORMAT_VERSION:
-        raise ParseError(f"unsupported format-version {version}")
+        raise ParseError(
+            f"unsupported format-version {_echo(headers['format-version'])}")
     kind = headers.get("kind")
     parts, rows = _schema(kind)
     if "field" not in headers:
@@ -266,7 +269,7 @@ def loads(text: str) -> StructureFile:
     while i < len(lines):
         name, payload, i = _read_map(lines, i, field)
         if name in raw_maps:
-            raise ParseError(f"duplicate map {name!r}")
+            raise ParseError(f"duplicate map {_echo(name)}")
         raw_maps[name] = payload
 
     def take(name, dom, cod):
@@ -290,7 +293,7 @@ def loads(text: str) -> StructureFile:
                 raise ParseError(f"{header} is explicit but map {header!r} missing")
             braids[letter] = take(header, letter * 2, letter * 2)
         else:
-            raise ParseError(f"{header} must be 'flip' or 'explicit', got {mode!r}")
+            raise ParseError(f"{header} must be 'flip' or 'explicit', got {_echo(mode)}")
     maps = {}
     for row in rows:
         if row.section in raw_maps:
@@ -299,7 +302,7 @@ def loads(text: str) -> StructureFile:
             raise ParseError(f"missing map {row.section!r} for kind {kind!r}")
     if raw_maps:
         stray = ", ".join(sorted(raw_maps))
-        raise ParseError(f"unexpected map sections: {stray}")
+        raise ParseError(f"unexpected map sections: {_echo(stray)}")
     objs = {letter: BraidedObject(field, dims[letter], braid=braids.get(letter))
             for letter in letters}
     return StructureFile(kind=kind, structure=_build(parts, objs, maps),

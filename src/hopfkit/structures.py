@@ -552,28 +552,34 @@ def convolution_inverse(f: LinMap, coalg, alg) -> LinMap:
     Solves ``f * x = eta . eps`` entrywise (the equation is linear in x) and
     then checks ``x * f = eta . eps``; raises :class:`NotInvertible` with the
     failing direction otherwise.
+
+    The system is read off the structure constants in one pass.  With
+    ``F = mu . (f (x) id)``, the coefficient of the unknown ``x[q, j]``
+    (column ``q*n_C + j``) in entry ``(p, k)`` of ``f * x`` (row
+    ``p*n_C + k``) is ``sum_i F[p, (i, q)] * delta[(i, j), k]``.  For the
+    curried action the system falls apart into one independent block per
+    column of the operator; ``rref`` only touches the rows holding a pivot
+    column, so it keeps the blocks apart with no explicit split.
     """
     field = f.field
+    mul, add, one = field.mul, field.add, field.one
     unit = convolution_unit(coalg, alg)
     ncod = f.cod.total
     ndom = f.dom.total
-    n_unknown = ncod * ndom
-    cols = []
-    for i in range(ncod):
-        for j in range(ndom):
-            basis = LinMap.single(field, f.dom, f.cod, i, j)
-            conv = convolution(f, basis, coalg, alg)
-            col = {}
-            for jj, c in enumerate(conv.cols):
-                for ii, v in c.items():
-                    col[ii * ndom + jj] = v
-            cols.append(col)
-    system = LinMap(field, TensorShape((n_unknown,)), TensorShape((n_unknown,)),
-                    tuple(cols))
-    rhs = {}
-    for jj, c in enumerate(unit.cols):
-        for ii, v in c.items():
-            rhs[ii * ndom + jj] = v
+    fcols = (alg.mu @ tensor(f, identity(field, f.cod))).cols
+    cols = [dict() for _ in range(ncod * ndom)]
+    for k, dcol in enumerate(coalg.delta.cols):
+        for ij, d in dcol.items():
+            i, j = divmod(ij, ndom)
+            for q in range(ncod):
+                col = cols[q * ndom + j]
+                for p, v in fcols[i * ncod + q].items():
+                    row = p * ndom + k
+                    t = v if d == one else mul(v, d)
+                    col[row] = add(col[row], t) if row in col else t
+    system = LinMap(field, TensorShape((ncod * ndom,)), TensorShape((ncod * ndom,)),
+                    tuple({r: v for r, v in col.items() if v} for col in cols))
+    rhs = {ii * ndom + jj: v for jj, c in enumerate(unit.cols) for ii, v in c.items()}
     x = _solve.solve(system, rhs)
     if x is None:
         raise NotInvertible("no solution of f * x = unit (not convolution invertible)")

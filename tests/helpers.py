@@ -4,9 +4,10 @@ from dataclasses import replace
 from hopfkit.factories import group_algebra, linearize_endo
 from hopfkit.fields import QQ
 from hopfkit.groups import GROUPS, cyclic, group_by_name, idempotent_endos
-from hopfkit.linmap import LinMap, TensorShape, UNIT_SHAPE, flip, shape, zero_map
+from hopfkit.linmap import LinMap, TensorShape, UNIT_SHAPE, flip, shape, tensor, zero_map
 from hopfkit.post_hopf import PostHopfData, trivial_post_hopf
 from hopfkit.rota_baxter import rota_baxter_from_truss, truss_from_idempotent
+from hopfkit.solve import invert
 from hopfkit.structures import BialgebraData, BraidedObject
 
 # verdict lines collected by the acceptance tests; a terminal-summary hook in
@@ -30,14 +31,43 @@ def monoid_bialgebra(fld=QQ):
     return BialgebraData(obj, eta, mu, eps, delta)
 
 
-def suite_trusses():
-    """Every idempotent-endomorphism truss over the group catalog, over Q."""
+def rebased(b):
+    """The bialgebra ``b`` in the basis ``p(e_i) = d_i e_i + 2 e_{i-1}``
+    (``d_i`` 1 and 2 alternately): isomorphic to ``b``, but its structure
+    constants are not all 0 and 1, and a coproduct may hold several terms
+    with the same right factor."""
+    fld, n = b.obj.field, b.obj.dim
+    p = LinMap.from_entries(fld, shape(n), shape(n),
+                            [[(1 + j % 2) if i == j else 2 if j == i + 1 else 0
+                              for j in range(n)] for i in range(n)])
+    q = invert(p)
+    return BialgebraData(b.obj, q @ b.eta, q @ b.mu @ tensor(p, p), b.eps @ p,
+                         tensor(q, q) @ b.delta @ p)
+
+
+# lines of a C2 group-algebra file with a header integer replaced by a form
+# ``int()`` accepts but ``dumps`` never writes: non-ASCII digits, digit-group
+# underscores, a sign
+HEADER_INTEGER_FORMS = [
+    ("dim: 2", "dim: ٢"),
+    ("dim: 2", "dim: 0_2"),
+    ("dim: 2", "dim: +2"),
+    ("format-version: 1", "format-version: ١"),
+    ("map eta: 2x1", "map eta: +2x١"),
+    ("map eta: 2x1", "map eta: 2x0_1"),
+    ("field: Q", "field: GF:٥"),
+    ("field: Q", "field: GF:+5"),
+]
+
+
+def suite_trusses(fld=QQ):
+    """Every idempotent-endomorphism truss over the group catalog."""
     out = []
     for gname in GROUPS:
         g = group_by_name(gname)
-        h = group_algebra(g, QQ)
+        h = group_algebra(g, fld)
         for endo in idempotent_endos(g):
-            q = linearize_endo(g, endo, QQ)
+            q = linearize_endo(g, endo, fld)
             out.append((f"{gname}/{endo}", truss_from_idempotent(h, q)))
     return out
 

@@ -11,17 +11,19 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfkit import fields
+from hopfkit import fields, linmap, structures
 from hopfkit.cli import main, structure_report
 from hopfkit.factories import group_algebra, linearize_endo, named_endo
 from hopfkit.fields import QQ
 from hopfkit.groups import cyclic
-from hopfkit.post_hopf import post_hopf_from_truss
+from hopfkit.linmap import shape, zero_map
+from hopfkit.post_hopf import check_post_hopf, check_twisted, post_hopf_from_truss
 from hopfkit.rota_baxter import rota_baxter_from_truss, truss_from_idempotent
-from hopfkit.storage import StructureFile, dumps, save
-from hopfkit.structures import BraidedObject
+from hopfkit.storage import StructureFile, braid_generators, dumps, save
+from hopfkit.structures import BraidedObject, check_braided_object
 
 from helpers import (
+    HEADER_INTEGER_FORMS,
     c2_identity_truss,
     mixed_braiding_c2_rota_baxter,
     negated_flip,
@@ -192,6 +194,42 @@ def test_check_error_on_a_huge_scalar_is_bounded(capsys, tmp_path):
     assert "(1000000 characters)" in err
 
 
+BIG = 100_000
+C2_HOPF = dumps(StructureFile("hopf", group_algebra(cyclic(2), QQ)))
+# files rejected on a token of BIG characters, each quoted in the message
+HOSTILE = {
+    "header-line": "x" * BIG + "\n" + C2_HOPF,
+    "duplicate-header": f"{'k' * BIG}: 1\n{'k' * BIG}: 1\n" + C2_HOPF,
+    "format-version": C2_HOPF.replace("format-version: 1",
+                                      "format-version: 2" + "0" * 4000),
+    "kind": C2_HOPF.replace("kind: hopf", "kind: " + "h" * BIG),
+    "field": C2_HOPF.replace("field: Q", "field: " + "Q" * BIG),
+    "field-prime": C2_HOPF.replace("field: Q", "field: GF:" + "5" * BIG),
+    "field-characteristic": C2_HOPF.replace("field: Q", "field: GF:1" + "0" * 4000),
+    "dim": C2_HOPF.replace("dim: 2", "dim: " + "2" * BIG),
+    "braiding": C2_HOPF.replace("braiding: flip", "braiding: " + "f" * BIG),
+    "map-size": C2_HOPF.replace("map eta: 2x1", "map eta: 2x" + "1" * BIG),
+    "map-size-without-x": C2_HOPF.replace("map eta: 2x1", "map eta: " + "2" * BIG),
+    "map-name": C2_HOPF.replace("map eta: 2x1", f"map {'e' * BIG}: 2"),
+    "map-name-rows": C2_HOPF.replace("map eta: 2x1", f"map {'e' * BIG}: 3x1"),
+    "duplicate-map": C2_HOPF + f"\nmap {'d' * BIG}: 1x1\n1\nmap {'d' * BIG}: 1x1\n1\n",
+    "stray-map": C2_HOPF + f"\nmap {'s' * BIG}: 1x1\n1\n",
+    "stray-maps": C2_HOPF + "".join(f"\nmap s{i}: 1x1\n1\n" for i in range(BIG // 10)),
+}
+HOSTILE.update((f"int:{ascii(new)}", C2_HOPF.replace(old, new))
+               for old, new in HEADER_INTEGER_FORMS)
+
+
+@pytest.mark.parametrize("text", HOSTILE.values(), ids=HOSTILE.keys())
+def test_check_error_on_a_hostile_file_is_bounded(capsys, tmp_path, text):
+    path = str(tmp_path / "hostile.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    code, _, err = run(capsys, "check", path)
+    assert code == 2
+    assert err.startswith("error: ") and len(err.encode()) < 300
+
+
 def test_check_prints_witnesses_past_the_int_str_limit(capsys, tmp_path):
     big = "9" * 4000  # accepted by the parser; its square has 8000 digits
     path = _c2_file_with(capsys, tmp_path, "map eta: 2x1\n1\n",
@@ -257,6 +295,33 @@ def test_structure_report_never_aborts(kind, carrier, target):
         StructureFile(kind, _braided(kind, "flip", target and "flip")))
     assert [r.law for r in rep.results] == [r.law for r in flip_rep.results]
     assert flip_rep.passed and not any(r.skipped for r in flip_rep.results)
+
+
+@pytest.mark.parametrize("unital", [True, False], ids=["unital", "zero-cocycle"])
+def test_wtph_report_compares_the_cocycle_on_the_unit_once(monkeypatch, unital):
+    w = post_hopf_from_truss(c2_identity_truss())
+    if not unital:
+        w = replace(w, cocycle=zero_map(QQ, shape(2), shape(2)))
+    eta = w.hopf.eta
+    against_eta = []
+
+    def spy(f, g):
+        if g is eta:
+            against_eta.append(f)
+        return real(f, g)
+
+    real = linmap.first_mismatch
+    monkeypatch.setattr(linmap, "first_mismatch", spy)
+    monkeypatch.setattr(structures, "first_mismatch", spy)
+    sf = StructureFile("wtph", w)
+    rep = structure_report(sf)
+    monkeypatch.undo()
+    assert len(against_eta) == 1 and against_eta[0] == w.cocycle @ eta
+    # the twisted laws are listed exactly when the cocycle fixes the unit
+    expected = (check_braided_object(w.obj, braid_generators(sf, "n")).results
+                + check_post_hopf(w).results
+                + (check_twisted(w).results if unital else []))
+    assert [r.line() for r in rep.results] == [r.line() for r in expected]
 
 
 def _c3_truss_text():

@@ -76,8 +76,9 @@ def test_tokens():
     assert Field.from_token("GF:11") == Field.prime(11)
     with pytest.raises(FieldError):
         Field.from_token("R")
-    with pytest.raises(FieldError):
-        Field.from_token("GF:abc")
+    for bad in ("GF:abc", "GF:", "GF:+5", "GF:٥", "GF:0_5", "GF:" + "5" * 4301):
+        with pytest.raises(FieldError):
+            Field.from_token(bad)
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from helpers import HEADER_INTEGER_FORMS
 from hopfkit.errors import ParseError, ShapeMismatch, UnknownKind
 from hopfkit.factories import group_algebra, linearize_endo, named_endo, sweedler_h4
 from hopfkit.fields import Field, QQ
@@ -162,6 +163,16 @@ def test_basis_length_checked():
                                basis=["e", "g"]))
     with pytest.raises(ParseError):
         loads(text.replace("basis: e g", "basis: e g extra"))
+
+
+C2_TEXT = dumps(StructureFile("hopf", group_algebra(cyclic(2), QQ)))
+
+@pytest.mark.parametrize("old, new", HEADER_INTEGER_FORMS,
+                         ids=[ascii(new) for _, new in HEADER_INTEGER_FORMS])
+def test_header_integers_are_ascii_digits(old, new):
+    assert old in C2_TEXT
+    with pytest.raises(ParseError):
+        loads(C2_TEXT.replace(old, new))
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -5,14 +5,22 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import monoid_bialgebra, negated_flip
+from helpers import (
+    monoid_bialgebra,
+    negated_flip,
+    rebased,
+    suite_trusses,
+    zero_action_c2_post_hopf,
+)
 from hopfkit.errors import NoAntipode, NonSymmetricBraiding, NotInvertible
 from hopfkit.factories import group_algebra, sweedler_h4
 from hopfkit.fields import Field, QQ
-from hopfkit.groups import cyclic, group_by_name, symmetric3
-from hopfkit.linmap import LinMap, TensorShape, flip, identity, shape, tensor
-from hopfkit import structures
+from hopfkit.groups import GROUPS, cyclic, group_by_name, semidirect_group, symmetric3
+from hopfkit.linmap import LinMap, TensorShape, flip, identity, shape, tensor, zero_map
+from hopfkit import linmap, post_hopf, structures
+from hopfkit.solve import solve
 from hopfkit.structures import (
     BraidedObject,
     antipode_property_check,
@@ -142,6 +150,157 @@ def test_convolution_inverse_missing():
     b = monoid_bialgebra()
     with pytest.raises(NotInvertible):
         convolution_inverse(identity(QQ, shape(2)), b, b)
+
+
+def _convolution_inverse_by_probing(f, coalg, alg):
+    """The solver :func:`convolution_inverse` replaced: the system is found
+    column by column, one full convolution of ``f`` with a single-entry map
+    per unknown.  The reference the one-pass construction must agree with
+    exactly, system, solution and messages alike."""
+    field = f.field
+    unit = convolution_unit(coalg, alg)
+    ncod, ndom = f.cod.total, f.dom.total
+    cols = []
+    for i in range(ncod):
+        for j in range(ndom):
+            basis = LinMap(field, f.dom, f.cod,
+                           tuple({i: field.one} if c == j else {} for c in range(ndom)))
+            conv = convolution(f, basis, coalg, alg)
+            cols.append({ii * ndom + jj: v
+                         for jj, c in enumerate(conv.cols) for ii, v in c.items()})
+    n_unknown = TensorShape((ncod * ndom,))
+    system = LinMap(field, n_unknown, n_unknown, tuple(cols))
+    rhs = {ii * ndom + jj: v for jj, c in enumerate(unit.cols) for ii, v in c.items()}
+    x = solve(system, rhs)
+    if x is None:
+        raise NotInvertible("no solution of f * x = unit (not convolution invertible)")
+    inv_cols = [dict() for _ in range(ndom)]
+    for flat, v in x.items():
+        inv_cols[flat % ndom][flat // ndom] = v
+    inverse = LinMap(field, f.dom, f.cod, tuple(inv_cols))
+    if convolution(inverse, f, coalg, alg) != unit:
+        raise NotInvertible("solution of f * x = unit is not a two-sided inverse")
+    return inverse
+
+
+def _inverse_or_message(solver, f, coalg, alg):
+    """The inverse as its exact entries in print form, or the refusal."""
+    try:
+        return [[str(v) for v in row] for row in solver(f, coalg, alg).entries()]
+    except NotInvertible as e:
+        return ("NotInvertible", str(e))
+
+
+def _assert_same_inverse(f, coalg, alg):
+    got = _inverse_or_message(convolution_inverse, f, coalg, alg)
+    assert got == _inverse_or_message(_convolution_inverse_by_probing, f, coalg, alg)
+    return got
+
+
+BIALGEBRAS = {
+    "C2": lambda fld: group_algebra(cyclic(2), fld),
+    "C3": lambda fld: group_algebra(cyclic(3), fld),
+    "S3": lambda fld: group_algebra(symmetric3(), fld),
+    "H4": sweedler_h4,
+    "monoid": monoid_bialgebra,
+    "S3-rebased": lambda fld: rebased(group_algebra(symmetric3(), fld)),
+    "H4-rebased": lambda fld: rebased(sweedler_h4(fld)),
+    "monoid-rebased": lambda fld: rebased(monoid_bialgebra(fld)),
+}
+
+# mostly zero, so that many maps have no convolution inverse
+sparse_scalar = st.sampled_from([0, 0, 0, 1, 1, -1, 2])
+
+
+@st.composite
+def convolution_problem(draw):
+    """A bialgebra over Q or GF(5) and a map on it: random, zero, the
+    identity, or the identity with one entry replaced."""
+    fld = draw(st.sampled_from([QQ, Field.prime(5)]))
+    b = BIALGEBRAS[draw(st.sampled_from(sorted(BIALGEBRAS)))](fld)
+    n = b.obj.dim
+    kind = draw(st.sampled_from(["random", "zero", "identity", "perturbed"]))
+    if kind == "random":
+        rows = draw(st.lists(st.lists(sparse_scalar, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+        f = LinMap.from_entries(fld, shape(n), shape(n), rows)
+    elif kind == "zero":
+        f = zero_map(fld, shape(n), shape(n))
+    else:
+        f = identity(fld, shape(n))
+        if kind == "perturbed":
+            f = f.with_entry(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)),
+                             draw(sparse_scalar))
+    return f, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(convolution_problem())
+def test_convolution_inverse_matches_the_probing_reference(problem):
+    f, b = problem
+    _assert_same_inverse(f, b, b)
+
+
+def _post_hopf_suite(fld):
+    s3 = group_algebra(symmetric3(), fld)
+    return ([(name, post_hopf.post_hopf_from_truss(t)) for name, t in suite_trusses(fld)]
+            + [("trivial-S3", post_hopf.trivial_post_hopf(s3)),
+               ("conjugation-S3", post_hopf.conjugation_post_hopf(s3)),
+               ("trivial-H4", post_hopf.trivial_post_hopf(sweedler_h4(fld))),
+               ("zero-action-C2", zero_action_c2_post_hopf(fld))])
+
+
+def _curried_problem(w):
+    """The arguments :func:`post_hopf.curried_action_inverse` hands to
+    :func:`convolution_inverse`."""
+    n = w.obj.dim
+    alpha = post_hopf.curried_action(w)
+    return (alpha.reshape(alpha.dom, TensorShape((n * n,))), w.hopf,
+            dual_algebra(n, w.obj.field))
+
+
+@pytest.mark.parametrize("fld", [QQ, Field.prime(5)], ids=["Q", "GF5"])
+def test_curried_inverses_and_antipodes_match_the_probing_reference(fld):
+    refused = []
+    for name, w in _post_hopf_suite(fld):
+        if isinstance(_assert_same_inverse(*_curried_problem(w)), tuple):
+            refused.append(name)
+    assert refused == ["zero-action-C2"]
+    for gname in GROUPS:
+        h = group_algebra(group_by_name(gname), fld)
+        _assert_same_inverse(h.obj.id(1), h, h)
+    h4 = sweedler_h4(fld)
+    _assert_same_inverse(h4.obj.id(1), h4, h4)
+
+
+def _dihedral_conjugation(k):
+    g = semidirect_group(cyclic(k), cyclic(2),
+                         {0: tuple(range(k)), 1: tuple((-x) % k for x in range(k))})
+    return post_hopf.conjugation_post_hopf(group_algebra(g, QQ))
+
+
+def test_convolution_inverse_makes_no_per_unknown_convolution(monkeypatch):
+    # D4 has 8^3 = 512 unknowns, D8 16^3 = 4096: the same number of map
+    # operations builds both systems
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    counts = []
+    for k in (4, 8):
+        problem = _curried_problem(_dihedral_conjugation(k))
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(structures, "tensor", counting("tensor", structures.tensor))
+            m.setattr(linmap, "compose", counting("compose", linmap.compose))
+            convolution_inverse(*problem)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["tensor"] < 8 and counts[0]["compose"] < 8
 
 
 def test_solve_antipode_group_algebra_is_inversion():
