@@ -19,6 +19,21 @@ def _echo(token: str) -> str:
     return f"{token[:40]!r}... ({len(token)} characters)"
 
 
+def _echo_int(n: int) -> str:
+    """An integer for an error message, cut like :func:`_echo` to its first
+    40 digits plus its length.  A header integer has at most 4300 digits, but
+    a product of them can pass Python's int -> str cap, so ``str`` is only
+    applied to the 40 digits shown."""
+    if n < 10 ** 40:
+        return str(n)
+    d = (n.bit_length() - 1) * 30103 // 100000  # about log10(n)
+    while 10 ** d > n:
+        d -= 1
+    while 10 ** (d + 1) <= n:
+        d += 1
+    return f"{n // 10 ** (d - 39)}... ({d + 1} digits)"
+
+
 class HopfkitError(Exception):
     """Base class for every error raised by this package."""
 

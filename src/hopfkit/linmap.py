@@ -14,11 +14,26 @@ matter live here:
   factor-wise (``[6]`` differs from ``[2,3]`` even though the totals agree).
 
 A map is logically a ``cod.total x dom.total`` matrix.  Physically the columns
-are stored as sparse dicts (zero entries are never stored): the structure maps
-of the algebras handled here are permutation-like, and composing dense
+are a sequence of sparse dicts (zero entries are never stored): the structure
+maps of the algebras handled here are permutation-like, and composing dense
 4096x4096 permutation matrices in exact arithmetic would be hopeless, while
 their sparse composites cost next to nothing.  ``entries()`` materializes the
 dense view whenever one is wanted.
+
+A column dict, once built, is never mutated in place: maps share columns
+(``reshape`` shares them all), and a derived map copies before it edits.
+
+**Lazy Kronecker products.**  ``tensor`` builds no column up front.  Column
+``j`` of ``f (x) g`` is built on its first indexed read, from column
+``j // g.dom.total`` of ``f`` and column ``j % g.dom.total`` of ``g``, and
+kept; iterating a product none of whose columns has been read builds them all
+in one loop.  ``compose(g, f)`` reads every column of ``f``.  When ``f`` has
+fewer columns than ``g`` it reads only the columns of ``g`` that ``f``
+references, otherwise all of ``g`` in that one loop.  So a law side is written
+right to left: ``mu @ (tensor(mu, mu) @ (tensor(i1, c, i1) @ tensor(delta, delta)))``
+builds only the columns of ``tensor(i1, c, i1)`` that the domain reaches,
+where the left-associated ``mu @ tensor(mu, mu) @ ...`` builds every column
+of each product.
 """
 from __future__ import annotations
 
@@ -99,7 +114,10 @@ class LinMap:
         self.field = field
         self.dom = dom
         self.cod = cod
-        self.cols = cols  # tuple of {row: nonzero scalar}, one dict per column
+        # a sequence of {row: nonzero scalar}, one dict per column, never
+        # mutated in place; a Kronecker product builds each on first read,
+        # so a law side is written right to left (see the module docstring)
+        self.cols = cols
 
     # -- constructors -------------------------------------------------------
 
@@ -228,6 +246,10 @@ def compose(g: LinMap, f: LinMap) -> LinMap:
     add = g.field.add
     one = g.field.one
     gcols = g.cols
+    if len(f.cols) >= len(gcols):
+        # as many columns as g has, as when f is a permutation: a lazy g is
+        # read whole, which its one-loop build does faster than column by column
+        gcols = tuple(gcols)
     out = []
     for fcol in f.cols:
         if len(fcol) == 1:
@@ -251,37 +273,94 @@ def compose(g: LinMap, f: LinMap) -> LinMap:
 
 
 def tensor(*maps: LinMap) -> LinMap:
-    """Tensor (Kronecker) product, leftmost factor most significant."""
+    """Tensor (Kronecker) product, leftmost factor most significant.
+
+    The columns are built on first read (see the module docstring)."""
     if not maps:
         raise ShapeMismatch("tensor() of no maps")
     out = maps[0]
     for m in maps[1:]:
-        out = _tensor2(out, m)
+        if out.field != m.field:
+            raise ShapeMismatch(f"tensor of maps over {out.field!r} and {m.field!r}")
+        out = LinMap(out.field, out.dom * m.dom, out.cod * m.cod, _KronCols(out, m))
     return out
 
 
-def _tensor2(f: LinMap, g: LinMap) -> LinMap:
-    if f.field != g.field:
-        raise ShapeMismatch(f"tensor of maps over {f.field!r} and {g.field!r}")
-    mul = f.field.mul
-    one = f.field.one
+class _KronCols:
+    """The columns of ``f (x) g``, each built on first read and kept.
+
+    Once every column is built they are held as one tuple and the references
+    to ``f`` and ``g`` are dropped.
+    """
+
+    __slots__ = ("f", "g", "n", "built", "cols")
+
+    def __init__(self, f: LinMap, g: LinMap):
+        self.f, self.g = f, g
+        self.n = f.dom.total * g.dom.total
+        self.built = {}    # column index -> column, before all are built
+        self.cols = None   # tuple of every column, once all are built
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, j):
+        if self.cols is not None:
+            return self.cols[j]
+        col = self.built.get(j)
+        if col is None:
+            j = range(self.n)[j]  # a negative index counts from the end
+            f, g = self.f, self.g
+            ng = g.dom.total
+            col, = _kron_block(f.cols[j // ng], (g.cols[j % ng],), g.cod.total,
+                               f.field.one, f.field.mul)
+            self.built[j] = col
+            if len(self.built) == self.n:
+                self._finish(tuple(self.built[k] for k in range(self.n)))
+        return col
+
+    def __iter__(self):
+        if self.cols is None:
+            if self.built:
+                for j in range(self.n):
+                    self[j]
+            else:
+                self._finish(_kron_all(self.f, self.g))
+        return iter(self.cols)
+
+    def _finish(self, cols) -> None:
+        self.cols = cols
+        self.f = self.g = self.built = None
+
+
+def _kron_block(fcol, gcols, ncg, one, mul) -> list:
+    """The Kronecker columns ``fcol (x) gcol``, one for each ``gcol``."""
+    # a factor equal to one is copied, not multiplied: structure maps hold
+    # mostly ones, and ``== one`` on an int costs far less than ``mul``
+    fitems = [(i_f * ncg, vf, vf == one) for i_f, vf in fcol.items()]
+    out = []
+    for gcol in gcols:
+        col = {}
+        for base, vf, vf_is_one in fitems:
+            if vf_is_one:
+                for i_g, vg in gcol.items():
+                    col[base + i_g] = vg
+            else:
+                for i_g, vg in gcol.items():
+                    col[base + i_g] = vf if vg == one else mul(vf, vg)
+        out.append(col)
+    return out
+
+
+def _kron_all(f: LinMap, g: LinMap) -> tuple:
+    """Every column of ``f (x) g``, in order."""
+    one, mul = f.field.one, f.field.mul
     ncg = g.cod.total
+    gcols = tuple(g.cols)
     cols = []
     for fcol in f.cols:
-        # a factor equal to one is copied, not multiplied: structure maps hold
-        # mostly ones, and ``== one`` on an int costs far less than ``mul``
-        fitems = [(i_f * ncg, vf, vf == one) for i_f, vf in fcol.items()]
-        for gcol in g.cols:
-            col = {}
-            for base, vf, vf_is_one in fitems:
-                if vf_is_one:
-                    for i_g, vg in gcol.items():
-                        col[base + i_g] = vg
-                else:
-                    for i_g, vg in gcol.items():
-                        col[base + i_g] = vf if vg == one else mul(vf, vg)
-            cols.append(col)
-    return LinMap(f.field, f.dom * g.dom, f.cod * g.cod, tuple(cols))
+        cols += _kron_block(fcol, gcols, ncg, one, mul)
+    return tuple(cols)
 
 
 def flip(field: Field, m: int, n: int) -> LinMap:
@@ -311,8 +390,7 @@ def first_mismatch(f: LinMap, g: LinMap):
         return ("shape", (f.dom, f.cod), (g.dom, g.cod))
     zero = f.field.zero
     worst = None
-    for j in range(f.dom.total):
-        cf, cg = f.cols[j], g.cols[j]
+    for j, (cf, cg) in enumerate(zip(f.cols, g.cols)):
         for i in cf.keys() | cg.keys():
             a = cf.get(i, zero)
             b = cg.get(i, zero)

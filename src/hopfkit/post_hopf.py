@@ -81,7 +81,7 @@ def derived_product(w: PostHopfData) -> LinMap:
     if w._bar is None:
         h = w.hopf
         i1 = w.obj.id(1)
-        w._bar = h.mu @ tensor(w.cocycle, w.action) @ tensor(h.delta, i1)
+        w._bar = h.mu @ (tensor(w.cocycle, w.action) @ tensor(h.delta, i1))
     return w._bar
 
 
@@ -91,7 +91,7 @@ def curried_action(w: PostHopfData) -> LinMap:
     obj = w.obj
     pair = require_flip(obj, "currying the action")
     i1 = obj.id(1)
-    return tensor(i1, w.action) @ tensor(obj.braid, i1) @ tensor(i1, pair.a)
+    return tensor(i1, w.action) @ (tensor(obj.braid, i1) @ tensor(i1, pair.a))
 
 
 def curried_action_inverse(w: PostHopfData) -> LinMap:
@@ -149,12 +149,12 @@ def check_post_hopf(w: PostHopfData) -> CheckReport:
     rep.merge(coalgebra_morphism_report(phi, h, h, prefix="cocycle."))
     bar = derived_product(w)
     rep.add("post-hopf.cocycle-product-twist",
-            phi @ bar, h.mu @ tensor(phi, m) @ tensor(h.delta, phi))
+            phi @ bar, h.mu @ (tensor(phi, m) @ tensor(h.delta, phi)))
     rep.add("post-hopf.action-of-derived-product",
             m @ tensor(i1, m), m @ tensor(bar, i1))
     rep.add("post-hopf.action-distributes",
             m @ tensor(i1, h.mu),
-            h.mu @ tensor(m, m) @ tensor(i1, c, i1) @ tensor(h.delta, i1, i1))
+            h.mu @ (tensor(m, m) @ (tensor(i1, c, i1) @ tensor(h.delta, i1, i1))))
     rep.add("derived.action-on-unit", m @ tensor(i1, h.eta), h.eta @ h.eps)
     rep.add("derived.derived-product-right-unit", bar @ tensor(i1, h.eta), phi)
     return rep
@@ -276,8 +276,8 @@ def derived_antipode(w: PostHopfData) -> LinMap:
     pair = require_flip(obj, "derived antipode")
     beta = curried_action_inverse(w)
     i1 = obj.id(1)
-    core = tensor(pair.b, i1) @ tensor(h.antipode @ w.cocycle, beta)
-    return core @ obj.braid @ h.delta
+    return tensor(pair.b, i1) @ (tensor(h.antipode @ w.cocycle, beta)
+                                 @ (obj.braid @ h.delta))
 
 
 def derived_antipode_suite(w: PostHopfData) -> CheckReport:
@@ -315,9 +315,9 @@ def derived_antipode_suite(w: PostHopfData) -> CheckReport:
     ), theorems)
     return rep.laws((
         ("antipode.factors-twisted-antipode",
-         lambda: h.antipode @ w.cocycle, lambda: w.action @ tensor(i1, s) @ h.delta),
+         lambda: h.antipode @ w.cocycle, lambda: w.action @ (tensor(i1, s) @ h.delta)),
         ("antipode.right-convolution-inverse",
-         lambda: derived_product(w) @ tensor(i1, s) @ h.delta, lambda: h.eta @ h.eps),
+         lambda: derived_product(w) @ (tensor(i1, s) @ h.delta), lambda: h.eta @ h.eps),
     ), skip)
 
 
@@ -333,7 +333,7 @@ def cocycle_identity_equivalence(w: PostHopfData) -> Tuple[bool, bool]:
     i1 = w.obj.id(1)
     s = derived_antipode(w)
     phi_is_id = w.cocycle == i1
-    left_unit = (derived_product(w) @ tensor(s, i1) @ h.delta
+    left_unit = (derived_product(w) @ (tensor(s, i1) @ h.delta)
                  == h.eta @ h.eps)
     return phi_is_id, left_unit
 
@@ -402,14 +402,14 @@ def induced_bialgebra(w: PostHopfData,
         split = split_idempotent(w.cocycle)
     p, i = split.project, split.include
     bar = derived_product(w)
-    braid = tensor(p, p) @ w.obj.braid @ tensor(i, i)
+    braid = tensor(p, p) @ (w.obj.braid @ tensor(i, i))
     obj = BraidedObject(w.obj.field, split.rank, braid=braid)
     induced = BialgebraData(
         obj=obj,
         eta=p @ h.eta,
         mu=p @ bar @ tensor(i, i),
         eps=h.eps @ i,
-        delta=tensor(p, p) @ h.delta @ i,
+        delta=tensor(p, p) @ (h.delta @ i),
     )
     rep = check_bialgebra(induced)
     rep.merge(check_braided_object(obj), prefix="induced.")
@@ -457,7 +457,7 @@ def conjugation_post_hopf(h: HopfAlgebraData) -> PostHopfData:
     """Action ``antipode(x_1) y x_2`` (conjugation from the left inverse),
     cocycle the identity.  Satisfies the axioms on cocommutative carriers."""
     i1 = h.obj.id(1)
-    m = h.mu @ tensor(h.antipode, h.mu) @ tensor(i1, h.obj.braid) @ tensor(h.delta, i1)
+    m = h.mu @ (tensor(h.antipode, h.mu) @ (tensor(i1, h.obj.braid) @ tensor(h.delta, i1)))
     return PostHopfData(hopf=h, action=m, cocycle=i1)
 
 

@@ -119,7 +119,7 @@ def check_rota_baxter(w: RotaBaxterData) -> CheckReport:
             b.mu @ tensor(w.operator, w.operator), w.operator @ tilde)
     rep.add("rota-baxter.cocycle-product-twist",
             w.cocycle @ tilde,
-            h.mu @ tensor(w.cocycle, frak) @ tensor(h.delta, w.cocycle))
+            h.mu @ (tensor(w.cocycle, frak) @ tensor(h.delta, w.cocycle)))
     rep.add("derived.operator-action-on-unit",
             frak @ tensor(i1, h.eta), h.eta @ h.eps)
     rep.merge(coalgebra_morphism_report(frak, tensor_square(h), h,
@@ -315,7 +315,7 @@ def _twisted_product(d: HopfAlgebraData, phi_endo: LinMap,
     i1 = d.obj.id(1)
     lhs = d.mu @ tensor(upsilon, upsilon)
     inner = tensor(d.mu @ tensor(upsilon, i1), d.antipode @ phi_endo @ upsilon)
-    product = d.mu @ inner @ tensor(i1, d.obj.braid) @ tensor(d.delta, i1)
+    product = d.mu @ (inner @ (tensor(i1, d.obj.braid) @ tensor(d.delta, i1)))
     return product if lhs == upsilon @ product else None
 
 

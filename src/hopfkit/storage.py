@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Dict, List, Optional
 
-from .errors import ParseError, ShapeMismatch, UnknownKind, _echo
+from .errors import ParseError, ShapeMismatch, UnknownKind, _echo, _echo_int
 from .fields import Field, FieldError, parse_natural
 from .linmap import LinMap, TensorShape
 from .post_hopf import PostHopfData
@@ -217,13 +217,13 @@ def _read_map(lines, i, field):
     rows = []
     for r in range(nrows):
         if i >= len(lines):
-            raise ParseError(f"{label}: expected {nrows} rows, file ended",
+            raise ParseError(f"{label}: expected {_echo_int(nrows)} rows, file ended",
                              line=lineno)
         rlineno, rraw = lines[i]
         toks = rraw.split()
         if len(toks) != ncols:
             raise ParseError(
-                f"{label} row {r}: expected {ncols} entries, got {len(toks)}",
+                f"{label} row {r}: expected {_echo_int(ncols)} entries, got {len(toks)}",
                 line=rlineno)
         try:
             rows.append([field.parse(t) for t in toks])
@@ -263,7 +263,7 @@ def loads(text: str) -> StructureFile:
     if basis is not None:
         basis = basis.split()
         if len(basis) != n:
-            raise ParseError(f"basis lists {len(basis)} names for dim {n}")
+            raise ParseError(f"basis lists {len(basis)} names for dim {_echo_int(n)}")
 
     raw_maps = {}
     while i < len(lines):
@@ -277,8 +277,8 @@ def loads(text: str) -> StructureFile:
         dom, cod = (TensorShape(tuple(dims[x] for x in s)) for s in (dom, cod))
         if (nrows, ncols) != (cod.total, dom.total):
             raise ShapeMismatch(
-                f"map {name!r}: declared {nrows}x{ncols}, "
-                f"role needs {cod.total}x{dom.total}")
+                f"map {name!r}: declared {_echo_int(nrows)}x{_echo_int(ncols)}, "
+                f"role needs {_echo_int(cod.total)}x{_echo_int(dom.total)}")
         return LinMap.from_entries(field, dom, cod, entries)
 
     braids = {}

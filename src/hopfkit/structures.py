@@ -252,8 +252,8 @@ def check_braided_object(obj: BraidedObject, generators: Optional[dict] = None) 
     rep = CheckReport()
     c = obj.braid
     i1 = obj.id(1)
-    lhs = tensor(c, i1) @ tensor(i1, c) @ tensor(c, i1)
-    rhs = tensor(i1, c) @ tensor(c, i1) @ tensor(i1, c)
+    lhs = tensor(c, i1) @ (tensor(i1, c) @ tensor(c, i1))
+    rhs = tensor(i1, c) @ (tensor(c, i1) @ tensor(i1, c))
     rep.add("braid.yang-baxter", lhs, rhs)
     # both hexagons must give the same c_{[n]^2,[n]^2}
     rep.add(
@@ -394,7 +394,7 @@ def _mult_comul_laws(rep, b):
     rep.add(
         "bialgebra.delta-multiplicative",
         b.delta @ b.mu,
-        tensor(b.mu, b.mu) @ tensor(i1, b.obj.braid, i1) @ tensor(b.delta, b.delta),
+        tensor(b.mu, b.mu) @ (tensor(i1, b.obj.braid, i1) @ tensor(b.delta, b.delta)),
     )
     rep.add("bialgebra.eps-multiplicative", b.eps @ b.mu, tensor(b.eps, b.eps))
 
@@ -422,8 +422,8 @@ def check_hopf(h: HopfAlgebraData) -> CheckReport:
     rep = check_bialgebra(h)
     i1 = h.obj.id(1)
     unit = h.eta @ h.eps
-    rep.add("hopf.antipode-left", h.mu @ tensor(h.antipode, i1) @ h.delta, unit)
-    rep.add("hopf.antipode-right", h.mu @ tensor(i1, h.antipode) @ h.delta, unit)
+    rep.add("hopf.antipode-left", h.mu @ (tensor(h.antipode, i1) @ h.delta), unit)
+    rep.add("hopf.antipode-right", h.mu @ (tensor(i1, h.antipode) @ h.delta), unit)
     return rep
 
 
@@ -434,8 +434,8 @@ def antipode_property_check(h: HopfAlgebraData) -> CheckReport:
     lam = h.antipode
     c = obj.braid
     rep = CheckReport()
-    rep.add("antipode.anti-multiplicative", lam @ h.mu, h.mu @ tensor(lam, lam) @ c)
-    rep.add("antipode.co-anti-morphism", h.delta @ lam, c @ tensor(lam, lam) @ h.delta)
+    rep.add("antipode.anti-multiplicative", lam @ h.mu, h.mu @ (tensor(lam, lam) @ c))
+    rep.add("antipode.co-anti-morphism", h.delta @ lam, c @ (tensor(lam, lam) @ h.delta))
     rep.add("antipode.unit", lam @ h.eta, h.eta)
     rep.add("antipode.counit", h.eps @ lam, h.eps)
     symmetric = h.mu == h.mu @ c or check_cocommutative(h)
@@ -505,8 +505,8 @@ def check_module_algebra(acting, phi: LinMap, alg) -> CheckReport:
     return rep.laws(((
         "module-algebra.product-compat",
         lambda: phi @ tensor(ix, alg.mu),
-        lambda: alg.mu @ (tensor(phi, phi) @ tensor(ix, cxa, ic)
-                          @ tensor(acting.delta, ic, ic)),
+        lambda: alg.mu @ (tensor(phi, phi) @ (tensor(ix, cxa, ic)
+                                              @ tensor(acting.delta, ic, ic))),
     ),), _NO_CROSS_BRAIDING if cxa is None else None)
 
 
@@ -521,15 +521,15 @@ def check_module_coalgebra(acting, phi: LinMap, coalg) -> CheckReport:
     return rep.laws(((
         "module-coalgebra.comul-compat",
         lambda: coalg.delta @ phi,
-        lambda: tensor(phi, phi) @ tensor(ix, cxd, ic)
-        @ tensor(acting.delta, coalg.delta),
+        lambda: tensor(phi, phi) @ (tensor(ix, cxd, ic)
+                                    @ tensor(acting.delta, coalg.delta)),
     ),), _NO_CROSS_BRAIDING if cxd is None else None)
 
 
 def adjoint_action(h: HopfAlgebraData) -> LinMap:
     """Conjugation: ``mu . (mu (x) antipode) . (id (x) c) . (delta (x) id)``."""
     i1 = h.obj.id(1)
-    return h.mu @ tensor(h.mu, h.antipode) @ tensor(i1, h.obj.braid) @ tensor(h.delta, i1)
+    return h.mu @ (tensor(h.mu, h.antipode) @ (tensor(i1, h.obj.braid) @ tensor(h.delta, i1)))
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +539,7 @@ def adjoint_action(h: HopfAlgebraData) -> LinMap:
 
 def convolution(f: LinMap, g: LinMap, coalg, alg) -> LinMap:
     """``f * g = mu . (f (x) g) . delta`` for maps from a coalgebra to an algebra."""
-    return alg.mu @ tensor(f, g) @ coalg.delta
+    return alg.mu @ (tensor(f, g) @ coalg.delta)
 
 
 def convolution_unit(coalg, alg) -> LinMap:

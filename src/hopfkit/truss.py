@@ -55,7 +55,7 @@ class HopfTrussData:
 def truss_action(t: HopfTrussData) -> LinMap:
     """``gamma = mu1 . ((antipode . sigma) (x) mu2) . (delta (x) id)``."""
     i1 = t.obj.id(1)
-    return t.mu1 @ tensor(t.antipode @ t.cocycle, t.mu2) @ tensor(t.delta, i1)
+    return t.mu1 @ (tensor(t.antipode @ t.cocycle, t.mu2) @ tensor(t.delta, i1))
 
 
 def check_truss(t: HopfTrussData) -> CheckReport:
@@ -72,8 +72,8 @@ def check_truss(t: HopfTrussData) -> CheckReport:
     rep.add(
         "truss.distributivity",
         t.mu2 @ tensor(i1, t.mu1),
-        t.mu1 @ tensor(t.mu2, gamma) @ tensor(i1, obj.braid, i1)
-        @ tensor(t.delta, i1, i1),
+        t.mu1 @ (tensor(t.mu2, gamma)
+                 @ (tensor(i1, obj.braid, i1) @ tensor(t.delta, i1, i1))),
     )
     return rep
 
@@ -91,7 +91,7 @@ def check_truss_derived(t: HopfTrussData) -> CheckReport:
     gamma = truss_action(t)
     rep = CheckReport()
     rep.add("derived.mu2-factors",
-            t.mu2, t.mu1 @ tensor(t.cocycle, gamma) @ tensor(t.delta, i1))
+            t.mu2, t.mu1 @ (tensor(t.cocycle, gamma) @ tensor(t.delta, i1)))
     rep.add("derived.cocycle-recovered", t.cocycle, t.mu2 @ tensor(i1, t.eta))
     rep.add("derived.cocycle-mu2-linear",
             t.cocycle @ t.mu2, t.mu2 @ tensor(i1, t.cocycle))

@@ -218,6 +218,18 @@ HOSTILE = {
 }
 HOSTILE.update((f"int:{ascii(new)}", C2_HOPF.replace(old, new))
                for old, new in HEADER_INTEGER_FORMS)
+# files rejected on a header integer of 4300 digits, the most the parser takes
+HUGE = "9" * 4300
+HUGE_DIM = C2_HOPF.replace("dim: 2", f"dim: {HUGE}")
+HOSTILE.update({
+    "basis-for-dim": HUGE_DIM.replace("braiding: flip", "braiding: flip\nbasis: a b"),
+    "rows-file-ended": C2_HOPF + f"\nmap extra: {HUGE}x1\n1\n",
+    "row-entries": C2_HOPF.replace("map eta: 2x1", f"map eta: 2x{HUGE}"),
+    "declared-size": HUGE_DIM,
+    # the braiding's role needs dim^2 rows, past Python's int -> str cap
+    "declared-size-squared": HUGE_DIM.replace("braiding: flip", "braiding: explicit")
+    + "\nmap braiding: 1x1\n1\n",
+})
 
 
 @pytest.mark.parametrize("text", HOSTILE.values(), ids=HOSTILE.keys())

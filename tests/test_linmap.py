@@ -1,4 +1,5 @@
 """The linear-map layer against hand-computed Kronecker/flip oracles."""
+import gc
 import itertools
 from fractions import Fraction
 
@@ -197,3 +198,113 @@ def test_kernel_agrees_on_int_and_fraction_entries(a, b, c):
         assert _printed(tensor(fa, fb, fc)) == tensored
         assert _printed(fa @ fb) == composed
         assert _printed_witness(first_mismatch(fa, fc)) == witness
+
+
+# -- the lazy Kronecker product against the eager one ----------------------------
+
+
+def _tensor2_eager(f, g):
+    """The Kronecker product with every column built up front: the kernel the
+    lazy ``tensor`` replaced, kept as its reference."""
+    mul = f.field.mul
+    one = f.field.one
+    ncg = g.cod.total
+    cols = []
+    for fcol in f.cols:
+        fitems = [(i_f * ncg, vf, vf == one) for i_f, vf in fcol.items()]
+        for gcol in g.cols:
+            col = {}
+            for base, vf, vf_is_one in fitems:
+                if vf_is_one:
+                    for i_g, vg in gcol.items():
+                        col[base + i_g] = vg
+                else:
+                    for i_g, vg in gcol.items():
+                        col[base + i_g] = vf if vg == one else mul(vf, vg)
+            cols.append(col)
+    return LinMap(f.field, f.dom * g.dom, f.cod * g.cod, tuple(cols))
+
+
+def _tensor_eager(*maps):
+    out = maps[0]
+    for m in maps[1:]:
+        out = _tensor2_eager(out, m)
+    return out
+
+
+GF5 = Field.prime(5)
+# zeros make empty columns; the other values are not one, so the products
+# take the multiplying branch of the kernel as well as the copying one
+LAZY_SCALARS = {
+    QQ: st.sampled_from([0, 0, 0, 1, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]),
+    GF5: st.sampled_from([0, 0, 0, 1, 1, 2, 3, 4]),
+}
+
+
+@st.composite
+def _factor(draw, fld):
+    nr, nc = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    row = st.lists(LAZY_SCALARS[fld], min_size=nc, max_size=nc)
+    return M(draw(st.lists(row, min_size=nr, max_size=nr)),
+             dom=shape(nc), cod=shape(nr), fld=fld)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lazy_tensor_agrees_with_the_eager_reference(data):
+    # however its columns are read, a lazy product holds the eager product's
+    # entries and gives the same witness against a mutated copy
+    fld = data.draw(st.sampled_from((QQ, GF5)), label="field")
+    maps = data.draw(st.lists(_factor(fld), min_size=2, max_size=3), label="maps")
+    ref = _tensor_eager(*maps)
+    n = ref.dom.total
+    mutant = ref
+    if n and ref.cod.total:
+        i = data.draw(st.integers(0, ref.cod.total - 1), label="row")
+        j = data.draw(st.integers(0, n - 1), label="col")
+        mutant = ref.with_entry(i, j, fld.add(ref.entry(i, j), fld.one))
+    lazy = tensor(*maps)
+    mode = data.draw(st.sampled_from(("index", "iterate", "partial")), label="mode")
+    order = data.draw(st.permutations(range(n)), label="order")
+    if mode == "partial":
+        order = order[:data.draw(st.integers(0, n), label="read")]
+    if mode != "iterate":
+        for k, j in enumerate(order):
+            # every other read counts from the end
+            assert lazy.cols[j - n if k % 2 else j] == ref.cols[j]
+    assert len(lazy.cols) == n
+    assert (_printed_witness(first_mismatch(lazy, mutant))
+            == _printed_witness(first_mismatch(ref, mutant)))
+    assert _printed(lazy) == _printed(ref)
+    assert first_mismatch(mutant, lazy) == first_mismatch(mutant, ref)
+    # compose reads a lazy left operand column by column, or whole when the
+    # right operand has at least as many columns
+    width = data.draw(st.sampled_from((1, n, n + 1)), label="width")
+    row = st.lists(LAZY_SCALARS[fld], min_size=width, max_size=width)
+    f = M(data.draw(st.lists(row, min_size=n, max_size=n), label="f"),
+          dom=shape(width), cod=ref.dom, fld=fld)
+    assert _printed(tensor(*maps) @ f) == _printed(ref @ f)
+
+
+def test_lazy_tensor_rejects_an_index_out_of_range():
+    k = tensor(M([[1, 2]]), M([[3], [4]]))
+    with pytest.raises(IndexError):
+        k.cols[2]
+    with pytest.raises(IndexError):
+        k.cols[-3]
+    assert k.cols[-1] == k.cols[1] == {0: 6, 1: 8}
+
+
+@pytest.mark.parametrize("read", ["iterate", "index"])
+def test_tensor_read_in_full_drops_its_operands(read):
+    a, b = M([[1, 2], [3, 4]]), M([[0, 5], [6, 7]])
+    k = tensor(a, b, a)
+    if read == "iterate":
+        list(k.cols)
+    else:
+        for j in reversed(range(len(k.cols))):
+            k.cols[j]
+    kept = gc.get_referents(k.cols)
+    assert not any(x is a or x is b for x in kept)
+    assert not any(isinstance(x, LinMap) for x in kept)
+    assert k == _tensor_eager(a, b, a)

@@ -1,5 +1,6 @@
 """Hopf trusses: the suite induced by idempotent endomorphisms, the derived
 identities, mutation detection, and truss morphisms."""
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,14 @@ import pytest
 from hopfkit.errors import ConditionBFailed, LawViolation, PreconditionNotMet
 from hopfkit.factories import group_algebra, linearize_endo, named_endo, sweedler_h4
 from hopfkit.fields import Field, QQ
-from hopfkit.groups import cyclic, group_by_name, idempotent_endos, symmetric3
+from hopfkit import linmap
+from hopfkit.groups import (
+    cyclic,
+    group_by_name,
+    idempotent_endos,
+    semidirect_group,
+    symmetric3,
+)
 from hopfkit.linmap import identity, shape, tensor
 from hopfkit.rota_baxter import truss_from_idempotent
 from hopfkit.truss import (
@@ -149,3 +157,47 @@ def test_truss_morphism_failure_reported():
     s = dq("S3", "identity")
     rep = check_truss_morphism(identity(QQ, shape(6)), t, s)
     assert not rep.passed
+
+
+def dihedral_identity_truss(k):
+    """The identity-endomorphism truss on the dihedral group of order 2k,
+    built as the benchmark's ladder builds it (order 24 is in no catalog)."""
+    g = semidirect_group(cyclic(k), cyclic(2),
+                         {0: tuple(range(k)), 1: tuple((-x) % k for x in range(k))})
+    q = linearize_endo(g, tuple(range(g.order)), QQ)
+    return truss_from_idempotent(group_algebra(g, QQ), q)
+
+
+# Kronecker columns one check_truss builds.  Writing each law side right to
+# left builds only the columns its domain reaches; building every column of
+# every product took 438 561 at order 16.
+KRONECKER_COLUMNS = {8: 36_561, 12: 118_969}
+
+
+@pytest.mark.parametrize("k", sorted(KRONECKER_COLUMNS))
+def test_check_truss_builds_few_kronecker_columns(monkeypatch, k):
+    t = dihedral_identity_truss(k)
+    built = []
+    block = linmap._kron_block
+
+    def counted(*args):
+        out = block(*args)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(linmap, "_kron_block", counted)
+    assert check_truss(t).passed
+    assert sum(built) <= KRONECKER_COLUMNS[k]
+
+
+def test_check_truss_memory_at_order_16():
+    t = dihedral_identity_truss(8)
+    tracemalloc.start()
+    try:
+        rep = check_truss(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    # about 4.5 MB with lazy products; 49 MB when every product was built
+    assert peak < 12_000_000
