@@ -21,7 +21,10 @@ their sparse composites cost next to nothing.  ``entries()`` materializes the
 dense view whenever one is wanted.
 
 A column dict, once built, is never mutated in place: maps share columns
-(``reshape`` shares them all), and a derived map copies before it edits.
+(``reshape`` shares them all, ``compose`` every column of ``g`` that a
+single-entry unit column of ``f`` selects), and a derived map copies before
+it edits.  ``first_mismatch`` compares two columns whole before it scans
+their entries, so equal columns cost one dict comparison.
 
 **Lazy Kronecker products.**  ``tensor`` builds no column up front.  Column
 ``j`` of ``f (x) g`` is built on its first indexed read, from column
@@ -115,8 +118,9 @@ class LinMap:
         self.dom = dom
         self.cod = cod
         # a sequence of {row: nonzero scalar}, one dict per column, never
-        # mutated in place; a Kronecker product builds each on first read,
-        # so a law side is written right to left (see the module docstring)
+        # mutated in place, so maps share them (compose hands out the columns
+        # it reads); a Kronecker product builds each on first read, so a law
+        # side is written right to left (see the module docstring)
         self.cols = cols
 
     # -- constructors -------------------------------------------------------
@@ -174,7 +178,7 @@ class LinMap:
         return sum(len(c) for c in self.cols)
 
     def __repr__(self):
-        return f"LinMap({self.field!r}, {self.dom!r}->{self.cod!r}, nnz={self.nnz()})"
+        return f"LinMap({self.field!r}, {self.dom!r}->{self.cod!r})"
 
     # -- equality --------------------------------------------------------------
 
@@ -256,7 +260,7 @@ def compose(g: LinMap, f: LinMap) -> LinMap:
             # permutation-like fast path: a single scalar times a column of g
             (k, v), = fcol.items()
             if v == one:
-                out.append(dict(gcols[k]))
+                out.append(gcols[k])
             else:
                 out.append({i: mul(w, v) for i, w in gcols[k].items()})
             continue
@@ -312,8 +316,8 @@ class _KronCols:
             j = range(self.n)[j]  # a negative index counts from the end
             f, g = self.f, self.g
             ng = g.dom.total
-            col, = _kron_block(f.cols[j // ng], (g.cols[j % ng],), g.cod.total,
-                               f.field.one, f.field.mul)
+            col = _kron_col(f.cols[j // ng], g.cols[j % ng], g.cod.total,
+                            f.field.one, f.field.mul)
             self.built[j] = col
             if len(self.built) == self.n:
                 self._finish(tuple(self.built[k] for k in range(self.n)))
@@ -333,23 +337,20 @@ class _KronCols:
         self.f = self.g = self.built = None
 
 
-def _kron_block(fcol, gcols, ncg, one, mul) -> list:
-    """The Kronecker columns ``fcol (x) gcol``, one for each ``gcol``."""
+def _kron_col(fcol, gcol, ncg, one, mul) -> dict:
+    """The Kronecker column ``fcol (x) gcol``."""
     # a factor equal to one is copied, not multiplied: structure maps hold
     # mostly ones, and ``== one`` on an int costs far less than ``mul``
-    fitems = [(i_f * ncg, vf, vf == one) for i_f, vf in fcol.items()]
-    out = []
-    for gcol in gcols:
-        col = {}
-        for base, vf, vf_is_one in fitems:
-            if vf_is_one:
-                for i_g, vg in gcol.items():
-                    col[base + i_g] = vg
-            else:
-                for i_g, vg in gcol.items():
-                    col[base + i_g] = vf if vg == one else mul(vf, vg)
-        out.append(col)
-    return out
+    col = {}
+    for i_f, vf in fcol.items():
+        base = i_f * ncg
+        if vf == one:
+            for i_g, vg in gcol.items():
+                col[base + i_g] = vg
+        else:
+            for i_g, vg in gcol.items():
+                col[base + i_g] = vf if vg == one else mul(vf, vg)
+    return col
 
 
 def _kron_all(f: LinMap, g: LinMap) -> tuple:
@@ -357,10 +358,8 @@ def _kron_all(f: LinMap, g: LinMap) -> tuple:
     one, mul = f.field.one, f.field.mul
     ncg = g.cod.total
     gcols = tuple(g.cols)
-    cols = []
-    for fcol in f.cols:
-        cols += _kron_block(fcol, gcols, ncg, one, mul)
-    return tuple(cols)
+    return tuple([_kron_col(fcol, gcol, ncg, one, mul)
+                  for fcol in f.cols for gcol in gcols])
 
 
 def flip(field: Field, m: int, n: int) -> LinMap:
@@ -391,6 +390,8 @@ def first_mismatch(f: LinMap, g: LinMap):
     zero = f.field.zero
     worst = None
     for j, (cf, cg) in enumerate(zip(f.cols, g.cols)):
+        if cf == cg:
+            continue
         for i in cf.keys() | cg.keys():
             a = cf.get(i, zero)
             b = cg.get(i, zero)

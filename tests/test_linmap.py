@@ -1,4 +1,5 @@
 """The linear-map layer against hand-computed Kronecker/flip oracles."""
+import copy
 import gc
 import itertools
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfkit import linmap
 from hopfkit.errors import ShapeMismatch
 from hopfkit.fields import Field, QQ
 from hopfkit.linmap import (
@@ -20,6 +22,7 @@ from hopfkit.linmap import (
     tensor,
     zero_map,
 )
+from hopfkit.solve import invert, rank_of, solve
 
 
 def M(rows, dom=None, cod=None, fld=QQ):
@@ -308,3 +311,158 @@ def test_tensor_read_in_full_drops_its_operands(read):
     assert not any(x is a or x is b for x in kept)
     assert not any(isinstance(x, LinMap) for x in kept)
     assert k == _tensor_eager(a, b, a)
+
+
+def test_repr_of_an_unread_product_builds_no_column(monkeypatch):
+    built = []
+    build = linmap._kron_col
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(linmap, "_kron_col", counted)
+    i1 = identity(QQ, shape(4))
+    k = tensor(i1, flip(QQ, 4, 4), i1)
+    assert repr(k) == "LinMap(Q, [4,4,4,4]->[4,4,4,4])"
+    assert built == []
+
+
+# -- columns shared, never mutated ---------------------------------------------
+
+
+def _unit_perm(fld, rows, cod):
+    """The map ``[len(rows)] -> cod`` whose column ``j`` is ``e_{rows[j]}``."""
+    return LinMap(fld, shape(len(rows)), cod, tuple({k: fld.one} for k in rows))
+
+
+@pytest.mark.parametrize("rows", [(2, 0, 3, 1), (3, 1)], ids=["square", "narrow"])
+@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+def test_compose_with_a_unit_permutation_shares_columns(lazy, rows):
+    # a unit-scalar column of P hands out the column of g it selects, itself:
+    # a lazy g is read whole under a square P and by index under a narrow one
+    a, b = M([[1, 2], [0, 3]]), M([[0, 5], [6, 7]])
+    g = tensor(a, b) if lazy else _tensor_eager(a, b)
+    h = g @ _unit_perm(QQ, rows, g.dom)
+    for j, k in enumerate(rows):
+        assert h.cols[j] is g.cols[k]
+
+
+def _cols_of(*maps):
+    return [copy.deepcopy(list(m.cols)) for m in maps]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kernel_operations_mutate_no_input_column(data):
+    fld = data.draw(st.sampled_from((QQ, GF5)), label="field")
+    n = data.draw(st.integers(1, 3), label="n")
+    row = st.lists(LAZY_SCALARS[fld], min_size=n, max_size=n)
+    a = M(data.draw(st.lists(row, min_size=n, max_size=n), label="a"), fld=fld)
+    b = M(data.draw(st.lists(row, min_size=n, max_size=n), label="b"), fld=fld)
+    p = _unit_perm(fld, data.draw(st.permutations(range(n)), label="perm"), shape(n))
+    # composites with p share the columns of a, b and p
+    inputs = [a, b, p, a @ p, p @ a, b @ p, a @ b]
+    copies = _cols_of(*inputs)
+    ap, pa, bp, ab = inputs[3:]
+    lazy = tensor(ap, p)
+    lazy_ref = _tensor_eager(ap, p)
+
+    # compose, with eager and lazy operands on either side
+    (ap @ p) @ pa
+    p @ ap @ bp
+    tensor(ap, bp) @ tensor(p, p)
+    tensor(pa, b) @ _unit_perm(fld, [0], shape(n, n))
+    lazy @ tensor(p, ab)
+    # tensor read by index, then iterated, and iterated unread
+    t = tensor(ap, bp, p)
+    for j in data.draw(st.lists(st.integers(0, n ** 3 - 1), max_size=5), label="reads"):
+        t.cols[j]
+    list(t.cols)
+    list(tensor(pa, ab).cols)
+    # comparison, reshaping and edits
+    first_mismatch(ap, bp)
+    first_mismatch(tensor(ap, p), lazy_ref)
+    first_mismatch(lazy, tensor(p, ap))
+    r = ap.reshape(shape(n), shape(n))
+    i, j = data.draw(st.integers(0, n - 1), label="i"), data.draw(st.integers(0, n - 1), label="j")
+    r.with_entry(i, j, data.draw(LAZY_SCALARS[fld], label="value"))
+    ap.with_entry(i, j, fld.zero)
+    # the solver layer
+    invert(ap)
+    invert(p)
+    invert(tensor(p, bp))
+    solve(ap, {i: fld.one})
+    solve(tensor(p, ab), {0: fld.one})
+    rank_of(pa)
+    rank_of(tensor(ab, p))
+
+    assert _cols_of(*inputs) == copies
+    assert list(lazy.cols) == list(lazy_ref.cols)
+
+
+# -- first_mismatch against the entry scan ---------------------------------------
+
+
+def _first_mismatch_scan(f, g):
+    """``first_mismatch`` as it was before it compared equal columns whole:
+    every column's entries are scanned.  Kept as its reference."""
+    if f.field != g.field:
+        return ("field", f.field, g.field)
+    if f.dom != g.dom or f.cod != g.cod:
+        return ("shape", (f.dom, f.cod), (g.dom, g.cod))
+    zero = f.field.zero
+    worst = None
+    for j, (cf, cg) in enumerate(zip(f.cols, g.cols)):
+        for i in cf.keys() | cg.keys():
+            a = cf.get(i, zero)
+            b = cg.get(i, zero)
+            if a != b and (worst is None or (i, j) < worst[:2]):
+                worst = (i, j, a, b)
+    return worst
+
+
+def _held_witness(w):
+    """A witness with the type of every scalar in it."""
+    return None if w is None else [(type(x).__name__, str(x)) for x in w]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_first_mismatch_agrees_with_the_entry_scan(data):
+    fld = data.draw(st.sampled_from((QQ, GF5)), label="field")
+    a, b = data.draw(_factor(fld), label="a"), data.draw(_factor(fld), label="b")
+    ref = _tensor_eager(a, b)
+    nr, nc = ref.cod.total, ref.dom.total
+    # edits store any scalar, a zero too, straight into copied columns, so
+    # the edited map may equal the reference, hold a stored zero, or differ
+    # in several columns
+    edits = []
+    if nr and nc:
+        edit = st.tuples(st.integers(0, nr - 1), st.integers(0, nc - 1),
+                         LAZY_SCALARS[fld])
+        edits = data.draw(st.lists(edit, max_size=4), label="edits")
+    as_fraction = fld is QQ and data.draw(st.booleans(), label="fraction")
+
+    def edited():
+        cols = [dict(c) for c in ref.cols]
+        for i, j, v in edits:
+            cols[j][i] = v
+        if as_fraction:
+            cols = [{i: Fraction(v) for i, v in c.items()} for c in cols]
+        return LinMap(fld, ref.dom, ref.cod, tuple(cols))
+
+    lhs_lazy = data.draw(st.booleans(), label="lhs lazy")
+    rhs_lazy = not edits and not as_fraction and data.draw(st.booleans(), label="rhs lazy")
+    swap = data.draw(st.booleans(), label="swap")
+
+    def pair():
+        # fresh operands each time, so a lazy one is unread when compared
+        f = tensor(a, b) if lhs_lazy else _tensor_eager(a, b)
+        g = tensor(a, b) if rhs_lazy else edited()
+        return (g, f) if swap else (f, g)
+
+    got = first_mismatch(*pair())
+    want = _first_mismatch_scan(*pair())
+    assert got == want
+    assert _held_witness(got) == _held_witness(want)

@@ -170,24 +170,25 @@ def dihedral_identity_truss(k):
 
 # Kronecker columns one check_truss builds.  Writing each law side right to
 # left builds only the columns its domain reaches; building every column of
-# every product took 438 561 at order 16.
+# every product took 438 561 at order 16.  The counts are exact, so a column
+# built past the one builder fails the test as well as a column too many.
 KRONECKER_COLUMNS = {8: 36_561, 12: 118_969}
 
 
 @pytest.mark.parametrize("k", sorted(KRONECKER_COLUMNS))
 def test_check_truss_builds_few_kronecker_columns(monkeypatch, k):
     t = dihedral_identity_truss(k)
-    built = []
-    block = linmap._kron_block
+    built = 0
+    build = linmap._kron_col
 
     def counted(*args):
-        out = block(*args)
-        built.append(len(out))
-        return out
+        nonlocal built
+        built += 1
+        return build(*args)
 
-    monkeypatch.setattr(linmap, "_kron_block", counted)
+    monkeypatch.setattr(linmap, "_kron_col", counted)
     assert check_truss(t).passed
-    assert sum(built) <= KRONECKER_COLUMNS[k]
+    assert built == KRONECKER_COLUMNS[k]
 
 
 def test_check_truss_memory_at_order_16():
