@@ -31,78 +31,23 @@ from .factories import (
 from .fields import Field
 from .groups import group_by_name, idempotent_endos
 from .linmap import LinMap, TensorShape, tensor
-from .post_hopf import (
-    check_post_hopf,
-    check_twisted,
-    class_condition,
-    induced_hopf,
-    post_hopf_from_truss,
-    truss_from_post_hopf,
-)
+from .post_hopf import induced_hopf, post_hopf_from_truss, truss_from_post_hopf
 from .rota_baxter import (
-    check_rota_baxter,
-    check_twisted_operator,
-    rb_class_condition,
     rota_baxter_from_truss,
     truss_from_idempotent,
     truss_from_rota_baxter,
     truss_from_twisted_operator,
 )
-from .storage import KINDS, StructureFile, braid_generators, load, save
-from .structures import (
-    CheckReport,
-    antipode_property_check,
-    check_braided_object,
-    check_hopf,
-    coalgebra_morphism_report,
-    is_entry_witness,
-)
-from .truss import check_truss, check_truss_derived, truss_class_condition
-
-# ---------------------------------------------------------------------------
-# the full check suite per kind
-# ---------------------------------------------------------------------------
-
-
-def structure_report(sf: StructureFile) -> CheckReport:
-    """Every law the declared kind must satisfy, as one flat report.
-
-    The twisted refinement laws are included when their precondition holds
-    (a wtph cocycle that fixes the unit, a wtrb target with a unit), so a
-    file never silently under-claims.
-    """
-    s = sf.structure
-    rep = CheckReport()
-    rep.merge(check_braided_object(s.obj, braid_generators(sf, "n")))
-    if sf.kind == "hopf":
-        rep.merge(check_hopf(s))
-        rep.merge(antipode_property_check(s))
-    elif sf.kind == "truss":
-        rep.merge(check_truss(s))
-        rep.merge(check_truss_derived(s))
-    elif sf.kind == "wtph":
-        rep.merge(check_post_hopf(s))
-        twisted = check_twisted(s)
-        if twisted.results[0].passed:  # twisted.cocycle-unital
-            rep.merge(twisted)
-    else:
-        rep.merge(check_braided_object(s.target.obj, braid_generators(sf, "k")),
-                  prefix="target.")
-        rep.merge(check_rota_baxter(s))
-        if s.target.eta is not None:
-            rep.merge(check_twisted_operator(s))
-    return rep
+from .storage import KINDS, SCHEMAS, StructureFile, load, save, structure_report
+from .structures import CheckReport, coalgebra_morphism_report, is_entry_witness
 
 
 def star_verdict(sf: StructureFile) -> bool:
     """The braided-cocommutativity class verdict for kinds that have one."""
-    if sf.kind == "truss":
-        return truss_class_condition(sf.structure)
-    if sf.kind == "wtph":
-        return class_condition(sf.structure)
-    if sf.kind == "wtrb":
-        return rb_class_condition(sf.structure)
-    raise InputError("--star is not defined for plain Hopf files")
+    star = SCHEMAS[sf.kind].star
+    if star is None:
+        raise InputError("--star is not defined for plain Hopf files")
+    return star(sf.structure)
 
 
 # ---------------------------------------------------------------------------

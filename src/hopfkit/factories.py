@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from .errors import CharTwo, InputError
-from .fields import Field
+from .errors import CharTwo, InputError, _echo, _echo_int
+from .fields import Field, parse_natural
 from .groups import GroupTable, idempotent_endos, symmetric3
 from .linmap import LinMap, TensorShape, UNIT_SHAPE
 from .structures import BraidedObject, HopfAlgebraData
@@ -115,7 +115,8 @@ def named_endo(g: GroupTable, name: str) -> Tuple[int, ...]:
 
     ``identity`` and ``trivial`` exist for every group; ``sign-retraction``
     is the retraction of the standard S3 table onto its first transposition;
-    ``idx:N`` picks from the sorted idempotent enumeration."""
+    ``idx:N``, with ``N`` 1 to 4300 ASCII digits, picks from the sorted
+    idempotent enumeration."""
     n = g.order
     if name == "identity":
         return tuple(range(n))
@@ -126,15 +127,14 @@ def named_endo(g: GroupTable, name: str) -> Tuple[int, ...]:
             raise InputError("sign-retraction is defined for the catalog S3 table")
         return _S3_SIGN_RETRACTION
     if name.startswith("idx:"):
-        try:
-            k = int(name[4:])
-        except ValueError:
-            raise InputError(f"bad endomorphism index in {name!r}") from None
+        k = parse_natural(name[4:])
+        if k is None:
+            raise InputError(f"bad endomorphism index in {_echo(name)}")
         endos = idempotent_endos(g)
-        if not (0 <= k < len(endos)):
-            raise InputError(
-                f"endomorphism index {k} out of range (group has {len(endos)})")
+        if k >= len(endos):
+            raise InputError(f"endomorphism index {_echo_int(k)} out of range "
+                             f"(group has {len(endos)})")
         return endos[k]
     raise InputError(
-        f"unknown endomorphism {name!r} "
+        f"unknown endomorphism {_echo(name)} "
         "(use identity, trivial, sign-retraction, or idx:N)")

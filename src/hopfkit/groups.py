@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import BoundExceeded, InvalidAction, InvalidGroupTable, UnknownGroup
+from .errors import BoundExceeded, InvalidAction, InvalidGroupTable, UnknownGroup, _echo
 
 
 class GroupTable:
@@ -173,7 +173,7 @@ def group_by_name(name: str) -> GroupTable:
         return GROUPS[name]
     except KeyError:
         known = ", ".join(sorted(GROUPS))
-        raise UnknownGroup(f"unknown group {name!r} (catalog: {known})") from None
+        raise UnknownGroup(f"unknown group {_echo(name)} (catalog: {known})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,12 @@ File layout (UTF-8, human-diffable)::
 Headers first, then one ``map NAME: RxC`` section per structure map with R
 rows of C exact scalars (rationals as ``a/b``, prime-field elements as
 canonical integers).  ``SCHEMAS`` below is the single statement of what each
-kind's file holds: its map sections in file order, the attribute each one
-fills, and its shape; loading, saving, the CLI's kind list and the braiding
-generators of the checks are all read off it.  A structure with a non-flip
-braiding declares ``braiding: explicit`` and ships the matrix as a map
-section.  Saving is canonical (same structure, same bytes) and atomic (temp
-file then rename).
+kind is: its map sections in file order, the attribute each one fills, and
+its shape; its law suite; and its class verdict.  Loading, saving, the CLI's
+kind list, ``structure_report`` and the CLI's ``--star`` verdict are all read
+off it.  A structure with a non-flip braiding declares ``braiding: explicit``
+and ships the matrix as a map section.  Saving is canonical (same structure,
+same bytes) and atomic (temp file then rename).
 """
 from __future__ import annotations
 
@@ -37,14 +37,12 @@ from typing import Dict, List, Optional
 from .errors import ParseError, ShapeMismatch, UnknownKind, _echo, _echo_int
 from .fields import Field, FieldError, parse_natural
 from .linmap import LinMap, TensorShape
-from .post_hopf import PostHopfData
-from .rota_baxter import RotaBaxterData
-from .structures import (
-    BraidedObject,
-    HopfAlgebraData,
-    NonUnitalBialgebraData,
-)
-from .truss import HopfTrussData
+from .post_hopf import PostHopfData, check_post_hopf, check_twisted, class_condition
+from .rota_baxter import (RotaBaxterData, check_rota_baxter, check_twisted_operator,
+                          rb_class_condition)
+from .structures import (BraidedObject, CheckReport, HopfAlgebraData, NonUnitalBialgebraData,
+                         antipode_property_check, check_braided_object, check_hopf)
+from .truss import HopfTrussData, check_truss, check_truss_derived, truss_class_condition
 
 FORMAT_VERSION = 1
 
@@ -53,9 +51,10 @@ FORMAT_VERSION = 1
 # ---------------------------------------------------------------------------
 
 # The braided objects of a file, by the letter spelling their dimension in a
-# map shape: (dimension header, braiding header).  An explicit braiding is
-# shipped as a map section named like its header.
-_OBJECTS = {"n": ("dim", "braiding"), "k": ("dimB", "braidingB")}
+# map shape: (dimension header, braiding header, prefix of its laws in a
+# report).  An explicit braiding is shipped as a map section named like its
+# header.
+_OBJECTS = {"n": ("dim", "braiding", ""), "k": ("dimB", "braidingB", "target.")}
 
 # One map section: its name, the dotted attribute path it fills, dom and cod
 # spelled in object letters ("nn" is carrier (x) carrier, "" the ground
@@ -75,12 +74,44 @@ def _hopf_rows(prefix=""):
     )
 
 
-# kind -> (parts, map sections in file order).  Parts are the dataclasses the
-# structure is built from, by attribute ("" the structure itself), each with
-# the letter of its ``obj`` (None: it has no such field).
+# The law suites, each yielding its reports in order.  The twisted
+# refinements run when their precondition holds (a wtph cocycle that fixes
+# the unit, a wtrb target with a unit), so a file never silently
+# under-claims.  Each checker is looked up when called, so a function
+# rebound on this module is the one run.
+def _hopf_laws(h):
+    yield check_hopf(h)
+    yield antipode_property_check(h)
+
+
+def _truss_laws(t):
+    yield check_truss(t)
+    yield check_truss_derived(t)
+
+
+def _wtph_laws(w):
+    yield check_post_hopf(w)
+    twisted = check_twisted(w)
+    if twisted.results[0].passed:  # twisted.cocycle-unital
+        yield twisted
+
+
+def _wtrb_laws(w):
+    yield check_rota_baxter(w)
+    if w.target.eta is not None:
+        yield check_twisted_operator(w)
+
+
+# What a kind is.  ``parts`` are the dataclasses the structure is built from,
+# by attribute ("" the structure itself), each with the letter of its
+# ``obj`` (None: it has no such field); ``rows`` its map sections in file
+# order; ``laws`` its law suite, run after the braided-object laws of each
+# object; ``star`` its braided-cocommutativity class verdict (None: none).
+Schema = namedtuple("Schema", "parts rows laws star")
+
 SCHEMAS = {
-    "hopf": ({"": (HopfAlgebraData, "n")}, _hopf_rows()),
-    "truss": ({"": (HopfTrussData, "n")}, (
+    "hopf": Schema({"": (HopfAlgebraData, "n")}, _hopf_rows(), _hopf_laws, None),
+    "truss": Schema({"": (HopfTrussData, "n")}, (
         MapRow("eta", "eta", "", "n"),
         MapRow("mu1", "mu1", "nn", "n", "n"),
         MapRow("mu2", "mu2", "nn", "n", "n"),
@@ -88,23 +119,23 @@ SCHEMAS = {
         MapRow("delta", "delta", "n", "nn", "n"),
         MapRow("lambda", "antipode", "n", "n", "n"),
         MapRow("sigma", "cocycle", "n", "n", "n"),
-    )),
-    "wtph": ({"": (PostHopfData, None), "hopf": (HopfAlgebraData, "n")},
-             _hopf_rows("hopf.") + (
-                 MapRow("m", "action", "nn", "n", "n"),
-                 MapRow("phi", "cocycle", "n", "n", "n"),
-             )),
-    "wtrb": ({"": (RotaBaxterData, None), "hopf": (HopfAlgebraData, "n"),
-              "target": (NonUnitalBialgebraData, "k")},
-             _hopf_rows("hopf.") + (
-                 MapRow("muB", "target.mu", "kk", "k", "k"),
-                 MapRow("epsB", "target.eps", "k", ""),
-                 MapRow("deltaB", "target.delta", "k", "kk", "k"),
-                 MapRow("phi", "action", "kn", "n"),
-                 MapRow("T", "operator", "n", "k"),
-                 MapRow("psi", "cocycle", "n", "n", "n"),
-                 MapRow("etaB", "target.eta", "", "k", optional=True),
-             )),
+    ), _truss_laws, truss_class_condition),
+    "wtph": Schema({"": (PostHopfData, None), "hopf": (HopfAlgebraData, "n")},
+                   _hopf_rows("hopf.") + (
+                       MapRow("m", "action", "nn", "n", "n"),
+                       MapRow("phi", "cocycle", "n", "n", "n"),
+                   ), _wtph_laws, class_condition),
+    "wtrb": Schema({"": (RotaBaxterData, None), "hopf": (HopfAlgebraData, "n"),
+                    "target": (NonUnitalBialgebraData, "k")},
+                   _hopf_rows("hopf.") + (
+                       MapRow("muB", "target.mu", "kk", "k", "k"),
+                       MapRow("epsB", "target.eps", "k", ""),
+                       MapRow("deltaB", "target.delta", "k", "kk", "k"),
+                       MapRow("phi", "action", "kn", "n"),
+                       MapRow("T", "operator", "n", "k"),
+                       MapRow("psi", "cocycle", "n", "n", "n"),
+                       MapRow("etaB", "target.eta", "", "k", optional=True),
+                   ), _wtrb_laws, rb_class_condition),
 }
 
 KINDS = tuple(SCHEMAS)
@@ -155,7 +186,21 @@ def braid_generators(sf: StructureFile, letter: str) -> Dict[str, LinMap]:
     """Section name -> map, for every map of ``sf`` that must be natural for
     the braiding of object ``letter`` (``"n"`` carrier, ``"k"`` target)."""
     return {row.section: _attr(sf.structure, row.path)
-            for row in _schema(sf.kind)[1] if row.generator == letter}
+            for row in _schema(sf.kind).rows if row.generator == letter}
+
+
+def structure_report(sf: StructureFile) -> CheckReport:
+    """Every law the declared kind must satisfy, as one flat report: the
+    braided-object laws of each object under its prefix, then the kind's
+    law suite."""
+    schema = _schema(sf.kind)
+    rep = CheckReport()
+    for letter, obj in _objects(schema.parts, sf.structure).items():
+        rep.merge(check_braided_object(obj, braid_generators(sf, letter)),
+                  prefix=_OBJECTS[letter][2])
+    for part in schema.laws(sf.structure):
+        rep.merge(part)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +289,14 @@ def loads(text: str) -> StructureFile:
         raise ParseError(
             f"unsupported format-version {_echo(headers['format-version'])}")
     kind = headers.get("kind")
-    parts, rows = _schema(kind)
+    schema = _schema(kind)
     if "field" not in headers:
         raise ParseError("missing header 'field'")
     try:
         field = Field.from_token(headers["field"])
     except FieldError as e:
         raise ParseError(f"bad field token: {e}") from None
-    letters = [letter for _, letter in parts.values() if letter]
+    letters = [letter for _, letter in schema.parts.values() if letter]
     dims = {}
     for letter in letters:
         header = _OBJECTS[letter][0]
@@ -295,7 +340,7 @@ def loads(text: str) -> StructureFile:
         else:
             raise ParseError(f"{header} must be 'flip' or 'explicit', got {_echo(mode)}")
     maps = {}
-    for row in rows:
+    for row in schema.rows:
         if row.section in raw_maps:
             maps[row.path] = take(row.section, row.dom, row.cod)
         elif not row.optional:
@@ -305,13 +350,18 @@ def loads(text: str) -> StructureFile:
         raise ParseError(f"unexpected map sections: {_echo(stray)}")
     objs = {letter: BraidedObject(field, dims[letter], braid=braids.get(letter))
             for letter in letters}
-    return StructureFile(kind=kind, structure=_build(parts, objs, maps),
+    return StructureFile(kind=kind, structure=_build(schema.parts, objs, maps),
                          basis=basis, metadata=meta)
 
 
 def load(path: str) -> StructureFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8: invalid byte at offset {e.start}") from None
+    return loads(text)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +370,8 @@ def load(path: str) -> StructureFile:
 
 
 def dumps(sf: StructureFile) -> str:
-    parts, rows = _schema(sf.kind)
-    objs = _objects(parts, sf.structure)
+    schema = _schema(sf.kind)
+    objs = _objects(schema.parts, sf.structure)
     field = objs["n"].field
     out = [f"format-version: {FORMAT_VERSION}",
            f"kind: {sf.kind}",
@@ -337,7 +387,7 @@ def dumps(sf: StructureFile) -> str:
     sections = [(_OBJECTS[letter][1], obj.braid) for letter, obj in objs.items()
                 if not obj.is_flip]
     sections.extend((row.section, _attr(sf.structure, row.path))
-                    for row in rows)
+                    for row in schema.rows)
     for name, m in sections:
         if m is None:  # an optional map the structure does not carry
             continue

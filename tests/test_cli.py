@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfkit import fields, linmap, structures
-from hopfkit.cli import main, structure_report
+from hopfkit.cli import main, star_verdict, structure_report
+from hopfkit.errors import InputError
 from hopfkit.factories import group_algebra, linearize_endo, named_endo
 from hopfkit.fields import QQ
 from hopfkit.groups import cyclic
@@ -242,6 +243,29 @@ def test_check_error_on_a_hostile_file_is_bounded(capsys, tmp_path, text):
     assert err.startswith("error: ") and len(err.encode()) < 300
 
 
+# files that are not UTF-8, with the offset of their first invalid byte
+DIM_AT = C2_HOPF.index("dim: 2") + len("dim: ")
+NOT_UTF8 = {
+    "utf16-bom": (b"\xff\xfe" + C2_HOPF.encode(), 0),
+    "cut-sequence": (C2_HOPF.encode().replace(b"dim: 2", b"dim: \xe2\x82"), DIM_AT),
+    "late": (b"x" * BIG + b"\x80", BIG),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["check"], ["search", "rb-operators", "--field", "GF:5", "--file"]],
+    ids=["check", "search"])
+@pytest.mark.parametrize("data, offset", NOT_UTF8.values(), ids=NOT_UTF8.keys())
+def test_check_error_on_a_non_utf8_file_is_bounded(capsys, tmp_path, command,
+                                                    data, offset):
+    path = tmp_path / "bytes.txt"
+    path.write_bytes(data)
+    code, _, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert err.startswith("error: ") and len(err.encode()) < 300
+    assert f"offset {offset}" in err
+
+
 def test_check_prints_witnesses_past_the_int_str_limit(capsys, tmp_path):
     big = "9" * 4000  # accepted by the parser; its square has 8000 digits
     path = _c2_file_with(capsys, tmp_path, "map eta: 2x1\n1\n",
@@ -302,11 +326,18 @@ BRAIDINGS = [("hopf", c, None) for c in ("flip", "negflip")] \
 def test_structure_report_never_aborts(kind, carrier, target):
     # every law of the kind is listed whatever the braidings; the ones whose
     # hypothesis fails are skipped, not dropped
-    rep = structure_report(StructureFile(kind, _braided(kind, carrier, target)))
+    sf = StructureFile(kind, _braided(kind, carrier, target))
+    rep = structure_report(sf)
     flip_rep = structure_report(
         StructureFile(kind, _braided(kind, "flip", target and "flip")))
     assert [r.law for r in rep.results] == [r.law for r in flip_rep.results]
     assert flip_rep.passed and not any(r.skipped for r in flip_rep.results)
+    # the class verdict follows the carrier braiding alone
+    if kind == "hopf":
+        with pytest.raises(InputError):
+            star_verdict(sf)
+    else:
+        assert star_verdict(sf) is (carrier == "flip")
 
 
 @pytest.mark.parametrize("unital", [True, False], ids=["unital", "zero-cocycle"])
@@ -446,6 +477,27 @@ def test_gen_unknown_group(capsys, tmp_path):
                        "-o", str(tmp_path / "x.txt"))
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("endo", ["idx:\u0663", "idx:+3", "idx: 3", "idx:1_0"])
+def test_gen_rejects_an_index_outside_the_integer_grammar(capsys, tmp_path, endo):
+    code, _, err = run(capsys, "gen", "truss-q", "--group", "D4", "--endo", endo,
+                       "-o", str(tmp_path / "x.txt"))
+    assert code == 2
+    assert "bad endomorphism index" in err
+    assert not (tmp_path / "x.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["group-algebra", "--group", "G" * BIG],
+    ["truss-q", "--group", "S3", "--endo", "e" * BIG],
+    ["truss-q", "--group", "S3", "--endo", "idx:" + "1" * BIG],
+    ["truss-q", "--group", "S3", "--endo", "idx:" + "1" * 4300],
+], ids=["group", "endo", "endo-index", "endo-index-in-grammar"])
+def test_gen_error_on_a_hostile_name_is_bounded(capsys, tmp_path, argv):
+    code, _, err = run(capsys, "gen", *argv, "-o", str(tmp_path / "x.txt"))
+    assert code == 2
+    assert err.startswith("error: ") and len(err.encode()) < 300
 
 
 def test_gen_upsilon_trivial_twist_matches_idempotent_form(capsys, tmp_path):
