@@ -13,32 +13,53 @@ matter live here:
   no operation rounds.  Equality is entrywise and exact, and shapes compare
   factor-wise (``[6]`` differs from ``[2,3]`` even though the totals agree).
 
-A map is logically a ``cod.total x dom.total`` matrix.  Physically the columns
-are a sequence of sparse dicts (zero entries are never stored): the structure
-maps of the algebras handled here are permutation-like, and composing dense
-4096x4096 permutation matrices in exact arithmetic would be hopeless, while
-their sparse composites cost next to nothing.  ``entries()`` materializes the
-dense view whenever one is wanted.
+A map is logically a ``cod.total x dom.total`` matrix.  Physically it has one
+of two forms, and ``entries()`` materializes the dense view whenever one is
+wanted:
 
-A column dict, once built, is never mutated in place: maps share columns
-(``reshape`` shares them all, ``compose`` every column of ``g`` that a
-single-entry unit column of ``f`` selects), and a derived map copies before
-it edits.  ``first_mismatch`` compares two columns whole before it scans
-their entries, so equal columns cost one dict comparison.
+* **Monomial form.**  Every structure map of a group algebra (``mu``,
+  ``delta``, ``eps``, ``eta``, the antipode, a linearized endomorphism) has at
+  most one nonzero entry per column, and so have the identity, the flip and
+  every Kronecker product or composite of such maps (generalized permutation
+  matrices; C. F. Van Loan, "The ubiquitous Kronecker product", J. Comput.
+  Appl. Math. 123, 2000).  Such a map is held as a tuple ``rows`` giving the
+  row of each column's entry, ``-1`` for an empty column, and a tuple
+  ``vals`` of the entries, ``None`` when each is the int one.  A stored zero
+  is no entry.  ``LinMap(...)`` reads dict columns of at most one entry each
+  into this form, whoever builds them.
+* **Dict columns.**  Any other map is a tuple of sparse column dicts (zero
+  entries are not stored): dense matrices of the sizes met here, 4096x4096
+  at order 8, would be hopeless in exact arithmetic.
 
-**Lazy Kronecker products.**  ``tensor`` builds no column up front.  Column
-``j`` of ``f (x) g`` is built on its first indexed read, from column
-``j // g.dom.total`` of ``f`` and column ``j % g.dom.total`` of ``g``, and
-kept; iterating a product none of whose columns has been read builds them all
-in one loop.  ``compose(g, f)`` reads every column of ``f``.  When ``f`` has
-fewer columns than ``g`` it reads only the columns of ``g`` that ``f``
-references, otherwise all of ``g`` in that one loop.  So a law side is written
-right to left: ``mu @ (tensor(mu, mu) @ (tensor(i1, c, i1) @ tensor(delta, delta)))``
-builds only the columns of ``tensor(i1, c, i1)`` that the domain reaches,
-where the left-associated ``mu @ tensor(mu, mu) @ ...`` builds every column
-of each product.
+The kernel works on the monomial form by index arithmetic, with no per-column
+object:
+
+* ``tensor`` of two monomial maps is lazy: it keeps its factors, and column
+  ``j`` of ``f (x) g`` has its entry in row
+  ``f.rows[j // ng] * g.cod.total + g.rows[j % ng]``, ``ng = g.dom.total``.
+  Any other product is built whole, column by column, by ``_kron_col``.
+* ``compose(g, f)`` reads every column of ``f`` and gathers, in one batch,
+  only the entries of ``g`` at the rows that ``f`` references.  For a lazy
+  ``g`` the gather recurses into the factors, so a product's row tuple is
+  built only when it is read whole.  A law side is therefore written right
+  to left: in ``mu @ (tensor(mu, mu) @ (tensor(i1, c, i1) @ tensor(delta, delta)))``
+  the ``n^4``-column ``tensor(i1, c, i1)`` is read at ``n^2`` columns only.
+* Mixed operands: a monomial ``g`` after a dict-held ``f`` is gathered at the
+  rows ``f`` holds, and a dict-held ``g`` after a monomial ``f`` hands out the
+  columns of ``g`` that ``f`` selects.
+* ``first_mismatch`` compares two monomial maps tuple against tuple.  Only
+  when they differ does it scan dict columns for the witness.
+
+The ``cols`` of a monomial map are built on first read and kept, for the
+readers outside the kernel (the solver, file output, ``entries()``).  A
+column dict, once built, is never mutated in place: maps share columns
+(``reshape`` shares them all, ``compose`` every column of a dict-held ``g``
+that a unit entry of ``f`` selects), and a derived map copies before it
+edits.
 """
 from __future__ import annotations
+
+from itertools import repeat
 
 from .errors import ShapeMismatch
 from .fields import Field
@@ -111,17 +132,39 @@ UNIT_SHAPE = TensorShape(())
 class LinMap:
     """An exact linear map ``dom -> cod`` between tensor powers."""
 
-    __slots__ = ("field", "dom", "cod", "cols")
+    __slots__ = ("field", "dom", "cod", "_cols", "rows", "vals", "factors")
 
-    def __init__(self, field: Field, dom: TensorShape, cod: TensorShape, cols):
+    def __init__(self, field: Field, dom: TensorShape, cod: TensorShape, cols=None,
+                 rows=None, vals=None, factors=None):
         self.field = field
         self.dom = dom
         self.cod = cod
-        # a sequence of {row: nonzero scalar}, one dict per column, never
-        # mutated in place, so maps share them (compose hands out the columns
-        # it reads); a Kronecker product builds each on first read, so a law
-        # side is written right to left (see the module docstring)
-        self.cols = cols
+        # the monomial form (see the module docstring): ``rows`` and ``vals``,
+        # or, for a lazy product, its two monomial ``factors``; dict columns
+        # of one entry at most are read into it here and nowhere else
+        if rows is None and factors is None and all(len(c) <= 1 for c in cols):
+            rows, vals = _monomial(cols, field.one)
+        self._cols = cols
+        self.rows = rows
+        self.vals = vals
+        self.factors = factors
+
+    @property
+    def monomial(self) -> bool:
+        return self.rows is not None or self.factors is not None
+
+    @property
+    def cols(self):
+        """The columns, a tuple of ``{row: nonzero scalar}`` dicts.
+
+        A column is never mutated in place, so maps share them (``compose``
+        hands out the columns of a dict-held ``g`` that it reads).  A
+        monomial map builds them on first read and keeps them; the kernel
+        reads them only where a monomial map meets a dict-held one in
+        ``tensor`` or ``first_mismatch``, and for the witness of a mismatch."""
+        if self._cols is None:
+            self._cols = tuple(_dict_cols(*_gather(self), self.field.one))
+        return self._cols
 
     # -- constructors -------------------------------------------------------
 
@@ -202,7 +245,7 @@ class LinMap:
             raise ShapeMismatch(
                 f"reshape {self.dom}->{self.cod} to {dom}->{cod} changes totals"
             )
-        return LinMap(self.field, dom, cod, self.cols)
+        return LinMap(self.field, dom, cod, self._cols, self.rows, self.vals, self.factors)
 
     def with_entry(self, i: int, j: int, value) -> "LinMap":
         """Copy of the map with entry (i, j) replaced (handy for mutation tests)."""
@@ -226,18 +269,79 @@ def _as_shape(s) -> TensorShape:
     return TensorShape(s)
 
 
+# -- the monomial form ------------------------------------------------------------
+
+
+def _monomial(cols, one):
+    """Rows and values of dict columns that hold at most one entry each."""
+    rows, vals = [], []
+    for col in cols:
+        (i, v), = col.items() or ((-1, one),)
+        rows.append(i if v else -1)  # a stored zero is no entry
+        vals.append(v)
+    # a value equal to one but held as a Fraction is kept, so that a witness
+    # holds what the map holds
+    if all(type(v) is int and v == one for v in vals):
+        return tuple(rows), None
+    return tuple(rows), tuple(vals)
+
+
+def _gather(m: LinMap, idx=None):
+    """Rows and values of the monomial map ``m`` at the columns ``idx``, or at
+    every column for ``None``, as tuples; column ``-1`` reads as empty.
+
+    A lazy product gathers from its factors, at the column of each that a
+    column of the product reads."""
+    if m.factors is None:
+        if idx is None:
+            return m.rows, m.vals
+        rows = m.rows + (-1,)
+        picked = tuple([rows[k] for k in idx])
+        if m.vals is None:
+            return picked, None
+        vals = m.vals + (m.field.one,)
+        return picked, tuple([vals[k] for k in idx])
+    # column j of the product reads column j // ng of f and j % ng of g
+    f, g = m.factors
+    ng, ncg = g.dom.total, g.cod.total
+    if idx is None:
+        (fr, fv), (gr, gv) = _gather(f), _gather(g)
+        rows = tuple([a + b if a >= 0 and b >= 0 else -1
+                      for a in [a * ncg for a in fr] for b in gr])
+        if fv is None:
+            return rows, None if gv is None else gv * len(fr)
+        fv = [a for a in fv for _ in range(ng)]
+        gv = None if gv is None else gv * len(fr)
+    else:
+        ng = ng or 1  # a product with no column reads only column -1
+        fr, fv = _gather(f, [k // ng for k in idx])
+        gr, gv = _gather(g, [k % ng for k in idx])
+        rows = tuple([a * ncg + b if a >= 0 and b >= 0 else -1 for a, b in zip(fr, gr)])
+        if fv is None:
+            return rows, gv
+    one, mul = m.field.one, m.field.mul
+    # the rule of _kron_col: a factor equal to one is copied, not multiplied
+    return rows, tuple([b if a == one else a if b == one else mul(a, b)
+                        for a, b in zip(fv, repeat(one) if gv is None else gv)])
+
+
+def _dict_cols(rows, vals, one) -> list:
+    """The dict columns of a monomial form."""
+    return [{i: v} if i >= 0 else {}
+            for i, v in zip(rows, repeat(one) if vals is None else vals)]
+
+
 # -- the four structural operations ------------------------------------------
 
 
 def identity(field: Field, shp) -> LinMap:
     shp = _as_shape(shp)
-    one = field.one
-    return LinMap(field, shp, shp, tuple({j: one} for j in range(shp.total)))
+    return LinMap(field, shp, shp, rows=tuple(range(shp.total)))
 
 
 def zero_map(field: Field, dom, cod) -> LinMap:
     dom, cod = _as_shape(dom), _as_shape(cod)
-    return LinMap(field, dom, cod, tuple({} for _ in range(dom.total)))
+    return LinMap(field, dom, cod, rows=(-1,) * dom.total)
 
 
 def compose(g: LinMap, f: LinMap) -> LinMap:
@@ -246,18 +350,32 @@ def compose(g: LinMap, f: LinMap) -> LinMap:
         raise ShapeMismatch(f"composing maps over {f.field!r} and {g.field!r}")
     if f.cod != g.dom:
         raise ShapeMismatch(f"cannot compose: {f.dom}->{f.cod} then {g.dom}->{g.cod}")
-    mul = g.field.mul
-    add = g.field.add
-    one = g.field.one
-    gcols = g.cols
-    if len(f.cols) >= len(gcols):
-        # as many columns as g has, as when f is a permutation: a lazy g is
-        # read whole, which its one-loop build does faster than column by column
-        gcols = tuple(gcols)
+    field = g.field
+    mul, add, one = field.mul, field.add, field.one
+    if f.monomial:
+        fr, fv = _gather(f)
+        if g.monomial:
+            # index arithmetic: column j of g.f is column fr[j] of g, scaled
+            gr, gv = _gather(g, fr)
+            if fv is not None:
+                gv = tuple([w if v == one else mul(w, v)
+                            for v, w in zip(fv, repeat(one) if gv is None else gv)])
+            return LinMap(field, f.dom, g.cod, rows=gr, vals=gv)
+        gcols = g.cols + ({},)  # column -1 of f selects no column of g
+        return LinMap(field, f.dom, g.cod, tuple([
+            gcols[k] if v == one else {i: mul(w, v) for i, w in gcols[k].items()}
+            for k, v in zip(fr, repeat(one) if fv is None else fv)]))
+    fcols = f.cols
+    if g.monomial:
+        # only the columns of g that f reads, gathered in one batch
+        ks = list({k for fcol in fcols for k in fcol})
+        gcols = dict(zip(ks, _dict_cols(*_gather(g, ks), one)))
+    else:
+        gcols = g.cols
     out = []
-    for fcol in f.cols:
+    for fcol in fcols:
         if len(fcol) == 1:
-            # permutation-like fast path: a single scalar times a column of g
+            # a single scalar times a column of g, shared when the scalar is one
             (k, v), = fcol.items()
             if v == one:
                 out.append(gcols[k])
@@ -273,78 +391,36 @@ def compose(g: LinMap, f: LinMap) -> LinMap:
                 else:
                     acc[i] = t
         out.append({i: v for i, v in acc.items() if v})
-    return LinMap(g.field, f.dom, g.cod, tuple(out))
+    return LinMap(field, f.dom, g.cod, tuple(out))
 
 
 def tensor(*maps: LinMap) -> LinMap:
     """Tensor (Kronecker) product, leftmost factor most significant.
 
-    The columns are built on first read (see the module docstring)."""
+    A product of monomial maps is lazy; any other is built whole (see the
+    module docstring)."""
     if not maps:
         raise ShapeMismatch("tensor() of no maps")
     out = maps[0]
     for m in maps[1:]:
         if out.field != m.field:
             raise ShapeMismatch(f"tensor of maps over {out.field!r} and {m.field!r}")
-        out = LinMap(out.field, out.dom * m.dom, out.cod * m.cod, _KronCols(out, m))
+        dom, cod = out.dom * m.dom, out.cod * m.cod
+        if out.monomial and m.monomial:
+            out = LinMap(out.field, dom, cod, factors=(out, m))
+        else:
+            out = LinMap(out.field, dom, cod, _kron_all(out, m))
     return out
 
 
-class _KronCols:
-    """The columns of ``f (x) g``, each built on first read and kept.
-
-    Once every column is built they are held as one tuple and the references
-    to ``f`` and ``g`` are dropped.
-    """
-
-    __slots__ = ("f", "g", "n", "built", "cols")
-
-    def __init__(self, f: LinMap, g: LinMap):
-        self.f, self.g = f, g
-        self.n = f.dom.total * g.dom.total
-        self.built = {}    # column index -> column, before all are built
-        self.cols = None   # tuple of every column, once all are built
-
-    def __len__(self):
-        return self.n
-
-    def __getitem__(self, j):
-        if self.cols is not None:
-            return self.cols[j]
-        col = self.built.get(j)
-        if col is None:
-            j = range(self.n)[j]  # a negative index counts from the end
-            f, g = self.f, self.g
-            ng = g.dom.total
-            col = _kron_col(f.cols[j // ng], g.cols[j % ng], g.cod.total,
-                            f.field.one, f.field.mul)
-            self.built[j] = col
-            if len(self.built) == self.n:
-                self._finish(tuple(self.built[k] for k in range(self.n)))
-        return col
-
-    def __iter__(self):
-        if self.cols is None:
-            if self.built:
-                for j in range(self.n):
-                    self[j]
-            else:
-                self._finish(_kron_all(self.f, self.g))
-        return iter(self.cols)
-
-    def _finish(self, cols) -> None:
-        self.cols = cols
-        self.f = self.g = self.built = None
-
-
-def _kron_col(fcol, gcol, ncg, one, mul) -> dict:
-    """The Kronecker column ``fcol (x) gcol``."""
+def _kron_col(fitems, gcol, one, mul) -> dict:
+    """The Kronecker column ``fcol (x) gcol``, given ``fcol`` as ``(first
+    row, value)`` items with ``None`` for a value equal to one."""
     # a factor equal to one is copied, not multiplied: structure maps hold
     # mostly ones, and ``== one`` on an int costs far less than ``mul``
     col = {}
-    for i_f, vf in fcol.items():
-        base = i_f * ncg
-        if vf == one:
+    for base, vf in fitems:
+        if vf is None:
             for i_g, vg in gcol.items():
                 col[base + i_g] = vg
         else:
@@ -357,19 +433,19 @@ def _kron_all(f: LinMap, g: LinMap) -> tuple:
     """Every column of ``f (x) g``, in order."""
     one, mul = f.field.one, f.field.mul
     ncg = g.cod.total
-    gcols = tuple(g.cols)
-    return tuple([_kron_col(fcol, gcol, ncg, one, mul)
-                  for fcol in f.cols for gcol in gcols])
+    gcols = g.cols
+    out = []
+    for fcol in f.cols:
+        # each value of f is compared with one once, not once per column of g
+        fitems = [(i * ncg, None if v == one else v) for i, v in fcol.items()]
+        out.extend([_kron_col(fitems, gcol, one, mul) for gcol in gcols])
+    return tuple(out)
 
 
 def flip(field: Field, m: int, n: int) -> LinMap:
     """The permutation ``[m,n] -> [n,m]`` sending ``e_i (x) e_j`` to ``e_j (x) e_i``."""
-    one = field.one
-    cols = [None] * (m * n)
-    for i in range(m):
-        for j in range(n):
-            cols[i * n + j] = {j * m + i: one}
-    return LinMap(field, TensorShape((m, n)), TensorShape((n, m)), tuple(cols))
+    rows = tuple([j * m + i for i in range(m) for j in range(n)])
+    return LinMap(field, TensorShape((m, n)), TensorShape((n, m)), rows=rows)
 
 
 # -- comparison with witness ----------------------------------------------------
@@ -387,6 +463,8 @@ def first_mismatch(f: LinMap, g: LinMap):
         return ("field", f.field, g.field)
     if f.dom != g.dom or f.cod != g.cod:
         return ("shape", (f.dom, f.cod), (g.dom, g.cod))
+    if f.monomial and g.monomial and _gather(f) == _gather(g):
+        return None
     zero = f.field.zero
     worst = None
     for j, (cf, cg) in enumerate(zip(f.cols, g.cols)):

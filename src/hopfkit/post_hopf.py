@@ -172,14 +172,18 @@ def left_unit_rows(w: Optional[PostHopfData]):
     )
 
 
-def check_twisted(w: PostHopfData) -> CheckReport:
+def cocycle_unital_report(w: PostHopfData) -> CheckReport:
+    """The first law of :func:`check_twisted` on its own: ``cocycle . eta == eta``."""
+    return CheckReport().add("twisted.cocycle-unital", w.cocycle @ w.hopf.eta, w.hopf.eta)
+
+
+def check_twisted(w: PostHopfData, unital: Optional[CheckReport] = None) -> CheckReport:
     """The twisted refinement: unital cocycle, invertible curried action, and
     (once both hold) the left-unit consequences.  Currying needs the flip
     braiding; on any other carrier the invertibility law is skipped, and with
-    it the consequences."""
-    h = w.hopf
-    rep = CheckReport()
-    rep.add("twisted.cocycle-unital", w.cocycle @ h.eta, h.eta)
+    it the consequences.  ``unital`` is :func:`cocycle_unital_report` of
+    ``w`` when the caller has it already."""
+    rep = CheckReport().merge(cocycle_unital_report(w) if unital is None else unital)
     invertible = "twisted.curried-action-invertible"
     try:
         curried_action_inverse(w)
@@ -471,6 +475,7 @@ __all__ = [
     "pairing_of_curried_inverse",
     "pairing_inverse_is_coalg_morphism",
     "check_post_hopf",
+    "cocycle_unital_report",
     "check_twisted",
     "left_unit_rows",
     "lemma_suite",

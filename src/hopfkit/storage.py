@@ -37,7 +37,8 @@ from typing import Dict, List, Optional
 from .errors import ParseError, ShapeMismatch, UnknownKind, _echo, _echo_int
 from .fields import Field, FieldError, parse_natural
 from .linmap import LinMap, TensorShape
-from .post_hopf import PostHopfData, check_post_hopf, check_twisted, class_condition
+from .post_hopf import (PostHopfData, check_post_hopf, check_twisted, class_condition,
+                        cocycle_unital_report)
 from .rota_baxter import (RotaBaxterData, check_rota_baxter, check_twisted_operator,
                           rb_class_condition)
 from .structures import (BraidedObject, CheckReport, HopfAlgebraData, NonUnitalBialgebraData,
@@ -91,9 +92,9 @@ def _truss_laws(t):
 
 def _wtph_laws(w):
     yield check_post_hopf(w)
-    twisted = check_twisted(w)
-    if twisted.results[0].passed:  # twisted.cocycle-unital
-        yield twisted
+    unital = cocycle_unital_report(w)
+    if unital.passed:
+        yield check_twisted(w, unital)
 
 
 def _wtrb_laws(w):

@@ -11,7 +11,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfkit import fields, linmap, structures
+from hopfkit import fields, linmap, post_hopf, structures
 from hopfkit.cli import main, star_verdict, structure_report
 from hopfkit.errors import InputError
 from hopfkit.factories import group_algebra, linearize_endo, named_endo
@@ -356,10 +356,16 @@ def test_wtph_report_compares_the_cocycle_on_the_unit_once(monkeypatch, unital):
     real = linmap.first_mismatch
     monkeypatch.setattr(linmap, "first_mismatch", spy)
     monkeypatch.setattr(structures, "first_mismatch", spy)
+    # a cocycle that moves the unit leaves nothing to solve for
+    solved = []
+    inverse = post_hopf.convolution_inverse
+    monkeypatch.setattr(post_hopf, "convolution_inverse",
+                        lambda *args: solved.append(args) or inverse(*args))
     sf = StructureFile("wtph", w)
     rep = structure_report(sf)
     monkeypatch.undo()
     assert len(against_eta) == 1 and against_eta[0] == w.cocycle @ eta
+    assert len(solved) == (1 if unital else 0)
     # the twisted laws are listed exactly when the cocycle fixes the unit
     expected = (check_braided_object(w.obj, braid_generators(sf, "n")).results
                 + check_post_hopf(w).results

@@ -466,3 +466,163 @@ def test_first_mismatch_agrees_with_the_entry_scan(data):
     want = _first_mismatch_scan(*pair())
     assert got == want
     assert _held_witness(got) == _held_witness(want)
+
+
+# -- the monomial form against the dict path -------------------------------------
+
+
+@st.composite
+def _mono_cols(draw, fld, nr, nc):
+    """Raw columns of one stored entry at most: empty, a stored zero, or a
+    value, int-held or Fraction-held."""
+    cols = [{draw(st.integers(0, nr - 1)): draw(LAZY_SCALARS[fld])}
+            if nr and draw(st.booleans()) else {} for _ in range(nc)]
+    if fld is QQ and draw(st.booleans()):
+        cols = [{i: Fraction(v) for i, v in c.items()} for c in cols]
+    return cols
+
+
+def _forms(fld, nr, nc, cols):
+    """The map of ``cols`` twice: monomial, and dict-held through two stored
+    zeros in column 0 (so ``nr >= 2`` and ``nc >= 1``)."""
+    dom, cod = shape(nc), shape(nr)
+    mono = LinMap(fld, dom, cod, tuple(cols))
+    held = LinMap(fld, dom, cod, ({0: 0, 1: 0, **cols[0]},) + tuple(cols[1:]))
+    assert mono.monomial and not held.monomial
+    return mono, held
+
+
+def _product(g, f):
+    """``g . f`` from the dense entries, through the field."""
+    fld = g.field
+    a, b = g.entries(), f.entries()
+    rows = [[fld.zero] * f.dom.total for _ in range(g.cod.total)]
+    for i, j, k in itertools.product(range(g.cod.total), range(f.dom.total),
+                                     range(f.cod.total)):
+        rows[i][j] = fld.add(rows[i][j], fld.mul(a[i][k], b[k][j]))
+    return LinMap.from_entries(fld, f.dom, g.cod, rows)
+
+
+def _bumped(data, m):
+    """``m`` with one entry changed, as raw dict columns."""
+    fld = m.field
+    i = data.draw(st.integers(0, m.cod.total - 1), label="bump row")
+    j = data.draw(st.integers(0, m.dom.total - 1), label="bump col")
+    cols = [dict(c) for c in m.cols]
+    cols[j][i] = fld.add(m.entry(i, j), fld.one)
+    return LinMap(fld, m.dom, m.cod, tuple(cols))
+
+
+def _nonzero(cols):
+    """Columns without their stored zeros, each value with its type."""
+    return [{i: (type(v).__name__, str(v)) for i, v in c.items() if v} for c in cols]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_monomial_compose_agrees_with_the_dict_path(data):
+    # g . f with each operand monomial or dict-held: the four paths of compose
+    fld = data.draw(st.sampled_from((QQ, GF5)), label="field")
+    a, b, c = (data.draw(st.integers(2, 3), label=x) for x in ("a", "b", "c"))
+    fs = _forms(fld, b, a, data.draw(_mono_cols(fld, b, a), label="f"))
+    gs = _forms(fld, c, b, data.draw(_mono_cols(fld, c, b), label="g"))
+    ref = _product(gs[0], fs[0])
+    mutant = _bumped(data, ref)
+    for g, f in itertools.product(gs, fs):
+        got = g @ f
+        assert got.monomial or not (g.monomial and f.monomial)
+        assert first_mismatch(got, ref) is None and first_mismatch(ref, got) is None
+        assert first_mismatch(got, mutant) == _first_mismatch_scan(ref, mutant)
+        assert first_mismatch(mutant, got) == _first_mismatch_scan(mutant, ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_monomial_tensor_agrees_with_the_eager_reference(data):
+    fld = data.draw(st.sampled_from((QQ, GF5)), label="field")
+    maps = []
+    for k in range(data.draw(st.integers(2, 3), label="factors")):
+        # two columns at least, so that a dict-held map can follow the product
+        nr, nc = data.draw(st.integers(2, 3), label="rows"), data.draw(st.integers(1 if k else 2, 3), label="cols")
+        forms = _forms(fld, nr, nc, data.draw(_mono_cols(fld, nr, nc), label=f"factor {k}"))
+        maps.append(forms[data.draw(st.integers(0, 1), label=f"held {k}")])
+    ref = _tensor_eager(*maps)
+    lazy = tensor(*maps)
+    assert lazy.factors is not None or not all(m.monomial for m in maps)
+    n = ref.dom.total
+    if lazy.monomial:
+        # read by index: some columns, in any order, repeated, -1 as empty
+        idx = data.draw(st.lists(st.integers(-1, n - 1), max_size=2 * n), label="read")
+        got = linmap._dict_cols(*linmap._gather(lazy, idx), fld.one)
+        assert _nonzero(got) == _nonzero([ref.cols[k] if k >= 0 else {} for k in idx])
+    # a narrow or wide map after the product reads it partly or whole
+    width = data.draw(st.integers(1, n + 1), label="width")
+    for f in _forms(fld, n, width, data.draw(_mono_cols(fld, n, width), label="f")):
+        f = f.reshape(f.dom, ref.dom)
+        assert first_mismatch(tensor(*maps) @ f, _product(ref, f)) is None
+    mutant = _bumped(data, ref)
+    assert first_mismatch(tensor(*maps), mutant) == _first_mismatch_scan(ref, mutant)
+    assert first_mismatch(mutant, tensor(*maps)) == _first_mismatch_scan(mutant, ref)
+    assert _nonzero(lazy.cols) == _nonzero(ref.cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_monomial_first_mismatch_agrees_with_the_entry_scan(data):
+    fld = data.draw(st.sampled_from((QQ, GF5)), label="field")
+    nr, nc = data.draw(st.integers(2, 3), label="rows"), data.draw(st.integers(1, 4), label="cols")
+    xcols = data.draw(_mono_cols(fld, nr, nc), label="x")
+    # y is x with a few columns replaced, so equal maps and first differences
+    # anywhere both occur; it may hold its values as Fractions where x does not
+    ycols = list(xcols)
+    for j in data.draw(st.lists(st.integers(0, nc - 1), max_size=2), label="edits"):
+        ycols[j] = data.draw(_mono_cols(fld, nr, 1), label="column")[0]
+    if fld is QQ and data.draw(st.booleans(), label="fraction"):
+        ycols = [{i: Fraction(v) for i, v in c.items()} for c in ycols]
+    for f, g in itertools.product(_forms(fld, nr, nc, xcols), _forms(fld, nr, nc, ycols)):
+        for lhs, rhs in ((f, g), (g, f)):
+            got, want = first_mismatch(lhs, rhs), _first_mismatch_scan(lhs, rhs)
+            assert got == want and _held_witness(got) == _held_witness(want)
+
+
+def test_cols_of_an_eager_map_is_a_tuple_of_dicts():
+    from hopfkit.factories import group_algebra
+    from hopfkit.groups import symmetric3
+    from hopfkit.structures import solve_antipode
+
+    g = symmetric3()
+    antipode = solve_antipode(group_algebra(g, QQ))
+    i2 = identity(QQ, shape(2))
+    cases = [
+        (identity(QQ, shape(3)), ({0: 1}, {1: 1}, {2: 1})),
+        (flip(QQ, 2, 3), ({0: 1}, {2: 1}, {4: 1}, {1: 1}, {3: 1}, {5: 1})),
+        (zero_map(QQ, shape(2), shape(3)), ({}, {})),
+        (M([[1, 2], [0, 3]]), ({0: 1}, {0: 2, 1: 3})),
+        (M([[0, 2], [0, 0]]), ({}, {0: 2})),
+        (tensor(i2, M([[0, 2], [0, 0]])), ({}, {0: 2}, {}, {2: 2})),
+        (antipode, tuple({g.inverse[j]: 1} for j in range(g.order))),
+    ]
+    for m, want in cases:
+        assert type(m.cols) is tuple and m.cols == want
+        assert all(type(c) is dict for c in m.cols)
+
+
+def test_with_entry_on_a_monomial_map_copies():
+    raw = ({1: 1}, {0: Fraction(2)}, {})
+    for m in (identity(QQ, shape(3)), LinMap(QQ, shape(3), shape(3), raw),
+              tensor(identity(QQ, shape(1)), flip(QQ, 1, 3))):
+        before = copy.deepcopy(m.cols)
+        form = (m.rows, m.vals, m.factors)
+        for i, j, v in ((0, 1, 7), (2, 2, 0), (1, 0, 0)):
+            e = m.with_entry(i, j, v)
+            assert e.entry(i, j) == v
+            assert e.cols[j] is not m.cols[j]
+            assert m.cols == before and (m.rows, m.vals, m.factors) == form
+            assert m.monomial
+
+
+def test_a_stored_zero_is_no_entry_of_the_monomial_form():
+    m = LinMap(QQ, shape(3), shape(2), ({1: 0}, {0: Fraction(0)}, {1: 2}))
+    assert m.monomial and m.rows == (-1, -1, 1)
+    assert m == zero_map(QQ, shape(3), shape(2)).with_entry(1, 2, 2)
+    assert first_mismatch(m, zero_map(QQ, shape(3), shape(2))) == (1, 2, 2, 0)

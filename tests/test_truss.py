@@ -8,7 +8,7 @@ import pytest
 from hopfkit.errors import ConditionBFailed, LawViolation, PreconditionNotMet
 from hopfkit.factories import group_algebra, linearize_endo, named_endo, sweedler_h4
 from hopfkit.fields import Field, QQ
-from hopfkit import linmap
+from hopfkit import linmap, structures
 from hopfkit.groups import (
     cyclic,
     group_by_name,
@@ -168,27 +168,42 @@ def dihedral_identity_truss(k):
     return truss_from_idempotent(group_algebra(g, QQ), q)
 
 
-# Kronecker columns one check_truss builds.  Writing each law side right to
-# left builds only the columns its domain reaches; building every column of
-# every product took 438 561 at order 16.  The counts are exact, so a column
-# built past the one builder fails the test as well as a column too many.
-KRONECKER_COLUMNS = {8: 36_561, 12: 118_969}
+# Dict columns one check_truss builds, by the two column builders: Kronecker
+# columns (``_kron_col``) and the columns of a monomial map (``_dict_cols``).
+# Every map of a group algebra is monomial, so its laws are checked by index
+# arithmetic alone.  The counts are exact, and every law side must be
+# monomial, so a law side that falls back to dict columns fails the test.
+DICT_COLUMNS = {8: {"_kron_col": 0, "_dict_cols": 0},
+                12: {"_kron_col": 0, "_dict_cols": 0}}
 
 
-@pytest.mark.parametrize("k", sorted(KRONECKER_COLUMNS))
+@pytest.mark.parametrize("k", sorted(DICT_COLUMNS))
 def test_check_truss_builds_few_kronecker_columns(monkeypatch, k):
     t = dihedral_identity_truss(k)
-    built = 0
-    build = linmap._kron_col
+    built = dict.fromkeys(DICT_COLUMNS[k], 0)
 
-    def counted(*args):
-        nonlocal built
-        built += 1
-        return build(*args)
+    def counted(name, build, columns):
+        def wrapped(*args):
+            out = build(*args)
+            built[name] += columns(out)
+            return out
+        return wrapped
 
-    monkeypatch.setattr(linmap, "_kron_col", counted)
-    assert check_truss(t).passed
-    assert built == KRONECKER_COLUMNS[k]
+    monkeypatch.setattr(linmap, "_kron_col", counted("_kron_col", linmap._kron_col, lambda c: 1))
+    monkeypatch.setattr(linmap, "_dict_cols", counted("_dict_cols", linmap._dict_cols, len))
+    sides = []
+    compare = structures.first_mismatch
+
+    def spy(f, g):
+        sides.extend((f, g))
+        return compare(f, g)
+
+    monkeypatch.setattr(structures, "first_mismatch", spy)
+    rep = check_truss(t)
+    assert rep.passed
+    assert built == DICT_COLUMNS[k]
+    assert len(sides) == 2 * len(rep.results)
+    assert all(m.monomial for m in sides)
 
 
 def test_check_truss_memory_at_order_16():
