@@ -308,21 +308,22 @@ def _gather(m: LinMap, idx=None):
         (fr, fv), (gr, gv) = _gather(f), _gather(g)
         rows = tuple([a + b if a >= 0 and b >= 0 else -1
                       for a in [a * ncg for a in fr] for b in gr])
-        if fv is None:
-            return rows, None if gv is None else gv * len(fr)
-        fv = [a for a in fv for _ in range(ng)]
         gv = None if gv is None else gv * len(fr)
+        if fv is not None:
+            fv = [a for a in fv for _ in range(ng)]
     else:
         ng = ng or 1  # a product with no column reads only column -1
         fr, fv = _gather(f, [k // ng for k in idx])
         gr, gv = _gather(g, [k % ng for k in idx])
         rows = tuple([a * ncg + b if a >= 0 and b >= 0 else -1 for a, b in zip(fr, gr)])
-        if fv is None:
-            return rows, gv
-    one, mul = m.field.one, m.field.mul
-    # the rule of _kron_col: a factor equal to one is copied, not multiplied
-    return rows, tuple([b if a == one else a if b == one else mul(a, b)
-                        for a, b in zip(fv, repeat(one) if gv is None else gv)])
+    if fv is not None:
+        one, mul = m.field.one, m.field.mul
+        # the rule of _kron_col: a factor equal to one is copied, not multiplied
+        gv = tuple([b if a == one else a if b == one else mul(a, b)
+                    for a, b in zip(fv, repeat(one) if gv is None else gv)])
+    if idx is None:  # kept, as ``cols`` keeps the columns it builds
+        m.rows, m.vals, m.factors = rows, gv, None
+    return rows, gv
 
 
 def _dict_cols(rows, vals, one) -> list:

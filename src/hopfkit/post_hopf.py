@@ -143,21 +143,21 @@ def check_post_hopf(w: PostHopfData) -> CheckReport:
     c = obj.braid
     m = w.action
     phi = w.cocycle
-    rep = CheckReport()
-    rep.merge(check_hopf(h), prefix="hopf.")
-    rep.merge(coalgebra_morphism_report(m, tensor_square(h), h, prefix="action."))
-    rep.merge(coalgebra_morphism_report(phi, h, h, prefix="cocycle."))
+    rep = CheckReport().merge(check_hopf(h), prefix="hopf.")
+    rep.laws(coalgebra_morphism_rows(m, tensor_square(h), h), prefix="action.")
+    rep.laws(coalgebra_morphism_rows(phi, h, h), prefix="cocycle.")
     bar = derived_product(w)
-    rep.add("post-hopf.cocycle-product-twist",
-            phi @ bar, h.mu @ (tensor(phi, m) @ tensor(h.delta, phi)))
-    rep.add("post-hopf.action-of-derived-product",
-            m @ tensor(i1, m), m @ tensor(bar, i1))
-    rep.add("post-hopf.action-distributes",
-            m @ tensor(i1, h.mu),
-            h.mu @ (tensor(m, m) @ (tensor(i1, c, i1) @ tensor(h.delta, i1, i1))))
-    rep.add("derived.action-on-unit", m @ tensor(i1, h.eta), h.eta @ h.eps)
-    rep.add("derived.derived-product-right-unit", bar @ tensor(i1, h.eta), phi)
-    return rep
+    return rep.laws((
+        ("post-hopf.cocycle-product-twist",
+         lambda: phi @ bar, lambda: h.mu @ (tensor(phi, m) @ tensor(h.delta, phi))),
+        ("post-hopf.action-of-derived-product",
+         lambda: m @ tensor(i1, m), lambda: m @ tensor(bar, i1)),
+        ("post-hopf.action-distributes",
+         lambda: m @ tensor(i1, h.mu),
+         lambda: h.mu @ (tensor(m, m) @ (tensor(i1, c, i1) @ tensor(h.delta, i1, i1)))),
+        ("derived.action-on-unit", lambda: m @ tensor(i1, h.eta), lambda: h.eta @ h.eps),
+        ("derived.derived-product-right-unit", lambda: bar @ tensor(i1, h.eta), lambda: phi),
+    ))
 
 
 def left_unit_rows(w: Optional[PostHopfData]):
@@ -172,9 +172,14 @@ def left_unit_rows(w: Optional[PostHopfData]):
     )
 
 
+def cocycle_unital_rows(w):
+    """``cocycle . eta == eta`` as a row, for anything carrying ``hopf`` and ``cocycle``."""
+    return (("twisted.cocycle-unital", lambda: w.cocycle @ w.hopf.eta, lambda: w.hopf.eta),)
+
+
 def cocycle_unital_report(w: PostHopfData) -> CheckReport:
-    """The first law of :func:`check_twisted` on its own: ``cocycle . eta == eta``."""
-    return CheckReport().add("twisted.cocycle-unital", w.cocycle @ w.hopf.eta, w.hopf.eta)
+    """The first law of :func:`check_twisted` on its own."""
+    return CheckReport().laws(cocycle_unital_rows(w))
 
 
 def check_twisted(w: PostHopfData, unital: Optional[CheckReport] = None) -> CheckReport:
@@ -204,10 +209,9 @@ def lemma_suite(w: PostHopfData) -> CheckReport:
     i1 = obj.id(1)
     m = w.action
     phi = w.cocycle
-    rep = CheckReport()
-    rep.laws((("lemma.cocycle-idempotent", lambda: phi @ phi, lambda: phi),),
-             None if phi @ h.eta == h.eta else "cocycle is not unital")
-    rep.add("lemma.action-absorbs-cocycle", m @ tensor(phi, i1), m)
+    rep = CheckReport().laws((("lemma.cocycle-idempotent", lambda: phi @ phi, lambda: phi),),
+                             None if phi @ h.eta == h.eta else "cocycle is not unital")
+    rep.laws((("lemma.action-absorbs-cocycle", lambda: m @ tensor(phi, i1), lambda: m),))
     via = pairing_of_curried_action(w) if obj.is_flip else None
     return rep.laws((
         ("lemma.action-via-pairing", lambda: m, lambda: via @ obj.braid),
@@ -295,13 +299,12 @@ def derived_antipode_suite(w: PostHopfData) -> CheckReport:
     h = w.hopf
     obj = w.obj
     i1 = obj.id(1)
-    rep = CheckReport()
     flip = obj.is_flip
     skip = None if flip else "needs flip braiding"
     paired = pairing_of_curried_action(w) if flip else None
     square = tensor_square(h) if flip else None
-    rep.laws(coalgebra_morphism_rows(paired, square, h), skip,
-             prefix="antipode.paired-action.")
+    rep = CheckReport().laws(coalgebra_morphism_rows(paired, square, h), skip,
+                             prefix="antipode.paired-action.")
     rep.laws((("antipode.paired-action-recovers-action",
                lambda: paired, lambda: w.action @ obj.braid),), skip)
     try:
@@ -475,6 +478,7 @@ __all__ = [
     "pairing_of_curried_inverse",
     "pairing_inverse_is_coalg_morphism",
     "check_post_hopf",
+    "cocycle_unital_rows",
     "cocycle_unital_report",
     "check_twisted",
     "left_unit_rows",

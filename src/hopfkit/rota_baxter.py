@@ -104,31 +104,33 @@ def check_rota_baxter(w: RotaBaxterData) -> CheckReport:
     h = w.hopf
     b = w.target
     i1 = w.obj.id(1)
-    rep = CheckReport()
-    rep.merge(check_hopf(h), prefix="hopf.")
+    rep = CheckReport().merge(check_hopf(h), prefix="hopf.")
     rep.merge(check_nonunital_bialgebra(b), prefix="target.")
     # the action makes the carrier a non-unital module algebra-coalgebra
     rep.merge(check_module_algebra(b, w.action, h), prefix="module.")
     rep.merge(check_module_coalgebra(b, w.action, h), prefix="module.")
-    rep.merge(coalgebra_morphism_report(w.operator, h, b, prefix="operator."))
-    rep.merge(coalgebra_morphism_report(w.cocycle, h, h, prefix="cocycle."))
+    rep.laws(coalgebra_morphism_rows(w.operator, h, b), prefix="operator.")
+    rep.laws(coalgebra_morphism_rows(w.cocycle, h, h), prefix="cocycle.")
     ph = as_post_hopf(w)
     frak = ph.action
     tilde = post_hopf.derived_product(ph)
-    rep.add("rota-baxter.operator-multiplicative",
-            b.mu @ tensor(w.operator, w.operator), w.operator @ tilde)
-    rep.add("rota-baxter.cocycle-product-twist",
-            w.cocycle @ tilde,
-            h.mu @ (tensor(w.cocycle, frak) @ tensor(h.delta, w.cocycle)))
-    rep.add("derived.operator-action-on-unit",
-            frak @ tensor(i1, h.eta), h.eta @ h.eps)
-    rep.merge(coalgebra_morphism_report(frak, tensor_square(h), h,
-                                        prefix="derived.operator-action."))
-    rep.add("derived.operator-action-of-derived-product",
-            frak @ tensor(tilde, i1), frak @ tensor(i1, frak))
-    rep.add("derived.derived-product-right-unit",
-            tilde @ tensor(i1, h.eta), w.cocycle)
-    return rep
+    rep.laws((
+        ("rota-baxter.operator-multiplicative",
+         lambda: b.mu @ tensor(w.operator, w.operator), lambda: w.operator @ tilde),
+        ("rota-baxter.cocycle-product-twist",
+         lambda: w.cocycle @ tilde,
+         lambda: h.mu @ (tensor(w.cocycle, frak) @ tensor(h.delta, w.cocycle))),
+        ("derived.operator-action-on-unit",
+         lambda: frak @ tensor(i1, h.eta), lambda: h.eta @ h.eps),
+    ))
+    rep.laws(coalgebra_morphism_rows(frak, tensor_square(h), h),
+             prefix="derived.operator-action.")
+    return rep.laws((
+        ("derived.operator-action-of-derived-product",
+         lambda: frak @ tensor(tilde, i1), lambda: frak @ tensor(i1, frak)),
+        ("derived.derived-product-right-unit",
+         lambda: tilde @ tensor(i1, h.eta), lambda: w.cocycle),
+    ))
 
 
 def check_twisted_operator(w: RotaBaxterData) -> CheckReport:
@@ -142,7 +144,7 @@ def check_twisted_operator(w: RotaBaxterData) -> CheckReport:
     ph = as_post_hopf(w) if unital else None
     return CheckReport().laws((
         ("twisted.module-unital", lambda: w.action @ tensor(b.eta, i1), lambda: i1),
-        ("twisted.cocycle-unital", lambda: w.cocycle @ h.eta, lambda: h.eta),
+        *post_hopf.cocycle_unital_rows(w),
         ("twisted.operator-unital", lambda: w.operator @ h.eta, lambda: b.eta),
         *post_hopf.left_unit_rows(ph),
     ), None if unital else "needs a unital target")
@@ -155,15 +157,15 @@ def derived_product_check(w: RotaBaxterData) -> CheckReport:
     i1 = w.obj.id(1)
     ph = as_post_hopf(w)
     tilde = post_hopf.derived_product(ph)
-    rep = CheckReport()
-    rep.add("derived-product.associative",
-            tilde @ tensor(tilde, i1), tilde @ tensor(i1, tilde))
+    rep = CheckReport().laws((("derived-product.associative",
+                               lambda: tilde @ tensor(tilde, i1),
+                               lambda: tilde @ tensor(i1, tilde)),))
     star = post_hopf.class_condition(ph)
     rep.laws(coalgebra_morphism_rows(tilde, tensor_square(h) if star else None, h),
              None if star else "class condition fails at the operator action",
              prefix="derived-product.")
-    rep.add("derived-product.right-unit", tilde @ tensor(i1, h.eta), w.cocycle)
-    return rep
+    return rep.laws((("derived-product.right-unit",
+                      lambda: tilde @ tensor(i1, h.eta), lambda: w.cocycle),))
 
 
 # ---------------------------------------------------------------------------
@@ -205,21 +207,20 @@ def check_rb_morphism(pair: Tuple[LinMap, LinMap], src: RotaBaxterData,
     morphism of targets, intertwining operator, cocycle and action; the
     consequence at the operator action is re-checked."""
     f, g = pair
-    rep = hopf_morphism_report(f, src.hopf, dst.hopf, prefix="carrier.")
-    rep.add("target.morphism.mu-commutes",
-            g @ src.target.mu, dst.target.mu @ tensor(g, g))
-    if src.target.eta is not None and dst.target.eta is not None:
-        rep.add("target.morphism.eta-commutes", g @ src.target.eta,
-                dst.target.eta)
-    rep.merge(coalgebra_morphism_report(g, src.target, dst.target, prefix="target."))
-    rep.add("rb-morphism.operator-square",
-            dst.operator @ f, g @ src.operator)
-    rep.add("rb-morphism.cocycle-square", f @ src.cocycle, dst.cocycle @ f)
-    rep.add("rb-morphism.action-square",
-            f @ src.action, dst.action @ tensor(g, f))
-    rep.add("derived.operator-action-square",
-            f @ operator_action(src), operator_action(dst) @ tensor(f, f))
-    return rep
+    s, d = src.target, dst.target
+    rep = CheckReport().merge(hopf_morphism_report(f, src.hopf, dst.hopf), prefix="carrier.")
+    rep.laws((("target.morphism.mu-commutes", lambda: g @ s.mu, lambda: d.mu @ tensor(g, g)),))
+    if s.eta is not None and d.eta is not None:
+        rep.laws((("target.morphism.eta-commutes", lambda: g @ s.eta, lambda: d.eta),))
+    rep.laws(coalgebra_morphism_rows(g, s, d), prefix="target.")
+    return rep.laws((
+        ("rb-morphism.operator-square", lambda: dst.operator @ f, lambda: g @ src.operator),
+        ("rb-morphism.cocycle-square", lambda: f @ src.cocycle, lambda: dst.cocycle @ f),
+        ("rb-morphism.action-square",
+         lambda: f @ src.action, lambda: dst.action @ tensor(g, f)),
+        ("derived.operator-action-square",
+         lambda: f @ operator_action(src), lambda: operator_action(dst) @ tensor(f, f)),
+    ))
 
 
 def adjunction_check(t: HopfTrussData, w: RotaBaxterData,
@@ -244,7 +245,7 @@ def adjunction_check(t: HopfTrussData, w: RotaBaxterData,
                 report=tr)
         sigma = (f, w.operator @ f)
         rep.merge(check_rb_morphism(sigma, lam, w), prefix="forward.")
-        rep.add("adjunction.backward-of-forward", sigma[0], f)
+        rep.laws((("adjunction.backward-of-forward", lambda: sigma[0], lambda: f),))
     if pair is not None:
         pr = check_rb_morphism(pair, lam, w)
         if not pr.passed:
@@ -252,7 +253,7 @@ def adjunction_check(t: HopfTrussData, w: RotaBaxterData,
                 "supplied pair is not a morphism of operators", report=pr)
         x, y = pair
         rep.merge(check_truss_morphism(x, t, omega), prefix="backward.")
-        rep.add("adjunction.forward-of-backward", y, w.operator @ x)
+        rep.laws((("adjunction.forward-of-backward", lambda: y, lambda: w.operator @ x),))
     return rep
 
 
@@ -272,11 +273,9 @@ def rb_equivalence_check(w: RotaBaxterData) -> CheckReport:
     if t_inv is None:
         raise TNotInvertible("operator is not invertible")
     lam = rota_baxter_from_truss(truss_from_rota_baxter(w))
-    rep = check_rb_morphism((w.obj.id(1), w.operator), lam, w)
-    rep.add("equivalence.target-product-conjugate",
-            w.target.mu,
-            w.operator @ derived_product(w) @ tensor(t_inv, t_inv))
-    return rep
+    return check_rb_morphism((w.obj.id(1), w.operator), lam, w).laws((
+        ("equivalence.target-product-conjugate", lambda: w.target.mu,
+         lambda: w.operator @ derived_product(w) @ tensor(t_inv, t_inv)),))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ Design rules, applied uniformly:
   with a pass flag and, on failure, the first differing matrix entry as a
   witness; a law whose hypothesis fails on the instance (no flip braiding, a
   non-cocommutative carrier, ...) is reported as skipped, with the reason;
-* a gated law is a row, not a branch: ``(law id, lhs, rhs)`` with zero-argument
-  sides, handed to :meth:`CheckReport.laws` together with the gate's skip
-  reason, so its id is written once and a skipped law builds no map;
+* every law is a row ``(law id, lhs, rhs)`` with zero-argument sides, built and
+  compared only in :meth:`CheckReport.laws`; a gate hands it its rows with its
+  skip reason, so a law id is written once and a skipped law builds no map;
 * constructions that need the dual object (evaluation/coevaluation pairing)
   insist on the flip braiding and raise ``NonSymmetricBraiding`` otherwise.
 """
@@ -94,6 +94,8 @@ class CheckReport:
         return [r for r in self.results if not (r.passed or r.skipped)]
 
     def add(self, name: str, lhs: LinMap, rhs: LinMap) -> "CheckReport":
+        """Compare the two built sides of a law.  Every compared law passes
+        through here exactly once, from :meth:`laws`."""
         w = first_mismatch(lhs, rhs)
         self.results.append(LawResult(name, w is None, w))
         return self
@@ -107,8 +109,8 @@ class CheckReport:
         return self
 
     def laws(self, rows, skip: Optional[str] = None, prefix: str = "") -> "CheckReport":
-        """Check each ``(law id, lhs, rhs)`` row (zero-argument sides) through
-        :meth:`add`, or, given a ``skip`` reason, list it as skipped unevaluated."""
+        """Check each ``(law id, lhs, rhs)`` row in order, lhs built before rhs,
+        through :meth:`add`, or, given a ``skip`` reason, list it unevaluated."""
         for name, lhs, rhs in rows:
             if skip is None:
                 self.add(prefix + name, lhs(), rhs())
@@ -141,7 +143,7 @@ def roundtrip_report(back, orig) -> CheckReport:
             continue
         lhs, rhs = getattr(back, f.name), getattr(orig, f.name)
         if isinstance(rhs, LinMap):
-            rep.add(f"roundtrip.{f.name}", lhs, rhs)
+            rep.laws(((f"roundtrip.{f.name}", lambda: lhs, lambda: rhs),))
         elif is_dataclass(rhs):
             rep.merge(roundtrip_report(lhs, rhs))
     return rep
@@ -249,36 +251,33 @@ def check_braided_object(obj: BraidedObject, generators: Optional[dict] = None) 
     tested against both naturality squares with one strand of the object on
     the other side.
     """
-    rep = CheckReport()
     c = obj.braid
     i1 = obj.id(1)
-    lhs = tensor(c, i1) @ (tensor(i1, c) @ tensor(c, i1))
-    rhs = tensor(i1, c) @ (tensor(c, i1) @ tensor(i1, c))
-    rep.add("braid.yang-baxter", lhs, rhs)
-    # both hexagons must give the same c_{[n]^2,[n]^2}
-    rep.add(
-        "braid.hexagon-consistency",
-        tensor(obj.braiding(1, 2), i1) @ tensor(i1, obj.braiding(1, 2)),
-        tensor(i1, obj.braiding(2, 1)) @ tensor(obj.braiding(2, 1), i1),
-    )
+    rep = CheckReport().laws((
+        ("braid.yang-baxter",
+         lambda: tensor(c, i1) @ (tensor(i1, c) @ tensor(c, i1)),
+         lambda: tensor(i1, c) @ (tensor(c, i1) @ tensor(i1, c))),
+        # both hexagons must give the same c_{[n]^2,[n]^2}
+        ("braid.hexagon-consistency",
+         lambda: tensor(obj.braiding(1, 2), i1) @ tensor(i1, obj.braiding(1, 2)),
+         lambda: tensor(i1, obj.braiding(2, 1)) @ tensor(obj.braiding(2, 1), i1)),
+    ))
     try:
-        inv = obj.braid_inverse()
-        rep.add("braid.invertible", c @ inv, obj.id(2))
+        rep.laws((("braid.invertible", lambda: c @ obj.braid_inverse(), lambda: obj.id(2)),))
     except NotInvertible:
         rep.add_result(LawResult("braid.invertible", False, "singular braiding"))
     for name, f in (generators or {}).items():
         j = len(f.dom)
         k = len(f.cod)
-        rep.add(
-            f"braid.natural-left[{name}]",
-            obj.braiding(k, 1) @ tensor(f, i1),
-            tensor(i1, f) @ obj.braiding(j, 1),
-        )
-        rep.add(
-            f"braid.natural-right[{name}]",
-            obj.braiding(1, k) @ tensor(i1, f),
-            tensor(f, i1) @ obj.braiding(1, j),
-        )
+        # checked in its own iteration: a side reads this iteration's f, j, k
+        rep.laws((
+            (f"braid.natural-left[{name}]",
+             lambda: obj.braiding(k, 1) @ tensor(f, i1),
+             lambda: tensor(i1, f) @ obj.braiding(j, 1)),
+            (f"braid.natural-right[{name}]",
+             lambda: obj.braiding(1, k) @ tensor(i1, f),
+             lambda: tensor(f, i1) @ obj.braiding(1, j)),
+        ))
     return rep
 
 
@@ -378,43 +377,40 @@ def check_algebra(a: AlgebraData) -> CheckReport:
     return CheckReport().laws(_algebra_rows(a))
 
 
-def check_coalgebra(d: CoalgebraData) -> CheckReport:
+def _coalgebra_rows(d):
+    """Coassociativity and both counit laws."""
     i1 = d.obj.id(1)
-    rep = CheckReport()
-    rep.add("coalgebra.coassociative",
-            tensor(d.delta, i1) @ d.delta, tensor(i1, d.delta) @ d.delta)
-    rep.add("coalgebra.counit-left", tensor(d.eps, i1) @ d.delta, i1)
-    rep.add("coalgebra.counit-right", tensor(i1, d.eps) @ d.delta, i1)
-    return rep
+    return (
+        ("coalgebra.coassociative",
+         lambda: tensor(d.delta, i1) @ d.delta, lambda: tensor(i1, d.delta) @ d.delta),
+        ("coalgebra.counit-left", lambda: tensor(d.eps, i1) @ d.delta, lambda: i1),
+        ("coalgebra.counit-right", lambda: tensor(i1, d.eps) @ d.delta, lambda: i1),
+    )
 
 
-def _mult_comul_laws(rep, b):
+def _mult_comul_rows(b):
     """mu is a coalgebra morphism (w.r.t. the tensor-product coalgebra)."""
     i1 = b.obj.id(1)
-    rep.add(
-        "bialgebra.delta-multiplicative",
-        b.delta @ b.mu,
-        tensor(b.mu, b.mu) @ (tensor(i1, b.obj.braid, i1) @ tensor(b.delta, b.delta)),
+    return (
+        ("bialgebra.delta-multiplicative",
+         lambda: b.delta @ b.mu,
+         lambda: tensor(b.mu, b.mu) @ (tensor(i1, b.obj.braid, i1) @ tensor(b.delta, b.delta))),
+        ("bialgebra.eps-multiplicative", lambda: b.eps @ b.mu, lambda: tensor(b.eps, b.eps)),
     )
-    rep.add("bialgebra.eps-multiplicative", b.eps @ b.mu, tensor(b.eps, b.eps))
 
 
 def check_nonunital_bialgebra(b: NonUnitalBialgebraData) -> CheckReport:
     associative, *unit = _algebra_rows(b)
-    rep = CheckReport().laws((associative,))
-    rep.merge(check_coalgebra(b))
-    _mult_comul_laws(rep, b)
+    rows = (associative, *_coalgebra_rows(b), *_mult_comul_rows(b))
     if b.eta is not None:
-        rep.laws((*unit, *_unital_rows(b)))
-    return rep
+        rows += (*unit, *_unital_rows(b))
+    return CheckReport().laws(rows)
 
 
 def check_bialgebra(b) -> CheckReport:
     """Full (unital, counital) bialgebra laws."""
-    rep = check_algebra(b)
-    rep.merge(check_coalgebra(b))
-    _mult_comul_laws(rep, b)
-    return rep.laws(_unital_rows(b))
+    return CheckReport().laws((*_algebra_rows(b), *_coalgebra_rows(b),
+                               *_mult_comul_rows(b), *_unital_rows(b)))
 
 
 def check_hopf(h: HopfAlgebraData) -> CheckReport:
@@ -422,9 +418,12 @@ def check_hopf(h: HopfAlgebraData) -> CheckReport:
     rep = check_bialgebra(h)
     i1 = h.obj.id(1)
     unit = h.eta @ h.eps
-    rep.add("hopf.antipode-left", h.mu @ (tensor(h.antipode, i1) @ h.delta), unit)
-    rep.add("hopf.antipode-right", h.mu @ (tensor(i1, h.antipode) @ h.delta), unit)
-    return rep
+    return rep.laws((
+        ("hopf.antipode-left",
+         lambda: h.mu @ (tensor(h.antipode, i1) @ h.delta), lambda: unit),
+        ("hopf.antipode-right",
+         lambda: h.mu @ (tensor(i1, h.antipode) @ h.delta), lambda: unit),
+    ))
 
 
 def antipode_property_check(h: HopfAlgebraData) -> CheckReport:
@@ -433,11 +432,14 @@ def antipode_property_check(h: HopfAlgebraData) -> CheckReport:
     i1 = obj.id(1)
     lam = h.antipode
     c = obj.braid
-    rep = CheckReport()
-    rep.add("antipode.anti-multiplicative", lam @ h.mu, h.mu @ (tensor(lam, lam) @ c))
-    rep.add("antipode.co-anti-morphism", h.delta @ lam, c @ (tensor(lam, lam) @ h.delta))
-    rep.add("antipode.unit", lam @ h.eta, h.eta)
-    rep.add("antipode.counit", h.eps @ lam, h.eps)
+    rep = CheckReport().laws((
+        ("antipode.anti-multiplicative",
+         lambda: lam @ h.mu, lambda: h.mu @ (tensor(lam, lam) @ c)),
+        ("antipode.co-anti-morphism",
+         lambda: h.delta @ lam, lambda: c @ (tensor(lam, lam) @ h.delta)),
+        ("antipode.unit", lambda: lam @ h.eta, lambda: h.eta),
+        ("antipode.counit", lambda: h.eps @ lam, lambda: h.eps),
+    ))
     symmetric = h.mu == h.mu @ c or check_cocommutative(h)
     return rep.laws((("antipode.involutive", lambda: lam @ lam, lambda: i1),),
                     None if symmetric else "neither commutative nor cocommutative")
@@ -460,8 +462,8 @@ def coalgebra_morphism_rows(f: LinMap, src, dst):
     )
 
 
-def coalgebra_morphism_report(f: LinMap, src, dst, prefix: str = "") -> CheckReport:
-    return CheckReport().laws(coalgebra_morphism_rows(f, src, dst), prefix=prefix)
+def coalgebra_morphism_report(f: LinMap, src, dst) -> CheckReport:
+    return CheckReport().laws(coalgebra_morphism_rows(f, src, dst))
 
 
 def tensor_square(coalg) -> CoalgebraData:
@@ -472,15 +474,14 @@ def tensor_square(coalg) -> CoalgebraData:
     return CoalgebraData(None, tensor(coalg.eps, coalg.eps), delta)
 
 
-def hopf_morphism_report(f: LinMap, src: HopfAlgebraData, dst: HopfAlgebraData,
-                         prefix: str = "") -> CheckReport:
+def hopf_morphism_report(f: LinMap, src: HopfAlgebraData, dst: HopfAlgebraData) -> CheckReport:
     """Bialgebra-morphism laws plus the (automatic, still checked) antipode square."""
-    rep = CheckReport()
-    rep.add(prefix + "morphism.mu-commutes", f @ src.mu, dst.mu @ tensor(f, f))
-    rep.add(prefix + "morphism.eta-commutes", f @ src.eta, dst.eta)
-    rep.merge(coalgebra_morphism_report(f, src, dst, prefix))
-    rep.add(prefix + "morphism.antipode-commutes", f @ src.antipode, dst.antipode @ f)
-    return rep
+    return CheckReport().laws((
+        ("morphism.mu-commutes", lambda: f @ src.mu, lambda: dst.mu @ tensor(f, f)),
+        ("morphism.eta-commutes", lambda: f @ src.eta, lambda: dst.eta),
+        *coalgebra_morphism_rows(f, src, dst),
+        ("morphism.antipode-commutes", lambda: f @ src.antipode, lambda: dst.antipode @ f),
+    ))
 
 
 # -- module algebra / module coalgebra ----------------------------------------
@@ -496,11 +497,12 @@ def check_module_algebra(acting, phi: LinMap, alg) -> CheckReport:
     and product."""
     ic = alg.obj.id(1)
     ix = acting.obj.id(1)
-    rep = CheckReport()
-    rep.add("module.action-associative",
-            phi @ tensor(ix, phi), phi @ tensor(acting.mu, ic))
-    rep.add("module-algebra.unit-compat",
-            phi @ tensor(ix, alg.eta), alg.eta @ acting.eps)
+    rep = CheckReport().laws((
+        ("module.action-associative",
+         lambda: phi @ tensor(ix, phi), lambda: phi @ tensor(acting.mu, ic)),
+        ("module-algebra.unit-compat",
+         lambda: phi @ tensor(ix, alg.eta), lambda: alg.eta @ acting.eps),
+    ))
     cxa = braiding_between(acting.obj, alg.obj)
     return rep.laws(((
         "module-algebra.product-compat",
@@ -514,9 +516,8 @@ def check_module_coalgebra(acting, phi: LinMap, coalg) -> CheckReport:
     """The action is a coalgebra morphism out of ``acting (x) carrier``."""
     ic = coalg.obj.id(1)
     ix = acting.obj.id(1)
-    rep = CheckReport()
-    rep.add("module-coalgebra.counit-compat",
-            coalg.eps @ phi, tensor(acting.eps, coalg.eps))
+    rep = CheckReport().laws((("module-coalgebra.counit-compat", lambda: coalg.eps @ phi,
+                               lambda: tensor(acting.eps, coalg.eps)),))
     cxd = braiding_between(acting.obj, coalg.obj)
     return rep.laws(((
         "module-coalgebra.comul-compat",

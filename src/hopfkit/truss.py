@@ -24,7 +24,7 @@ from .structures import (
     check_hopf,
     check_module_algebra,
     check_nonunital_bialgebra,
-    coalgebra_morphism_report,
+    coalgebra_morphism_rows,
     cocommutativity_class_check,
     hopf_morphism_report,
 )
@@ -62,20 +62,17 @@ def check_truss(t: HopfTrussData) -> CheckReport:
     """All defining laws: Hopf on the first product, non-unital bialgebra on
     the second, the cocycle a coalgebra endomorphism, and the mixed
     distributivity through ``gamma``."""
-    obj = t.obj
-    i1 = obj.id(1)
-    rep = CheckReport()
-    rep.merge(check_hopf(t.hopf()), prefix="first.")
+    i1 = t.obj.id(1)
+    rep = CheckReport().merge(check_hopf(t.hopf()), prefix="first.")
     rep.merge(check_nonunital_bialgebra(t.second()), prefix="second.")
-    rep.merge(coalgebra_morphism_report(t.cocycle, t, t, prefix="cocycle."))
+    rep.laws(coalgebra_morphism_rows(t.cocycle, t, t), prefix="cocycle.")
     gamma = truss_action(t)
-    rep.add(
+    return rep.laws(((
         "truss.distributivity",
-        t.mu2 @ tensor(i1, t.mu1),
-        t.mu1 @ (tensor(t.mu2, gamma)
-                 @ (tensor(i1, obj.braid, i1) @ tensor(t.delta, i1, i1))),
-    )
-    return rep
+        lambda: t.mu2 @ tensor(i1, t.mu1),
+        lambda: t.mu1 @ (tensor(t.mu2, gamma)
+                         @ (tensor(i1, t.obj.braid, i1) @ tensor(t.delta, i1, i1))),
+    ),))
 
 
 def check_truss_derived(t: HopfTrussData) -> CheckReport:
@@ -89,15 +86,15 @@ def check_truss_derived(t: HopfTrussData) -> CheckReport:
     """
     i1 = t.obj.id(1)
     gamma = truss_action(t)
-    rep = CheckReport()
-    rep.add("derived.mu2-factors",
-            t.mu2, t.mu1 @ (tensor(t.cocycle, gamma) @ tensor(t.delta, i1)))
-    rep.add("derived.cocycle-recovered", t.cocycle, t.mu2 @ tensor(i1, t.eta))
-    rep.add("derived.cocycle-mu2-linear",
-            t.cocycle @ t.mu2, t.mu2 @ tensor(i1, t.cocycle))
-    rep.merge(check_module_algebra(t.second(), gamma, t.hopf()),
-              prefix="derived.gamma.")
-    return rep
+    rep = CheckReport().laws((
+        ("derived.mu2-factors",
+         lambda: t.mu2, lambda: t.mu1 @ (tensor(t.cocycle, gamma) @ tensor(t.delta, i1))),
+        ("derived.cocycle-recovered", lambda: t.cocycle, lambda: t.mu2 @ tensor(i1, t.eta)),
+        ("derived.cocycle-mu2-linear",
+         lambda: t.cocycle @ t.mu2, lambda: t.mu2 @ tensor(i1, t.cocycle)),
+    ))
+    return rep.merge(check_module_algebra(t.second(), gamma, t.hopf()),
+                     prefix="derived.gamma.")
 
 
 def truss_class_condition(t: HopfTrussData) -> bool:
@@ -108,7 +105,8 @@ def truss_class_condition(t: HopfTrussData) -> bool:
 def check_truss_morphism(f: LinMap, src: HopfTrussData, dst: HopfTrussData) -> CheckReport:
     """``f`` respects both products, unit, coalgebra, antipode; and therefore
     also the cocycles (the last square is a consequence, still checked)."""
-    rep = hopf_morphism_report(f, src.hopf(), dst.hopf(), prefix="first.")
-    rep.add("second.morphism.mu-commutes", f @ src.mu2, dst.mu2 @ tensor(f, f))
-    rep.add("derived.cocycle-commutes", f @ src.cocycle, dst.cocycle @ f)
-    return rep
+    rep = CheckReport().merge(hopf_morphism_report(f, src.hopf(), dst.hopf()), prefix="first.")
+    return rep.laws((
+        ("second.morphism.mu-commutes", lambda: f @ src.mu2, lambda: dst.mu2 @ tensor(f, f)),
+        ("derived.cocycle-commutes", lambda: f @ src.cocycle, lambda: dst.cocycle @ f),
+    ))

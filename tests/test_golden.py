@@ -18,20 +18,25 @@ import pytest
 from helpers import (mixed_braiding_c2_rota_baxter, negated_flip_c2_post_hopf,
                      suite_trusses, zero_action_c2_post_hopf)
 from hopfkit.cli import main
-from hopfkit.factories import group_algebra, sweedler_h4
+from hopfkit.errors import NotATrussMorphism, NotAnRBMorphism
+from hopfkit.factories import group_algebra, linearize_endo, named_endo, sweedler_h4
 from hopfkit.fields import QQ
 from hopfkit.groups import cyclic, symmetric3
-from hopfkit.linmap import LinMap, shape, tensor, zero_map
+from hopfkit.linmap import LinMap, identity, shape, tensor, zero_map
 from hopfkit.post_hopf import (PostHopfData, check_post_hopf, check_twisted,
                                conjugation_post_hopf, derived_antipode_suite,
                                lemma_suite, post_hopf_from_truss,
                                roundtrip_check, trivial_post_hopf,
                                truss_roundtrip_check)
-from hopfkit.rota_baxter import (check_rota_baxter, check_twisted_operator,
-                                 derived_product_check, rota_baxter_from_truss,
-                                 truss_equivalence_check)
+from hopfkit.rota_baxter import (adjunction_check, check_rb_morphism,
+                                 check_rota_baxter, check_twisted_operator,
+                                 derived_product_check, rb_equivalence_check,
+                                 rota_baxter_from_truss, truss_equivalence_check,
+                                 truss_from_idempotent)
+from hopfkit.solve import invert
 from hopfkit.storage import load
 from hopfkit.structures import BraidedObject, antipode_property_check
+from hopfkit.truss import check_truss_morphism
 
 # name -> gen arguments
 GEN = [
@@ -662,3 +667,85 @@ def test_golden_checkers_reach_every_skip_reason(checker_lines):
                for lines in checker_lines.values()
                for line in lines if line.startswith("skip")}
     assert reasons == SKIP_REASONS
+
+
+def _s3_truss(endo):
+    g = symmetric3()
+    q = linearize_endo(g, named_endo(g, endo), QQ)
+    return truss_from_idempotent(group_algebra(g, QQ), q)
+
+
+def _bumped(m):
+    """``m`` with one added to its entry (0, 0)."""
+    return m.with_entry(0, 0, QQ.add(m.entry(0, 0), QQ.one))
+
+
+def _raised_report(check, error):
+    """The report carried by the ``error`` that ``check()`` raises."""
+    with pytest.raises(error) as caught:
+        check()
+    return caught.value.report
+
+
+def morphism_reports():
+    """``{case/checker: law lines}`` for the morphism checkers, each on a
+    passing and on a failing instance.  The failing adjunction cases raise;
+    their lines are those of the report the error carries."""
+    ta, tb = _s3_truss("sign-retraction"), _s3_truss("identity")
+    wa, wb = rota_baxter_from_truss(ta), rota_baxter_from_truss(tb)
+    i6 = identity(QQ, shape(6))
+    bad = _bumped(ta.cocycle)
+    # an operator bumped at (0, 0), its action undoing the bump: the same
+    # truss, but the operator no longer respects the target
+    op = _bumped(wa.operator)
+    wc = replace(wa, operator=op, action=wa.action @ tensor(invert(op), wa.obj.id(1)))
+    reports = {
+        "id-a-a/check_truss_morphism": check_truss_morphism(i6, ta, ta),
+        "id-a-b/check_truss_morphism": check_truss_morphism(i6, ta, tb),
+        "id-a-bumped/check_truss_morphism":
+            check_truss_morphism(i6, ta, replace(ta, cocycle=bad)),
+        "id-a-a/check_rb_morphism": check_rb_morphism((i6, i6), wa, wa),
+        "id-a-b/check_rb_morphism": check_rb_morphism((i6, i6), wa, wb),
+        "forward-id/adjunction_check": adjunction_check(ta, wa, f=i6),
+        "backward-id/adjunction_check": adjunction_check(ta, wa, pair=(i6, wa.operator)),
+        "forward-bumped/adjunction_check": _raised_report(
+            lambda: adjunction_check(ta, wa, f=bad), NotATrussMorphism),
+        "backward-bumped/adjunction_check": _raised_report(
+            lambda: adjunction_check(ta, wa, pair=(bad, bad)), NotAnRBMorphism),
+        "a/rb_equivalence_check": rb_equivalence_check(wa),
+        "bumped-operator/rb_equivalence_check": rb_equivalence_check(wc),
+    }
+    return {name: rep.lines() for name, rep in reports.items()}
+
+
+# case/checker -> sha256 of the report's law lines, joined by newlines;
+# recorded before every law became a row
+MORPHISM_CHECKERS = {
+    'id-a-a/check_truss_morphism':
+        '1f3ab3925c9698d484d1c9227814b9c17ffbe40981cc78555f26adc0c8feea03',
+    'id-a-b/check_truss_morphism':
+        'aedb97ec5bbcf42035b153fc54cc97e6d2035ae99c66ea2601774cd248980b27',
+    'id-a-bumped/check_truss_morphism':
+        'f9b12bc58245a2f7dd08d3305b75f6ff59cf0168965a062e42793f519b8853fa',
+    'id-a-a/check_rb_morphism':
+        'c8f682be2f46be4645210e05f743ea2ad21c2f1d6d7350ceb3cfe2f019edb0fa',
+    'id-a-b/check_rb_morphism':
+        '05236c3a9708e37fd843bf9182803c147723c1cd9d630dc0a96253b1debfd8bf',
+    'forward-id/adjunction_check':
+        '97a8af6ea995fff7594a27f6234b86651bab9be40054dab78748b6770cc6a9c0',
+    'backward-id/adjunction_check':
+        '52da7961d504abff09cc2f6aa9a17cb08b23664d6ba8efa49ab248e70be5ed37',
+    'forward-bumped/adjunction_check':
+        'adb9de21cdc9d18f6567de8c5c8ae27dfcbbc8b3d9ade97d1e5660bd3442801a',
+    'backward-bumped/adjunction_check':
+        '7c1dfbbaa3de9f2060d5400b17fa51d807230059442ec274a869ff836d437943',
+    'a/rb_equivalence_check':
+        '32e0f11120633107fc5b4b3fd09f7759ad770ca89749162082950929d0c0a5b6',
+    'bumped-operator/rb_equivalence_check':
+        '8e2c797e8489a771979aec23e7ac293c30e5eddc3dd2e2a4d516370b0465acc7',
+}
+
+
+def test_golden_morphism_checker_laws():
+    assert {name: _sha("\n".join(lines))
+            for name, lines in morphism_reports().items()} == MORPHISM_CHECKERS

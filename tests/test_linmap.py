@@ -626,3 +626,18 @@ def test_a_stored_zero_is_no_entry_of_the_monomial_form():
     assert m.monomial and m.rows == (-1, -1, 1)
     assert m == zero_map(QQ, shape(3), shape(2)).with_entry(1, 2, 2)
     assert first_mismatch(m, zero_map(QQ, shape(3), shape(2))) == (1, 2, 2, 0)
+
+
+def test_a_whole_read_of_a_lazy_product_is_kept(monkeypatch):
+    scaled = LinMap.from_entries(QQ, shape(2), shape(2), [[0, 2], [3, 0]])
+    maps = (identity(QQ, shape(2)), scaled, flip(QQ, 2, 1))
+    p = tensor(*maps)
+    gather, read = linmap._gather, []
+    monkeypatch.setattr(linmap, "_gather",
+                        lambda m, idx=None: read.append(m) or gather(m, idx))
+    first = linmap._gather(p)
+    assert len(read) > 1  # the first whole read recurses into the factors
+    read.clear()
+    assert linmap._gather(p) == first and first[1] is not None
+    assert len(read) == 1 and read[0] is p and p.factors is None
+    assert p.monomial and p == _tensor_eager(*maps)

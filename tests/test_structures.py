@@ -2,6 +2,7 @@
 import collections
 import os
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,14 +16,18 @@ from helpers import (
     zero_action_c2_post_hopf,
 )
 from hopfkit.errors import NoAntipode, NonSymmetricBraiding, NotInvertible
-from hopfkit.factories import group_algebra, sweedler_h4
+from hopfkit.factories import group_algebra, linearize_endo, named_endo, sweedler_h4
 from hopfkit.fields import Field, QQ
 from hopfkit.groups import GROUPS, cyclic, group_by_name, semidirect_group, symmetric3
 from hopfkit.linmap import LinMap, TensorShape, flip, identity, shape, tensor, zero_map
 from hopfkit import linmap, post_hopf, structures
+from hopfkit.rota_baxter import (adjunction_check, check_rb_morphism, rb_equivalence_check,
+                                 rota_baxter_from_truss, truss_from_idempotent)
 from hopfkit.solve import solve
+from hopfkit.storage import StructureFile, structure_report
 from hopfkit.structures import (
     BraidedObject,
+    CheckReport,
     antipode_property_check,
     check_bialgebra,
     check_braided_object,
@@ -37,6 +42,7 @@ from hopfkit.structures import (
     dual_pair,
     solve_antipode,
 )
+from hopfkit.truss import check_truss_morphism
 
 
 def test_flip_braided_object_passes_all_laws():
@@ -368,13 +374,12 @@ def test_gf5_group_algebra():
 
 
 # law ids a checker legitimately writes twice: one law with two outcomes
-# (checked, or failed on a singular braiding), and the two laws stated both
-# for a post-Hopf structure and for the operator structure of a Rota-Baxter
-# datum, in checkers whose other laws differ
+# (checked, or failed on a singular braiding), and the law stated both for a
+# post-Hopf structure and for the operator structure of a Rota-Baxter datum,
+# in checkers whose other laws differ
 SHARED_LAW_IDS = {
     "braid.invertible",
     "derived.derived-product-right-unit",
-    "twisted.cocycle-unital",
 }
 
 
@@ -388,3 +393,90 @@ def test_each_law_id_is_stated_once():
                 counts.update(literal.findall(fh.read()))
     stated_twice = {lit.strip('"') for lit, n in counts.items() if n > 1}
     assert stated_twice == SHARED_LAW_IDS
+
+
+# -- the law seam --------------------------------------------------------------
+
+
+def _side(calls, tag, m):
+    return lambda: calls.append(tag) or m
+
+
+def test_laws_builds_lhs_then_rhs_once_per_row_in_row_order():
+    i2 = identity(QQ, shape(2))
+    calls = []
+    rows = [(name, _side(calls, name + ".lhs", i2), _side(calls, name + ".rhs", rhs))
+            for name, rhs in (("a", i2), ("b", flip(QQ, 1, 2)), ("c", i2))]
+    rep = CheckReport().laws(rows, prefix="p.")
+    assert calls == ["a.lhs", "a.rhs", "b.lhs", "b.rhs", "c.lhs", "c.rhs"]
+    assert [(r.law, r.passed, r.skipped) for r in rep.results] == [
+        ("p.a", True, False), ("p.b", False, False), ("p.c", True, False)]
+
+
+def _never_built():
+    raise AssertionError("a side of a skipped row was built")
+
+
+def test_laws_with_a_skip_reason_builds_no_side():
+    rows = [(name, _never_built, _never_built) for name in ("a", "b")]
+    rep = CheckReport().laws(rows, "no reason to build", prefix="p.")
+    assert rep.passed and rep.lines() == [
+        "skip  p.a (no reason to build)", "skip  p.b (no reason to build)"]
+
+
+def _s3_truss(endo):
+    g = symmetric3()
+    return truss_from_idempotent(group_algebra(g, QQ),
+                                 linearize_endo(g, named_endo(g, endo), QQ))
+
+
+def test_every_law_is_compared_by_check_report_laws(monkeypatch):
+    add, callers = CheckReport.add, []
+
+    def recorded(rep, name, lhs, rhs):
+        callers.append((name, sys._getframe(1).f_code))
+        return add(rep, name, lhs, rhs)
+
+    monkeypatch.setattr(CheckReport, "add", recorded)
+    ta, tb = _s3_truss("sign-retraction"), _s3_truss("identity")
+    wa, wb = rota_baxter_from_truss(ta), rota_baxter_from_truss(tb)
+    i6 = identity(QQ, shape(6))
+    for kind, structure in (("hopf", ta.hopf()), ("truss", ta),
+                            ("wtph", post_hopf.trivial_post_hopf(ta.hopf())),
+                            ("wtrb", wb)):
+        assert structure_report(StructureFile(kind, structure)).passed
+    check_truss_morphism(i6, ta, tb)
+    check_rb_morphism((i6, i6), wa, wb)
+    adjunction_check(ta, wa, f=i6, pair=(i6, wa.operator))
+    rb_equivalence_check(wa)
+    post_hopf.roundtrip_check(post_hopf.trivial_post_hopf(ta.hopf()))
+    reached = {name for name, _ in callers}
+    assert {"braid.natural-left[lambda]", "truss.distributivity", "twisted.cocycle-unital",
+            "rota-baxter.operator-multiplicative", "second.morphism.mu-commutes",
+            "target.morphism.eps-commutes", "adjunction.forward-of-backward",
+            "equivalence.target-product-conjugate", "roundtrip.action"} <= reached
+    assert [name for name, code in callers if code is not CheckReport.laws.__code__] == []
+
+
+def test_generator_rows_read_their_own_generator():
+    # C2 braided by the flip with its off-diagonal entries negated: natural
+    # for the identity, not for the swap of the two basis vectors
+    braid = LinMap.from_cols(QQ, shape(2, 2), shape(2, 2), [{0: 1}, {2: -1}, {1: -1}, {3: 1}])
+    swap = LinMap.from_entries(QQ, shape(2), shape(2), [[0, 1], [1, 0]])
+    rep = check_braided_object(BraidedObject(QQ, 2, braid),
+                               {"swap": swap, "id": identity(QQ, shape(2))})
+    assert rep.lines()[-4:] == [
+        "FAIL  braid.natural-left[swap]  witness=entry (0,2): 1 != -1",
+        "FAIL  braid.natural-right[swap]  witness=entry (0,1): 1 != -1",
+        "pass  braid.natural-left[id]",
+        "pass  braid.natural-right[id]",
+    ]
+
+
+def test_a_singular_braiding_fails_invertibility_and_the_report_goes_on():
+    rep = check_braided_object(BraidedObject(QQ, 2, zero_map(QQ, shape(2, 2), shape(2, 2))),
+                               {"id": identity(QQ, shape(2))})
+    assert [r.law for r in rep.results] == [
+        "braid.yang-baxter", "braid.hexagon-consistency", "braid.invertible",
+        "braid.natural-left[id]", "braid.natural-right[id]"]
+    assert rep.failures()[0].line() == "FAIL  braid.invertible  witness='singular braiding'"
