@@ -47,7 +47,7 @@ from .structures import (
     coalgebra_morphism_rows,
     cocommutativity_class_check,
     convolution_inverse,
-    dual_algebra,
+    pair_algebra,
     require_flip,
     roundtrip_report,
     tensor_square,
@@ -104,7 +104,8 @@ def curried_action_inverse(w: PostHopfData) -> LinMap:
         alpha = curried_action(w)
         flat = TensorShape((n * n,))
         alpha_flat = alpha.reshape(TensorShape((n,)), flat)
-        beta_flat = convolution_inverse(alpha_flat, w.hopf, dual_algebra(n, obj.field))
+        target = pair_algebra(require_flip(obj, "inverting the curried action"))
+        beta_flat = convolution_inverse(alpha_flat, w.hopf, target)
         w._beta = beta_flat.reshape(TensorShape((n,)), TensorShape((n, n)))
     return w._beta
 

@@ -4,12 +4,19 @@ Rows are sparse dicts {column: nonzero value}; elimination only ever touches
 the rows holding the pivot column and, in them, the nonzero entries of the
 pivot row, which keeps the block-diagonal systems produced by convolution
 inverses cheap.
+
+``solve`` on a monomial map (one entry per column at most, see
+:mod:`hopfkit.linmap`) needs no elimination: the pivot of each row is the
+lowest-numbered column holding it, as in ``rref``, so the solution is read
+off by index arithmetic, identical to the one ``rref`` gives.
 """
 from __future__ import annotations
 
+from itertools import repeat
+
 from .errors import ShapeMismatch
 from .fields import Field
-from .linmap import LinMap
+from .linmap import LinMap, _gather
 
 
 def rref(rows, ncols: int, field: Field):
@@ -41,8 +48,8 @@ def rref(rows, ncols: int, field: Field):
             continue
         used[pivot] = True
         prow = work[pivot]
-        inv = field.inv(prow[col])
-        if inv != one:
+        if prow[col] != one:
+            inv = field.inv(prow[col])
             prow = {c: mul(inv, v) for c, v in prow.items()}
             work[pivot] = prow
         items = list(prow.items())
@@ -101,10 +108,23 @@ def solve(m: LinMap, rhs_col: dict):
     """One solution x of ``m . x = rhs`` or ``None`` if inconsistent.
 
     ``rhs_col`` is a sparse column {row: value}; free variables are set to 0,
-    so the answer is canonical for a fixed elimination order.
+    so the answer is canonical for a fixed elimination order.  A monomial
+    ``m`` is solved without elimination: the lowest-numbered column holding
+    a row is its pivot and gets ``rhs[row] / value``; a nonzero ``rhs`` in a
+    row no column holds makes the system inconsistent.
     """
     n = m.dom.total
     field = m.field
+    if m.monomial:
+        rows, vals = _gather(m)
+        x, held = {}, set()
+        for c, (r, v) in enumerate(zip(rows, repeat(field.one) if vals is None else vals)):
+            if r >= 0 and r not in held:
+                held.add(r)
+                b = rhs_col.get(r)
+                if b:
+                    x[c] = b if v == field.one else field.mul(field.inv(v), b)
+        return None if any(v and i not in held for i, v in rhs_col.items()) else x
     rows = _rows_of(m)
     aug = n  # column index holding the right-hand side
     for i, v in rhs_col.items():
@@ -128,5 +148,6 @@ def _rows_of(m: LinMap):
     rows = [dict() for _ in range(m.cod.total)]
     for j, col in enumerate(m.cols):
         for i, v in col.items():
-            rows[i][j] = v
+            if v:  # a zero written raw into a column is no entry
+                rows[i][j] = v
     return rows

@@ -32,6 +32,7 @@ from .linmap import (
     LinMap,
     TensorShape,
     UNIT_SHAPE,
+    _gather,
     first_mismatch,
     flip,
     identity,
@@ -551,33 +552,48 @@ def convolution_inverse(f: LinMap, coalg, alg) -> LinMap:
     """Two-sided convolution inverse of ``f``, by exact linear solve.
 
     Solves ``f * x = eta . eps`` entrywise (the equation is linear in x) and
-    then checks ``x * f = eta . eps``; raises :class:`NotInvertible` with the
-    failing direction otherwise.
+    then checks ``x * f = eta . eps`` through the generic kernel; raises
+    :class:`NotInvertible` with the failing direction otherwise.
 
-    The system is read off the structure constants in one pass.  With
-    ``F = mu . (f (x) id)``, the coefficient of the unknown ``x[q, j]``
-    (column ``q*n_C + j``) in entry ``(p, k)`` of ``f * x`` (row
-    ``p*n_C + k``) is ``sum_i F[p, (i, q)] * delta[(i, j), k]``.  For the
-    curried action the system falls apart into one independent block per
-    column of the operator; ``rref`` only touches the rows holding a pivot
-    column, so it keeps the blocks apart with no explicit split.
+    The system is read off ``f``, ``delta`` and ``mu`` in one pass, with no
+    map ``mu . (f (x) id)`` built: entries ``d`` of ``delta`` at
+    ``(i, j) -> k``, ``v`` of ``f`` at ``(r, i)`` and ``m`` of ``mu`` at
+    ``(p, (r, q))`` add ``v*d*m`` to the coefficient of ``x[q, j]`` (column
+    ``q*n_C + j``) in entry ``(p, k)`` of ``f * x`` (row ``p*n_C + k``).  For
+    the curried action the system is monomial, which ``solve`` reads off by
+    index arithmetic; ``rref`` touches only the rows holding a pivot column,
+    which keeps independent blocks apart with no explicit split.
     """
     field = f.field
     mul, add, one = field.mul, field.add, field.one
     unit = convolution_unit(coalg, alg)
     ncod = f.cod.total
     ndom = f.dom.total
-    fcols = (alg.mu @ tensor(f, identity(field, f.cod))).cols
+    mu = alg.mu
+    by_r = [[] for _ in range(ncod)]  # the non-empty columns (r, q) of mu, by r
+    if mu.monomial:
+        mrows, mvals = _gather(mu)
+        for c, p in enumerate(mrows):
+            if p >= 0:
+                by_r[c // ncod].append((c % ncod, ((p, one if mvals is None else mvals[c]),)))
+    else:
+        for c, mcol in enumerate(mu.cols):
+            if mcol:
+                by_r[c // ncod].append((c % ncod, mcol.items()))
+    fcols = f.cols
     cols = [dict() for _ in range(ncod * ndom)]
     for k, dcol in enumerate(coalg.delta.cols):
         for ij, d in dcol.items():
             i, j = divmod(ij, ndom)
-            for q in range(ncod):
-                col = cols[q * ndom + j]
-                for p, v in fcols[i * ncod + q].items():
-                    row = p * ndom + k
-                    t = v if d == one else mul(v, d)
-                    col[row] = add(col[row], t) if row in col else t
+            for r, v in fcols[i].items():
+                # a factor equal to one is copied, not multiplied
+                vd = v if d == one else d if v == one else mul(v, d)
+                for q, mcol in by_r[r]:
+                    col = cols[q * ndom + j]
+                    for p, m in mcol:
+                        row = p * ndom + k
+                        t = vd if m == one else m if vd == one else mul(vd, m)
+                        col[row] = add(col[row], t) if row in col else t
     system = LinMap(field, TensorShape((ncod * ndom,)), TensorShape((ncod * ndom,)),
                     tuple({r: v for r, v in col.items() if v} for col in cols))
     rhs = {ii * ndom + jj: v for jj, c in enumerate(unit.cols) for ii, v in c.items()}
@@ -653,13 +669,19 @@ def require_flip(obj: BraidedObject, what: str) -> DualityData:
 
 
 def dual_algebra(dim: int, fld: Field) -> AlgebraData:
-    """The endomorphism algebra on the dual pair, as a dim^2 object.
+    """The endomorphism algebra on a fresh :func:`dual_pair`, as a dim^2 object."""
+    return pair_algebra(dual_pair(dim, fld))
+
+
+def pair_algebra(pair: DualityData) -> AlgebraData:
+    """The endomorphism algebra on the dual pair ``pair``, as a dim^2 object.
 
     Product ``id (x) b (x) id`` (composition through the pairing), unit the
     coevaluation.  Used as the target algebra for convolution inverses of
     curried actions.
     """
-    pair = dual_pair(dim, fld)
+    fld = pair.a.field
+    dim = pair.a.cod.factors[0]
     n2 = dim * dim
     obj = BraidedObject(fld, n2)
     i1 = identity(fld, TensorShape((dim,)))

@@ -154,3 +154,55 @@ def test_rref_matches_the_row_scan_reference(system, fld):
         assert got[1] == want[1]
         assert [[(c, str(v)) for c, v in r.items()] for r in got[0]] == \
             [[(c, str(v)) for c, v in r.items()] for r in want[0]]
+
+
+# nonzero values over Q, some held as Fractions (an integral one included)
+_Q_VALUES = [1, -1, 2, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(1), Fraction(2)]
+
+
+@st.composite
+def monomial_system(draw):
+    """A monomial map held in its monomial form and the same map held as dict
+    columns, plus a right-hand side that is consistent, inconsistent, zero
+    or anything."""
+    fld = draw(st.sampled_from([QQ, Field.prime(5)]))
+    values = _Q_VALUES if fld == QQ else [1, 2, 3, 4]
+    nrows = draw(st.integers(2, 6))
+    # few rows, so that several columns often share one; 0 is a stored zero
+    entry = st.one_of(st.just(None), st.tuples(st.integers(0, nrows - 1),
+                                               st.sampled_from(values + [0])))
+    ncols = draw(st.one_of(st.just(nrows), st.integers(1, 8)))  # square or not
+    raw = [{} if e is None else {e[0]: e[1]}
+           for e in draw(st.lists(entry, min_size=ncols, max_size=ncols))]
+    dom, cod = TensorShape((len(raw),)), TensorShape((nrows,))
+    m = LinMap(fld, dom, cod, tuple(raw))
+    # two stored zeros in one column keep the twin's columns as dicts
+    twin_cols = [dict(c) for c in raw]
+    twin_cols[0].update({r: 0 for r in (0, 1) if r not in twin_cols[0]})
+    twin = LinMap(fld, dom, cod, tuple(twin_cols))
+    held = sorted({r for c in raw for r, v in c.items() if v})
+    unheld = [r for r in range(nrows) if r not in held]
+    kind = draw(st.sampled_from(["consistent", "inconsistent", "zero", "any"]))
+    value = st.sampled_from(values + [0])
+    if kind == "zero":
+        rhs = draw(st.dictionaries(st.integers(0, nrows - 1), st.just(0)))
+    elif kind == "any" or not held:
+        rhs = draw(st.dictionaries(st.integers(0, nrows - 1), value, min_size=1))
+    else:
+        rhs = draw(st.dictionaries(st.sampled_from(held), value, min_size=1))
+    if kind == "inconsistent" and unheld:
+        rhs[draw(st.sampled_from(unheld))] = draw(st.sampled_from(values))
+    return m, twin, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_system())
+def test_monomial_solve_matches_the_rref_solve(system):
+    m, twin, rhs = system
+    assert m.monomial and not twin.monomial
+    got, want = solve(m, rhs), solve(twin, rhs)
+    if want is None:
+        assert got is None
+    else:
+        assert [(c, v, str(v)) for c, v in got.items()] == \
+            [(c, v, str(v)) for c, v in want.items()]

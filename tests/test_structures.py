@@ -21,6 +21,7 @@ from hopfkit.fields import Field, QQ
 from hopfkit.groups import GROUPS, cyclic, group_by_name, semidirect_group, symmetric3
 from hopfkit.linmap import LinMap, TensorShape, flip, identity, shape, tensor, zero_map
 from hopfkit import linmap, post_hopf, structures
+from hopfkit import solve as solve_module
 from hopfkit.rota_baxter import (adjunction_check, check_rb_morphism, rb_equivalence_check,
                                  rota_baxter_from_truss, truss_from_idempotent)
 from hopfkit.solve import solve
@@ -307,6 +308,30 @@ def test_convolution_inverse_makes_no_per_unknown_convolution(monkeypatch):
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     assert counts[0]["tensor"] < 8 and counts[0]["compose"] < 8
+
+
+def test_convolution_inverse_builds_no_kronecker_product_before_its_solve(monkeypatch):
+    # the system is read off f, delta and mu, and it is monomial, so no rref
+    # runs; the one tensor, two of the three composes (the third is the
+    # unit's eta . eps) and every Kronecker column, n^2 of them, belong to
+    # the closing two-sided check
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for k in (4, 8):
+        problem = _curried_problem(_dihedral_conjugation(k))
+        calls.clear()
+        with monkeypatch.context() as m:
+            for module, name in ((solve_module, "rref"), (linmap, "_kron_col"),
+                                 (structures, "tensor"), (linmap, "compose")):
+                m.setattr(module, name, counting(name, getattr(module, name)))
+            convolution_inverse(*problem)
+        assert dict(calls) == {"tensor": 1, "compose": 3, "_kron_col": (2 * k) ** 2}
 
 
 def test_solve_antipode_group_algebra_is_inversion():
