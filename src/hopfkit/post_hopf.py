@@ -47,12 +47,12 @@ from .structures import (
     coalgebra_morphism_rows,
     cocommutativity_class_check,
     convolution_inverse,
-    pair_algebra,
+    dual_algebra,
     require_flip,
     roundtrip_report,
     tensor_square,
 )
-from .truss import HopfTrussData, truss_action, truss_class_condition
+from .truss import HopfTrussData, truss_action
 from . import solve as _solve
 
 
@@ -99,12 +99,9 @@ def curried_action_inverse(w: PostHopfData) -> LinMap:
     algebra of maps from the carrier coalgebra to the operator algebra on the
     dual pair.  Cached; raises :class:`NotInvertible` when absent."""
     if w._beta is None:
-        obj = w.obj
-        n = obj.dim
-        alpha = curried_action(w)
-        flat = TensorShape((n * n,))
-        alpha_flat = alpha.reshape(TensorShape((n,)), flat)
-        target = pair_algebra(require_flip(obj, "inverting the curried action"))
+        n = w.obj.dim
+        alpha_flat = curried_action(w).reshape(TensorShape((n,)), TensorShape((n * n,)))
+        target = dual_algebra(n, w.obj.field)
         beta_flat = convolution_inverse(alpha_flat, w.hopf, target)
         w._beta = beta_flat.reshape(TensorShape((n,)), TensorShape((n, n)))
     return w._beta
@@ -252,10 +249,11 @@ def truss_from_post_hopf(w: PostHopfData) -> HopfTrussData:
 def post_hopf_from_truss(t: HopfTrussData) -> PostHopfData:
     """Keep the Hopf structure, take the truss action as the new action and
     the truss cocycle as the new cocycle.  Gated on the class condition."""
-    if not truss_class_condition(t):
+    gamma = truss_action(t)
+    if not cocommutativity_class_check(gamma, t):
         raise ClassConditionFailed(
             "the truss action fails the braided-cocommutativity class condition")
-    return PostHopfData(hopf=t.hopf(), action=truss_action(t), cocycle=t.cocycle)
+    return PostHopfData(hopf=t.hopf(), action=gamma, cocycle=t.cocycle)
 
 
 def roundtrip_check(w: PostHopfData) -> CheckReport:

@@ -231,7 +231,9 @@ def adjunction_check(t: HopfTrussData, w: RotaBaxterData,
 
     Forward: a truss morphism ``f: t -> truss(w)`` becomes the pair
     ``(f, T . f)``; backward: a pair ``(x, y)`` collapses to ``x`` and is
-    recovered because ``y = T . x`` is forced."""
+    recovered because ``y = T . x`` is forced.  Both functor images are built
+    before any law is checked; a missing one raises the functor's failure
+    (:class:`LawViolation`, :class:`ClassConditionFailed`) as a precondition."""
     if f is None and pair is None:
         raise PreconditionNotMet("nothing to check: no morphism supplied")
     omega = truss_from_rota_baxter(w)
@@ -265,8 +267,10 @@ def truss_equivalence_check(t: HopfTrussData) -> CheckReport:
 def rb_equivalence_check(w: RotaBaxterData) -> CheckReport:
     """Round trip through trusses is isomorphic to ``w`` along ``(id, T)``.
 
-    Needs the operator invertible; also verifies that the target product is
-    the derived product conjugated by the operator."""
+    Preconditions, raised before any law is checked: an invertible operator
+    (:class:`TNotInvertible`) and a truss image of ``w`` (the functor's
+    :class:`LawViolation` or :class:`ClassConditionFailed`).  Also verifies
+    that the target product is the derived product conjugated by the operator."""
     if w.operator.dom.total != w.operator.cod.total:
         raise TNotInvertible("operator is not invertible: carrier dimensions differ")
     t_inv = _solve.invert(w.operator)

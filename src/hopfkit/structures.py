@@ -169,14 +169,13 @@ class BraidedObject:
     first read of ``braid``.
     """
 
-    __slots__ = ("field", "dim", "is_flip", "dual", "_braid", "_powers", "_braid_inv")
+    __slots__ = ("field", "dim", "is_flip", "_braid", "_powers", "_braid_inv")
 
     def __init__(self, field: Field, dim: int, braid: Optional[LinMap] = None):
         self.field = field
         self.dim = dim
         self.is_flip = braid is None or braid == flip(field, dim, dim)
         self._braid = braid
-        self.dual = None
         self._powers = {}
         self._braid_inv = None
 
@@ -644,47 +643,34 @@ def cocommutativity_class_check(f: LinMap, coalg) -> bool:
 
 
 def dual_pair(dim: int, fld: Field) -> DualityData:
-    """Coevaluation/evaluation for the basis-wise self-pairing; snakes asserted."""
+    """The basis self-pairing: coevaluation ``a = sum_i e_i (x) e_i`` (one
+    dict column) and evaluation ``b(e_i (x) e_j) = [i == j]`` (monomial).  A
+    constant of ``dim``: the tests, not this code, assert its snake identities."""
     n = dim
-    one = fld.one
-    a = LinMap.from_cols(fld, UNIT_SHAPE, TensorShape((n, n)),
-                         [{i * n + i: one for i in range(n)}])
-    bcols = [dict() for _ in range(n * n)]
-    for i in range(n):
-        bcols[i * n + i][0] = one
-    b = LinMap(fld, TensorShape((n, n)), UNIT_SHAPE, tuple(bcols))
-    i1 = identity(fld, TensorShape((n,)))
-    if tensor(b, i1) @ tensor(i1, a) != i1 or tensor(i1, b) @ tensor(a, i1) != i1:
-        raise AssertionError("snake identities failed (internal error)")
+    nn = TensorShape((n, n))
+    a = LinMap(fld, UNIT_SHAPE, nn, ({i * n + i: fld.one for i in range(n)},))
+    b = LinMap(fld, nn, UNIT_SHAPE,
+               rows=tuple([-1 if j % (n + 1) else 0 for j in range(n * n)]))
     return DualityData(a=a, b=b)
 
 
 def require_flip(obj: BraidedObject, what: str) -> DualityData:
-    """Duality data of ``obj``; duality is only defined here for the flip braiding."""
+    """:func:`dual_pair` of ``obj``, built afresh (nothing is cached); flip braiding only."""
     if not obj.is_flip:
         raise NonSymmetricBraiding(f"{what} needs the flip braiding")
-    if obj.dual is None:
-        obj.dual = dual_pair(obj.dim, obj.field)
-    return obj.dual
+    return dual_pair(obj.dim, obj.field)
 
 
 def dual_algebra(dim: int, fld: Field) -> AlgebraData:
-    """The endomorphism algebra on a fresh :func:`dual_pair`, as a dim^2 object."""
-    return pair_algebra(dual_pair(dim, fld))
-
-
-def pair_algebra(pair: DualityData) -> AlgebraData:
-    """The endomorphism algebra on the dual pair ``pair``, as a dim^2 object.
+    """The endomorphism algebra on :func:`dual_pair`, as a dim^2 object.
 
     Product ``id (x) b (x) id`` (composition through the pairing), unit the
-    coevaluation.  Used as the target algebra for convolution inverses of
-    curried actions.
+    coevaluation.  The one builder of the target algebra for convolution
+    inverses of curried actions.
     """
-    fld = pair.a.field
-    dim = pair.a.cod.factors[0]
+    pair = dual_pair(dim, fld)
     n2 = dim * dim
-    obj = BraidedObject(fld, n2)
     i1 = identity(fld, TensorShape((dim,)))
     mu = tensor(i1, pair.b, i1).reshape(TensorShape((n2, n2)), TensorShape((n2,)))
     eta = pair.a.reshape(UNIT_SHAPE, TensorShape((n2,)))
-    return AlgebraData(obj, eta, mu)
+    return AlgebraData(BraidedObject(fld, n2), eta, mu)

@@ -265,6 +265,21 @@ def test_functor_roundtrips():
     assert truss_roundtrip_check(t).passed
 
 
+def test_post_hopf_from_truss_derives_the_truss_action_once(monkeypatch):
+    from hopfkit import post_hopf, truss
+    g = symmetric3()
+    h = group_algebra(g, QQ)
+    t = truss_from_idempotent(h, linearize_endo(g, named_endo(g, "sign-retraction"), QQ))
+    gamma = truss.truss_action(t)
+    calls = []
+    for mod in (truss, post_hopf):
+        real = mod.truss_action
+        monkeypatch.setattr(mod, "truss_action",
+                            lambda t, real=real: calls.append(t) or real(t))
+    assert post_hopf_from_truss(t).action == gamma
+    assert len(calls) == 1
+
+
 def test_truss_from_post_hopf_gate():
     # an action failing the class condition is refused
     h4 = sweedler_h4(QQ)

@@ -7,6 +7,7 @@ import pytest
 from hopfkit.errors import (
     ClassConditionFailed,
     ConditionBFailed,
+    LawViolation,
     NotATrussMorphism,
     NotAnRBMorphism,
     NotCocommutative,
@@ -330,3 +331,20 @@ def test_check_rota_baxter_reports_without_a_cross_braiding():
         ("module.module-algebra.product-compat", reason),
         ("module.module-coalgebra.comul-compat", reason),
     ]
+
+
+def test_a_w_without_truss_image_fails_the_functor_precondition():
+    # rb_equivalence_check and adjunction_check build the truss of ``w``
+    # before checking any law, so an unlawful ``w`` raises the functor's
+    # failure there while check_rota_baxter reports on it
+    t = dq("S3", "sign-retraction")
+    w = rota_baxter_from_truss(t)
+    bad = RotaBaxterData(hopf=w.hopf, target=w.target, action=w.action,
+                         operator=w.operator, cocycle=w.cocycle.with_entry(0, 0, 2))
+    msg = "^constructed truss does not induce the original action$"
+    with pytest.raises(LawViolation, match=msg):
+        rb_equivalence_check(bad)
+    with pytest.raises(LawViolation, match=msg):
+        adjunction_check(t, bad, f=t.obj.id(1))
+    rep = check_rota_baxter(bad)
+    assert len(rep.results) == 34 and not rep.passed

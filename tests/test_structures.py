@@ -41,6 +41,7 @@ from hopfkit.structures import (
     coalgebra_morphism_report,
     dual_algebra,
     dual_pair,
+    require_flip,
     solve_antipode,
 )
 from hopfkit.truss import check_truss_morphism
@@ -106,7 +107,6 @@ def test_non_flip_braiding_is_lawful_but_refuses_duality():
         QQ, shape(1, 1), shape(1, 1), [[2]]))
     assert not obj.is_flip
     assert check_braided_object(obj).passed
-    from hopfkit.structures import require_flip
     with pytest.raises(NonSymmetricBraiding):
         require_flip(obj, "test")
 
@@ -377,6 +377,40 @@ def test_dual_pair_snake():
     i1 = identity(QQ, shape(3))
     assert tensor(d.b, i1) @ tensor(i1, d.a) == i1
     assert tensor(i1, d.b) @ tensor(d.a, i1) == i1
+
+
+@pytest.mark.parametrize("fld", [QQ, Field.prime(2), Field.prime(5)], ids=["Q", "GF2", "GF5"])
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 16])
+def test_dual_pair_snake_identities(fld, n):
+    d = dual_pair(n, fld)
+    i1 = identity(fld, shape(n))
+    assert tensor(d.b, i1) @ tensor(i1, d.a) == i1
+    assert tensor(i1, d.b) @ tensor(d.a, i1) == i1
+    assert d.b.rows is not None and d.b.vals is None
+
+
+def test_dual_pair_and_require_flip_make_no_kernel_call(monkeypatch):
+    calls = collections.Counter()
+
+    def spy(mod, name):
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a: calls.update([name]) or real(*a))
+
+    for mod, name in ((linmap, "tensor"), (linmap, "compose"),
+                      (linmap, "first_mismatch"), (structures, "tensor")):
+        spy(mod, name)
+    for fld in (QQ, Field.prime(5)):
+        for n in (1, 3, 8):
+            dual_pair(n, fld)
+            require_flip(BraidedObject(fld, n), "x")
+    assert calls == {}
+
+
+def test_require_flip_refuses_a_non_flip_carrier():
+    obj = negated_flip(QQ, 2)
+    assert not obj.is_flip
+    with pytest.raises(NonSymmetricBraiding, match="^x needs the flip braiding$"):
+        require_flip(obj, "x")
 
 
 def test_dual_algebra_is_matrix_unit_composition():
