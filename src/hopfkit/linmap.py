@@ -49,6 +49,11 @@ object:
   columns of ``g`` that ``f`` selects.
 * ``first_mismatch`` compares two monomial maps tuple against tuple.  Only
   when they differ does it scan dict columns for the witness.
+* ``_terms`` lists the entries of a map as ``(column, row, value)`` triples.
+  On a lazy product it pairs the entries of the two factors, so a product
+  with few entries among many columns, such as the dual algebra's ``mu``
+  (``n^3`` entries in ``n^4`` columns), is listed in time proportional to
+  its entries and stays lazy.
 
 The ``cols`` of a monomial map are built on first read and kept, for the
 readers outside the kernel (the solver, file output, ``entries()``).  A
@@ -217,9 +222,6 @@ class LinMap:
                 rows[i][j] = v
         return rows
 
-    def nnz(self) -> int:
-        return sum(len(c) for c in self.cols)
-
     def __repr__(self):
         return f"LinMap({self.field!r}, {self.dom!r}->{self.cod!r})"
 
@@ -324,6 +326,25 @@ def _gather(m: LinMap, idx=None):
     if idx is None:  # kept, as ``cols`` keeps the columns it builds
         m.rows, m.vals, m.factors = rows, gv, None
     return rows, gv
+
+
+def _terms(m: LinMap) -> list:
+    """The entries of ``m`` as ``(column, row, value)`` triples, by column.
+
+    A lazy product pairs the entries of its two factors: it visits no empty
+    column and stays lazy.  A dict-held map lists its nonzero entries."""
+    if not m.monomial:
+        return [(c, r, v) for c, col in enumerate(m.cols) for r, v in col.items() if v]
+    if m.factors is None:
+        vals = repeat(m.field.one) if m.vals is None else m.vals
+        return [(c, r, v) for c, (r, v) in enumerate(zip(m.rows, vals)) if r >= 0]
+    f, g = m.factors
+    ng, ncg = g.dom.total, g.cod.total
+    one, mul = m.field.one, m.field.mul
+    gterms = _terms(g)
+    # the values of _gather: a factor equal to one is copied, not multiplied
+    return [(cf * ng + cg, rf * ncg + rg, b if a == one else a if b == one else mul(a, b))
+            for cf, rf, a in _terms(f) for cg, rg, b in gterms]
 
 
 def _dict_cols(rows, vals, one) -> list:

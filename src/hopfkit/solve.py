@@ -73,12 +73,6 @@ def rref(rows, ncols: int, field: Field):
     return pivot_rows, pivots
 
 
-def rank_of(m: LinMap) -> int:
-    rows = _rows_of(m)
-    _, pivots = rref(rows, m.dom.total, m.field)
-    return len(pivots)
-
-
 def invert(m: LinMap):
     """Inverse of a square map, or ``None`` if singular.
 

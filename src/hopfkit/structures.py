@@ -26,13 +26,16 @@ from .errors import (
     NoAntipode,
     NonSymmetricBraiding,
     NotInvertible,
+    ShapeMismatch,
 )
 from .fields import Field
 from .linmap import (
     LinMap,
     TensorShape,
     UNIT_SHAPE,
+    _dict_cols,
     _gather,
+    _terms,
     first_mismatch,
     flip,
     identity,
@@ -372,11 +375,6 @@ def _unital_rows(b):
     )
 
 
-def check_algebra(a: AlgebraData) -> CheckReport:
-    """Associativity and both unit laws."""
-    return CheckReport().laws(_algebra_rows(a))
-
-
 def _coalgebra_rows(d):
     """Coassociativity and both counit laws."""
     i1 = d.obj.id(1)
@@ -539,8 +537,50 @@ def adjoint_action(h: HopfAlgebraData) -> LinMap:
 
 
 def convolution(f: LinMap, g: LinMap, coalg, alg) -> LinMap:
-    """``f * g = mu . (f (x) g) . delta`` for maps from a coalgebra to an algebra."""
-    return alg.mu @ (tensor(f, g) @ coalg.delta)
+    """``f * g = mu . (f (x) g) . delta`` for maps from a coalgebra to an algebra.
+
+    Read off the entries in one pass over ``delta``, with no Kronecker
+    product built: entries ``d`` of ``delta`` at ``(i, j) -> k``, ``v`` of
+    ``f`` at ``(r, i)``, ``w`` of ``g`` at ``(s, j)`` and ``m`` of ``mu`` at
+    ``(p, (r, s))`` add ``v*w*d*m`` to entry ``(p, k)``.  ``mu`` is read only
+    at the columns ``(r, s)`` met, so a lazy product stays lazy.  A field or
+    shape mismatch raises :class:`ShapeMismatch` before any work.
+    """
+    delta, mu = coalg.delta, alg.mu
+    field = f.field
+    if not field == g.field == delta.field == mu.field:
+        raise ShapeMismatch(f"convolution of maps over {f.field!r}, {g.field!r}, "
+                            f"{delta.field!r} and {mu.field!r}")
+    if delta.cod != f.dom * g.dom or mu.dom != f.cod * g.cod:
+        raise ShapeMismatch(f"cannot convolve {f.dom}->{f.cod} and {g.dom}->{g.cod} "
+                            f"through {delta.dom}->{delta.cod} and {mu.dom}->{mu.cod}")
+    mul, add, one = field.mul, field.add, field.one
+    ndom, ng = g.dom.total, g.cod.total
+    fcols, gcols = f.cols, g.cols
+    terms = []  # (k, column (r, s) of mu, v*w*d)
+    for k, dcol in enumerate(delta.cols):
+        for ij, d in dcol.items():
+            i, j = divmod(ij, ndom)
+            gcol = gcols[j].items()
+            for r, v in fcols[i].items():
+                for s, w in gcol:
+                    # a factor equal to one is copied, not multiplied
+                    t = v if w == one else w if v == one else mul(v, w)
+                    t = t if d == one else d if t == one else mul(t, d)
+                    terms.append((k, r * ng + s, t))
+    if mu.monomial:
+        need = list({c for _, c, _ in terms})
+        mcols = dict(zip(need, _dict_cols(*_gather(mu, need), one)))
+    else:
+        mcols = mu.cols
+    cols = [dict() for _ in range(delta.dom.total)]
+    for k, c, t in terms:
+        col = cols[k]
+        for p, m in mcols[c].items():
+            x = t if m == one else m if t == one else mul(t, m)
+            col[p] = add(col[p], x) if p in col else x
+    return LinMap(field, delta.dom, mu.cod,
+                  tuple({p: x for p, x in col.items() if x} for col in cols))
 
 
 def convolution_unit(coalg, alg) -> LinMap:
@@ -551,34 +591,30 @@ def convolution_inverse(f: LinMap, coalg, alg) -> LinMap:
     """Two-sided convolution inverse of ``f``, by exact linear solve.
 
     Solves ``f * x = eta . eps`` entrywise (the equation is linear in x) and
-    then checks ``x * f = eta . eps`` through the generic kernel; raises
+    then checks ``x * f = eta . eps`` with :func:`convolution`; raises
     :class:`NotInvertible` with the failing direction otherwise.
 
     The system is read off ``f``, ``delta`` and ``mu`` in one pass, with no
     map ``mu . (f (x) id)`` built: entries ``d`` of ``delta`` at
     ``(i, j) -> k``, ``v`` of ``f`` at ``(r, i)`` and ``m`` of ``mu`` at
     ``(p, (r, q))`` add ``v*d*m`` to the coefficient of ``x[q, j]`` (column
-    ``q*n_C + j``) in entry ``(p, k)`` of ``f * x`` (row ``p*n_C + k``).  For
-    the curried action the system is monomial, which ``solve`` reads off by
-    index arithmetic; ``rref`` touches only the rows holding a pivot column,
-    which keeps independent blocks apart with no explicit split.
+    ``q*n_C + j``) in entry ``(p, k)`` of ``f * x`` (row ``p*n_C + k``).  The
+    entries of ``mu`` are listed by :func:`~hopfkit.linmap._terms`, so a lazy
+    product is never read whole, and a coefficient that cancels is dropped
+    on the spot.  For the curried action the system is monomial, which
+    ``solve`` reads off by index arithmetic; ``rref`` touches only the rows
+    holding a pivot column, which keeps independent blocks apart with no
+    explicit split.
     """
     field = f.field
     mul, add, one = field.mul, field.add, field.one
     unit = convolution_unit(coalg, alg)
     ncod = f.cod.total
     ndom = f.dom.total
-    mu = alg.mu
-    by_r = [[] for _ in range(ncod)]  # the non-empty columns (r, q) of mu, by r
-    if mu.monomial:
-        mrows, mvals = _gather(mu)
-        for c, p in enumerate(mrows):
-            if p >= 0:
-                by_r[c // ncod].append((c % ncod, ((p, one if mvals is None else mvals[c]),)))
-    else:
-        for c, mcol in enumerate(mu.cols):
-            if mcol:
-                by_r[c // ncod].append((c % ncod, mcol.items()))
+    by_r = [[] for _ in range(ncod)]  # the entries (q, p, m) of mu at column (r, q), by r
+    for c, p, m in _terms(alg.mu):
+        r, q = divmod(c, ncod)
+        by_r[r].append((q, p, m))
     fcols = f.cols
     cols = [dict() for _ in range(ncod * ndom)]
     for k, dcol in enumerate(coalg.delta.cols):
@@ -587,14 +623,18 @@ def convolution_inverse(f: LinMap, coalg, alg) -> LinMap:
             for r, v in fcols[i].items():
                 # a factor equal to one is copied, not multiplied
                 vd = v if d == one else d if v == one else mul(v, d)
-                for q, mcol in by_r[r]:
+                for q, p, m in by_r[r]:
                     col = cols[q * ndom + j]
-                    for p, m in mcol:
-                        row = p * ndom + k
-                        t = vd if m == one else m if vd == one else mul(vd, m)
-                        col[row] = add(col[row], t) if row in col else t
+                    row = p * ndom + k
+                    t = vd if m == one else m if vd == one else mul(vd, m)
+                    if row in col:
+                        t = add(col[row], t)
+                        if not t:  # cancelled: dropped now, not in a second pass
+                            del col[row]
+                            continue
+                    col[row] = t
     system = LinMap(field, TensorShape((ncod * ndom,)), TensorShape((ncod * ndom,)),
-                    tuple({r: v for r, v in col.items() if v} for col in cols))
+                    tuple(cols))
     rhs = {ii * ndom + jj: v for jj, c in enumerate(unit.cols) for ii, v in c.items()}
     x = _solve.solve(system, rhs)
     if x is None:

@@ -7,7 +7,7 @@ from hopfkit.groups import GROUPS, cyclic, group_by_name, idempotent_endos
 from hopfkit.linmap import LinMap, TensorShape, UNIT_SHAPE, flip, shape, tensor, zero_map
 from hopfkit.post_hopf import PostHopfData, trivial_post_hopf
 from hopfkit.rota_baxter import rota_baxter_from_truss, truss_from_idempotent
-from hopfkit.solve import invert
+from hopfkit.solve import _rows_of, invert, rref
 from hopfkit.structures import BialgebraData, BraidedObject
 
 # verdict lines collected by the acceptance tests; a terminal-summary hook in
@@ -29,6 +29,11 @@ def monoid_bialgebra(fld=QQ):
     eps = LinMap.from_cols(fld, v1, UNIT_SHAPE, [{0: one}, {0: one}])
     delta = LinMap.from_cols(fld, v1, v2, [{0: one}, {3: one}])
     return BialgebraData(obj, eta, mu, eps, delta)
+
+
+def rank_of(m):
+    """The rank of ``m``: the number of pivots ``rref`` finds in its rows."""
+    return len(rref(_rows_of(m), m.dom.total, m.field)[1])
 
 
 def rebased(b):

@@ -22,7 +22,9 @@ from hopfkit.linmap import (
     tensor,
     zero_map,
 )
-from hopfkit.solve import invert, rank_of, solve
+from hopfkit.solve import invert, solve
+
+from helpers import rank_of
 
 
 def M(rows, dom=None, cod=None, fld=QQ):
@@ -112,7 +114,7 @@ def test_entry_and_with_entry():
 
 def test_zero_and_identity():
     z = zero_map(QQ, shape(2), shape(3))
-    assert z.nnz() == 0
+    assert sum(map(len, z.cols)) == 0
     i = identity(QQ, shape(3))
     assert i.entries() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
@@ -641,3 +643,41 @@ def test_a_whole_read_of_a_lazy_product_is_kept(monkeypatch):
     assert linmap._gather(p) == first and first[1] is not None
     assert len(read) == 1 and read[0] is p and p.factors is None
     assert p.monomial and p == _tensor_eager(*maps)
+
+
+def _held_terms(terms):
+    return [(c, r, type(v).__name__, str(v)) for c, r, v in terms]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_terms_agree_with_a_whole_gather(data):
+    # nested lazy products of factors with empty columns, stored zeros, values
+    # held as ints or Fractions, no column at all, or all ones (vals None)
+    fld = data.draw(st.sampled_from((QQ, GF5)), label="field")
+    maps = []
+    for k in range(data.draw(st.integers(1, 3), label="factors")):
+        nr, nc = data.draw(st.integers(1, 3), label="rows"), data.draw(st.integers(0, 3), label="cols")
+        kind = data.draw(st.sampled_from(["raw", "identity", "empty"]), label=f"kind {k}")
+        if kind == "identity":
+            maps.append(identity(fld, shape(nr)))
+        elif kind == "empty":
+            maps.append(LinMap(fld, shape(0), shape(nr), ()))
+        else:
+            maps.append(LinMap(fld, shape(nc), shape(nr),
+                               tuple(data.draw(_mono_cols(fld, nr, nc), label=f"factor {k}"))))
+    if len(maps) == 3 and data.draw(st.booleans(), label="right-nested"):
+        lazy = tensor(maps[0], tensor(*maps[1:]))
+    else:
+        lazy = tensor(*maps)
+    assert lazy.monomial
+    got = linmap._terms(lazy)
+    assert lazy.factors is not None or len(maps) == 1
+    rows, vals = linmap._gather(lazy)
+    want = [(c, r, v) for c, (r, v) in
+            enumerate(zip(rows, itertools.repeat(fld.one) if vals is None else vals)) if r >= 0]
+    assert _held_terms(got) == _held_terms(want)
+    # a dict-held map lists its nonzero entries, column by column
+    if lazy.dom.total and lazy.cod.total >= 2:
+        held = _forms(fld, lazy.cod.total, lazy.dom.total, list(lazy.cols))[1]
+        assert _held_terms(linmap._terms(held)) == _held_terms(want)

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from hopfkit.fields import Field, QQ
 from hopfkit.linmap import LinMap, TensorShape, identity, shape
-from hopfkit.solve import invert, rank_of, rref, solve
+from hopfkit.solve import invert, rref, solve
+
+from helpers import rank_of
 
 
 def M(rows, fld=QQ):

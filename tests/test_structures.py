@@ -15,7 +15,7 @@ from helpers import (
     suite_trusses,
     zero_action_c2_post_hopf,
 )
-from hopfkit.errors import NoAntipode, NonSymmetricBraiding, NotInvertible
+from hopfkit.errors import NoAntipode, NonSymmetricBraiding, NotInvertible, ShapeMismatch
 from hopfkit.factories import group_algebra, linearize_endo, named_endo, sweedler_h4
 from hopfkit.fields import Field, QQ
 from hopfkit.groups import GROUPS, cyclic, group_by_name, semidirect_group, symmetric3
@@ -159,6 +159,12 @@ def test_convolution_inverse_missing():
         convolution_inverse(identity(QQ, shape(2)), b, b)
 
 
+def _convolution_by_composite(f, g, coalg, alg):
+    """``mu . (f (x) g) . delta`` through the generic kernel: the reference
+    :func:`convolution` must agree with."""
+    return alg.mu @ (tensor(f, g) @ coalg.delta)
+
+
 def _convolution_inverse_by_probing(f, coalg, alg):
     """The solver :func:`convolution_inverse` replaced: the system is found
     column by column, one full convolution of ``f`` with a single-entry map
@@ -172,7 +178,7 @@ def _convolution_inverse_by_probing(f, coalg, alg):
         for j in range(ndom):
             basis = LinMap(field, f.dom, f.cod,
                            tuple({i: field.one} if c == j else {} for c in range(ndom)))
-            conv = convolution(f, basis, coalg, alg)
+            conv = _convolution_by_composite(f, basis, coalg, alg)
             cols.append({ii * ndom + jj: v
                          for jj, c in enumerate(conv.cols) for ii, v in c.items()})
     n_unknown = TensorShape((ncod * ndom,))
@@ -185,7 +191,7 @@ def _convolution_inverse_by_probing(f, coalg, alg):
     for flat, v in x.items():
         inv_cols[flat % ndom][flat // ndom] = v
     inverse = LinMap(field, f.dom, f.cod, tuple(inv_cols))
-    if convolution(inverse, f, coalg, alg) != unit:
+    if _convolution_by_composite(inverse, f, coalg, alg) != unit:
         raise NotInvertible("solution of f * x = unit is not a two-sided inverse")
     return inverse
 
@@ -248,6 +254,69 @@ def test_convolution_inverse_matches_the_probing_reference(problem):
     _assert_same_inverse(f, b, b)
 
 
+@st.composite
+def _convolution_map(draw, fld, n, cod):
+    """A map ``[n] -> cod`` as raw columns: empty, or one or two entries, a
+    stored zero among them; values held as ints or, on Q, as Fractions.
+    Monomial when no column holds two entries."""
+    wide = draw(st.booleans())
+    cols = [{r: fld.coerce(draw(sparse_scalar))
+             for r in draw(st.lists(st.integers(0, cod.total - 1), max_size=2 if wide else 1,
+                                    unique=True))}
+            for _ in range(n)]
+    if fld is QQ and draw(st.booleans()):
+        cols = [{r: Fraction(v) for r, v in c.items()} for c in cols]
+    return LinMap(fld, shape(n), cod, tuple(cols))
+
+
+@st.composite
+def convolution_pair(draw):
+    """``f``, ``g``, a bialgebra of ``BIALGEBRAS`` as the coalgebra, and as
+    the algebra either that bialgebra or the dual algebra on its carrier,
+    whose lazy ``mu`` takes maps reshaped to the flat ``[n*n]``."""
+    fld = draw(st.sampled_from([QQ, Field.prime(5)]))
+    b = BIALGEBRAS[draw(st.sampled_from(sorted(BIALGEBRAS)))](fld)
+    n = b.obj.dim
+    alg = b if draw(st.booleans()) else dual_algebra(n, fld)
+    m = alg.obj.dim
+    cod = shape(m) if alg is b else shape(n, n)
+    f, g = (draw(_convolution_map(fld, n, cod)).reshape(shape(n), shape(m))
+            for _ in range(2))
+    return f, g, b, alg
+
+
+@settings(max_examples=120, deadline=None)
+@given(convolution_pair())
+def test_convolution_agrees_with_the_composite(problem):
+    f, g, coalg, alg = problem
+    got = convolution(f, g, coalg, alg)
+    assert alg is coalg or alg.mu.factors is not None  # the dual mu stays lazy
+    want = _convolution_by_composite(f, g, coalg, alg)
+    # the composite keeps a stored zero that a raw zero of f or g leads to in
+    # a column of one entry; the one-pass convolution stores none
+    assert got.cols == tuple({i: v for i, v in c.items() if v} for c in want.cols)
+    assert got.dom == want.dom and got.cod == want.cod
+
+
+def test_convolution_refuses_what_the_composite_refuses():
+    h = group_algebra(cyclic(3), QQ)
+    i2, i3 = identity(QQ, shape(2)), identity(QQ, shape(3))
+    gf5 = Field.prime(5)
+    cases = [
+        (i2, i2, h, h),                                          # domain
+        (i3, zero_map(QQ, shape(3), shape(2)), h, h),            # codomain
+        (i3, i3.reshape(shape(3), shape(3, 1)), h, h),           # codomain, factor-wise
+        (i3, identity(gf5, shape(3)), h, h),                     # field of g
+        (i3, i3, group_algebra(cyclic(3), gf5), h),              # field of delta
+        (i3, i3, h, group_algebra(cyclic(3), gf5)),              # field of mu
+    ]
+    for case in cases:
+        with pytest.raises(ShapeMismatch):
+            _convolution_by_composite(*case)
+        with pytest.raises(ShapeMismatch):
+            convolution(*case)
+
+
 def _post_hopf_suite(fld):
     s3 = group_algebra(symmetric3(), fld)
     return ([(name, post_hopf.post_hopf_from_truss(t)) for name, t in suite_trusses(fld)]
@@ -305,16 +374,15 @@ def test_convolution_inverse_makes_no_per_unknown_convolution(monkeypatch):
             m.setattr(structures, "tensor", counting("tensor", structures.tensor))
             m.setattr(linmap, "compose", counting("compose", linmap.compose))
             convolution_inverse(*problem)
-        counts.append(dict(calls))
+        counts.append(collections.Counter(calls))
     assert counts[0] == counts[1]
     assert counts[0]["tensor"] < 8 and counts[0]["compose"] < 8
 
 
 def test_convolution_inverse_builds_no_kronecker_product_before_its_solve(monkeypatch):
     # the system is read off f, delta and mu, and it is monomial, so no rref
-    # runs; the one tensor, two of the three composes (the third is the
-    # unit's eta . eps) and every Kronecker column, n^2 of them, belong to
-    # the closing two-sided check
+    # runs; the closing two-sided check is read off the entries too, so the
+    # one compose left is the unit's eta . eps
     calls = collections.Counter()
 
     def counting(name, fn):
@@ -331,7 +399,8 @@ def test_convolution_inverse_builds_no_kronecker_product_before_its_solve(monkey
                                  (structures, "tensor"), (linmap, "compose")):
                 m.setattr(module, name, counting(name, getattr(module, name)))
             convolution_inverse(*problem)
-        assert dict(calls) == {"tensor": 1, "compose": 3, "_kron_col": (2 * k) ** 2}
+        assert dict(calls) == {"compose": 1}
+        assert problem[2].mu.factors is not None  # the dual mu is never read whole
 
 
 def test_solve_antipode_group_algebra_is_inversion():
@@ -414,9 +483,8 @@ def test_require_flip_refuses_a_non_flip_carrier():
 
 
 def test_dual_algebra_is_matrix_unit_composition():
-    from hopfkit.structures import check_algebra
     da = dual_algebra(3, QQ)
-    assert check_algebra(da).passed
+    assert CheckReport().laws(structures._algebra_rows(da)).passed
     # E_ij . E_kl = [j == k] E_il on the flat 9-dim carrier
     s2 = shape(9, 9)
     unit = lambda i, j: i * 3 + j
