@@ -108,7 +108,9 @@ class Field:
     one = 1
 
     def coerce(self, x):
-        """Turn an int / Fraction / string into a canonical scalar."""
+        """Turn an int or Fraction into a canonical scalar; anything else, a
+        string such as ``'3'`` among them, raises :class:`FieldError` (a file
+        token goes through :meth:`parse`)."""
         if self.char:
             if isinstance(x, Fraction):
                 if x.denominator != 1:

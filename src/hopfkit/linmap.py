@@ -175,7 +175,8 @@ class LinMap:
 
     @staticmethod
     def from_cols(field, dom, cod, cols) -> "LinMap":
-        """Build from per-column {row: value} dicts; values are coerced, zeros dropped."""
+        """Build from per-column {row: value} dicts of Python values: the one
+        loop that coerces each value, checks each row and drops zeros."""
         dom, cod = _as_shape(dom), _as_shape(cod)
         if len(cols) != dom.total:
             raise ShapeMismatch(f"{len(cols)} columns for domain of total {dom.total}")
@@ -193,20 +194,16 @@ class LinMap:
 
     @staticmethod
     def from_entries(field, dom, cod, rows) -> "LinMap":
-        """Build from a dense row-major matrix (list of rows)."""
+        """Build from a dense row-major matrix (list of rows): its shape is
+        checked here, its values by :meth:`from_cols`."""
         dom, cod = _as_shape(dom), _as_shape(cod)
         rows = [list(r) for r in rows]
         if len(rows) != cod.total or any(len(r) != dom.total for r in rows):
             raise ShapeMismatch(
                 f"need a {cod.total}x{dom.total} matrix for {dom}->{cod}"
             )
-        cols = [dict() for _ in range(dom.total)]
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                v = field.coerce(v)
-                if v:
-                    cols[j][i] = v
-        return LinMap(field, dom, cod, tuple(cols))
+        return LinMap.from_cols(field, dom, cod,
+                                [{i: r[j] for i, r in enumerate(rows)} for j in range(dom.total)])
 
     # -- views ---------------------------------------------------------------
 
@@ -251,6 +248,8 @@ class LinMap:
 
     def with_entry(self, i: int, j: int, value) -> "LinMap":
         """Copy of the map with entry (i, j) replaced (handy for mutation tests)."""
+        if not (0 <= i < self.cod.total and 0 <= j < self.dom.total):
+            raise ShapeMismatch(f"entry ({i}, {j}) out of range for {self.dom}->{self.cod}")
         v = self.field.coerce(value)
         cols = list(self.cols)
         col = dict(cols[j])

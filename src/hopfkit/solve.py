@@ -105,10 +105,14 @@ def solve(m: LinMap, rhs_col: dict):
     so the answer is canonical for a fixed elimination order.  A monomial
     ``m`` is solved without elimination: the lowest-numbered column holding
     a row is its pivot and gets ``rhs[row] / value``; a nonzero ``rhs`` in a
-    row no column holds makes the system inconsistent.
+    row no column holds makes the system inconsistent.  A row of ``rhs_col``
+    outside ``m`` raises :class:`ShapeMismatch`.
     """
     n = m.dom.total
     field = m.field
+    bad = [i for i in rhs_col if not 0 <= i < m.cod.total]
+    if bad:
+        raise ShapeMismatch(f"right-hand side row {bad[0]} out of range for {m.dom}->{m.cod}")
     if m.monomial:
         rows, vals = _gather(m)
         x, held = {}, set()

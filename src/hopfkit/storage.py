@@ -280,6 +280,8 @@ def _read_map(lines, i, field):
 
 
 def loads(text: str) -> StructureFile:
+    """Parse a structure file.  ``Field.parse`` is the one check of a scalar;
+    ``take`` checks a section's size against its role and keeps the nonzeros."""
     lines = [(no + 1, ln.strip()) for no, ln in enumerate(text.splitlines())]
     lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -325,7 +327,8 @@ def loads(text: str) -> StructureFile:
             raise ShapeMismatch(
                 f"map {name!r}: declared {_echo_int(nrows)}x{_echo_int(ncols)}, "
                 f"role needs {_echo_int(cod.total)}x{_echo_int(dom.total)}")
-        return LinMap.from_entries(field, dom, cod, entries)
+        return LinMap(field, dom, cod,  # a role has a row, so zip yields each column
+                      tuple({i: v for i, v in enumerate(col) if v} for col in zip(*entries)))
 
     braids = {}
     for letter in letters:

@@ -536,6 +536,18 @@ def adjoint_action(h: HopfAlgebraData) -> LinMap:
 # ---------------------------------------------------------------------------
 
 
+def _check_convolvable(f: LinMap, g: LinMap, coalg, alg) -> None:
+    """Raise :class:`ShapeMismatch` unless ``f``, ``g``, ``delta`` and ``mu``
+    share a field and ``mu . (f (x) g) . delta`` is defined, factor-wise."""
+    delta, mu = coalg.delta, alg.mu
+    if not f.field == g.field == delta.field == mu.field:
+        raise ShapeMismatch(f"convolution of maps over {f.field!r}, {g.field!r}, "
+                            f"{delta.field!r} and {mu.field!r}")
+    if delta.cod != f.dom * g.dom or mu.dom != f.cod * g.cod:
+        raise ShapeMismatch(f"cannot convolve {f.dom}->{f.cod} and {g.dom}->{g.cod} "
+                            f"through {delta.dom}->{delta.cod} and {mu.dom}->{mu.cod}")
+
+
 def convolution(f: LinMap, g: LinMap, coalg, alg) -> LinMap:
     """``f * g = mu . (f (x) g) . delta`` for maps from a coalgebra to an algebra.
 
@@ -546,14 +558,9 @@ def convolution(f: LinMap, g: LinMap, coalg, alg) -> LinMap:
     at the columns ``(r, s)`` met, so a lazy product stays lazy.  A field or
     shape mismatch raises :class:`ShapeMismatch` before any work.
     """
+    _check_convolvable(f, g, coalg, alg)
     delta, mu = coalg.delta, alg.mu
     field = f.field
-    if not field == g.field == delta.field == mu.field:
-        raise ShapeMismatch(f"convolution of maps over {f.field!r}, {g.field!r}, "
-                            f"{delta.field!r} and {mu.field!r}")
-    if delta.cod != f.dom * g.dom or mu.dom != f.cod * g.cod:
-        raise ShapeMismatch(f"cannot convolve {f.dom}->{f.cod} and {g.dom}->{g.cod} "
-                            f"through {delta.dom}->{delta.cod} and {mu.dom}->{mu.cod}")
     mul, add, one = field.mul, field.add, field.one
     ndom, ng = g.dom.total, g.cod.total
     fcols, gcols = f.cols, g.cols
@@ -592,7 +599,9 @@ def convolution_inverse(f: LinMap, coalg, alg) -> LinMap:
 
     Solves ``f * x = eta . eps`` entrywise (the equation is linear in x) and
     then checks ``x * f = eta . eps`` with :func:`convolution`; raises
-    :class:`NotInvertible` with the failing direction otherwise.
+    :class:`NotInvertible` with the failing direction otherwise.  A field or
+    shape mismatch, ``f`` not a map ``delta.dom -> mu.cod`` among them,
+    raises :class:`ShapeMismatch` before any work.
 
     The system is read off ``f``, ``delta`` and ``mu`` in one pass, with no
     map ``mu . (f (x) id)`` built: entries ``d`` of ``delta`` at
@@ -606,6 +615,9 @@ def convolution_inverse(f: LinMap, coalg, alg) -> LinMap:
     holding a pivot column, which keeps independent blocks apart with no
     explicit split.
     """
+    _check_convolvable(f, f, coalg, alg)  # the inverse has the shapes of f
+    if coalg.delta.dom != f.dom or alg.mu.cod != f.cod:
+        raise ShapeMismatch(f"{f.dom}->{f.cod} is not a map {coalg.delta.dom}->{alg.mu.cod}")
     field = f.field
     mul, add, one = field.mul, field.add, field.one
     unit = convolution_unit(coalg, alg)

@@ -623,6 +623,18 @@ def test_with_entry_on_a_monomial_map_copies():
             assert m.monomial
 
 
+@pytest.mark.parametrize("i, j, value", [(5, 0, 1), (-1, 0, 7), (0, -1, 5), (0, 7, 1)],
+                         ids=["row-past-the-end", "negative-row", "negative-column",
+                              "column-past-the-end"])
+def test_with_entry_refuses_an_index_outside_the_map(i, j, value):
+    # unchecked, row 5 is stored (and entries() raises IndexError), row -1 is
+    # stored as a key, column -1 edits the last column, column 7 raises a bare
+    # IndexError
+    for m in (identity(QQ, shape(2)), M([[1, 1], [0, 1]])):
+        with pytest.raises(ShapeMismatch):
+            m.with_entry(i, j, value)
+
+
 def test_a_stored_zero_is_no_entry_of_the_monomial_form():
     m = LinMap(QQ, shape(3), shape(2), ({1: 0}, {0: Fraction(0)}, {1: 2}))
     assert m.monomial and m.rows == (-1, -1, 1)

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfkit.errors import ShapeMismatch
 from hopfkit.fields import Field, QQ
 from hopfkit.linmap import LinMap, TensorShape, identity, shape
 from hopfkit.solve import invert, rref, solve
@@ -57,6 +59,17 @@ def test_solve_consistent_and_inconsistent():
     got1 = sum(a.entry(1, j) * x.get(j, Fraction(0)) for j in range(2))
     assert (got0, got1) == (Fraction(3), Fraction(6))
     assert solve(a, {0: Fraction(3), 1: Fraction(7)}) is None
+
+
+@pytest.mark.parametrize("form", ["monomial", "dict-held"])
+@pytest.mark.parametrize("row", [-1, 9])
+def test_solve_refuses_a_rhs_row_outside_the_map(form, row):
+    # unchecked, the monomial path gives None for both rows, while the
+    # dict-held path solves row -1 as the last row and raises IndexError on 9
+    m = identity(QQ, shape(2)) if form == "monomial" else M([[1, 1], [0, 1]])
+    assert m.monomial == (form == "monomial")
+    with pytest.raises(ShapeMismatch):
+        solve(m, {row: 1})
 
 
 square = st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3),

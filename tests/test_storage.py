@@ -1,7 +1,10 @@
 """File format: round trips, canonical bytes, and malformed-input errors."""
+import collections
 import os
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import HEADER_INTEGER_FORMS
 from hopfkit.errors import ParseError, ShapeMismatch, UnknownKind
@@ -12,7 +15,7 @@ from hopfkit.linmap import LinMap, flip, identity, shape
 from hopfkit.post_hopf import post_hopf_from_truss
 from hopfkit.rota_baxter import rota_baxter_from_truss, truss_from_idempotent
 from hopfkit import structures
-from hopfkit.storage import KINDS, StructureFile, dumps, load, loads, save
+from hopfkit.storage import KINDS, SCHEMAS, StructureFile, dumps, load, loads, save
 from hopfkit.structures import BraidedObject
 
 
@@ -186,3 +189,129 @@ def test_header_only_file_fails_before_building_a_braiding(monkeypatch, kind):
     with pytest.raises(ParseError):
         loads(text)
     assert calls == []
+
+
+GF5 = Field.prime(5)
+
+# scalar tokens as a file may hold them: canonical or not ("-0", "0/7",
+# "2/4", "007"; over GF(5) values outside [0, 5)), zeros most often
+_TOKENS = {
+    QQ: st.one_of(
+        st.sampled_from(["0", "0", "0", "1", "1", "-1", "2", "-0", "00", "0/7", "-0/3",
+                         "2/4", "3/2", "-6/3", "10/5", "007", "-12/8"]),
+        st.integers(-30, 30).map(str),
+        st.tuples(st.integers(-30, 30), st.integers(1, 12)).map(lambda t: f"{t[0]}/{t[1]}")),
+    GF5: st.one_of(
+        st.sampled_from(["0", "0", "0", "1", "1", "4", "-0", "7", "-1", "5", "-13", "0012"]),
+        st.integers(-30, 30).map(str)),
+}
+_BAD_TOKENS = {QQ: ["x", "1/0", "1.5", "+1", "1/-2", "--1"], GF5: ["x", "1/2", "1.0", "+1"]}
+
+
+@st.composite
+def map_file(draw):
+    """A ``hopf`` or ``wtrb`` file whose map sections, an explicit braiding
+    among them or not, hold random tokens: (field, sections as (name, path,
+    dom, cod), text lines, tokens by section, line of each row by section)."""
+    fld = draw(st.sampled_from([QQ, GF5]))
+    kind = draw(st.sampled_from(["hopf", "wtrb"]))
+    dims = {"n": draw(st.integers(1, 3)), "k": draw(st.integers(1, 2))}
+    explicit = draw(st.booleans())
+    head = ["format-version: 1", f"kind: {kind}", f"field: {fld.token()}",
+            f"dim: {dims['n']}", f"braiding: {'explicit' if explicit else 'flip'}"]
+    if kind == "wtrb":
+        head += [f"dimB: {dims['k']}", "braidingB: flip"]
+    sections = [("braiding", "braiding", "nn", "nn")] if explicit else []
+    sections += [(row.section, row.path, row.dom, row.cod) for row in SCHEMAS[kind].rows]
+    sections = [(name, path, shape(*(dims[x] for x in dom)), shape(*(dims[x] for x in cod)))
+                for name, path, dom, cod in sections]
+    lines, tokens, at = head, {}, {}
+    for name, _, dom, cod in sections:
+        tokens[name] = draw(st.lists(st.lists(_TOKENS[fld], min_size=dom.total,
+                                              max_size=dom.total),
+                                     min_size=cod.total, max_size=cod.total))
+        lines += ["", f"map {name}: {cod.total}x{dom.total}"]
+        at[name] = []
+        for row in tokens[name]:
+            lines.append(" ".join(row))
+            at[name].append(len(lines))
+    return fld, sections, lines, tokens, at
+
+
+def _loaded_map(sf, path):
+    if path == "braiding":
+        part = next(p for p, (_, letter) in SCHEMAS[sf.kind].parts.items() if letter == "n")
+        path = part + ".obj.braid" if part else "obj.braid"
+    return reduce(getattr, path.split("."), sf.structure)
+
+
+def _typed(cols):
+    return [{i: (type(v), v) for i, v in c.items()} for c in cols]
+
+
+@settings(max_examples=60, deadline=None)
+@given(map_file())
+def test_a_loaded_map_holds_what_from_entries_builds_from_the_parsed_tokens(case):
+    fld, sections, lines, tokens, _ = case
+    sf = loads("\n".join(lines) + "\n")
+    for name, path, dom, cod in sections:
+        got = _loaded_map(sf, path)
+        want = LinMap.from_entries(fld, dom, cod,
+                                   [[fld.parse(t) for t in row] for row in tokens[name]])
+        assert (got.field, got.dom, got.cod) == (fld, dom, cod)
+        assert _typed(got.cols) == _typed(want.cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(map_file(), st.data())
+def test_a_hostile_section_gives_its_error_text_and_line(case, data):
+    fld, sections, lines, tokens, at = case
+    name, _, dom, cod = data.draw(st.sampled_from(sections), label="section")
+    fault = data.draw(st.sampled_from(["bad token", "short row", "long row", "size"]),
+                      label="fault")
+    r = data.draw(st.integers(0, cod.total - 1), label="row")
+    line = at[name][r]
+    row = list(tokens[name][r])
+    lines = list(lines)
+    if fault == "size":
+        # one more row than the role has: every row parses, the size is refused
+        lines.insert(at[name][-1], " ".join(["0"] * dom.total))
+        lines[at[name][0] - 2] = f"map {name}: {cod.total + 1}x{dom.total}"
+        want = (ShapeMismatch, f"map {name!r}: declared {cod.total + 1}x{dom.total}, "
+                               f"role needs {cod.total}x{dom.total}")
+    elif fault == "bad token":
+        bad = data.draw(st.sampled_from(_BAD_TOKENS[fld]), label="token")
+        row[data.draw(st.integers(0, len(row) - 1), label="column")] = bad
+        lines[line - 1] = " ".join(row)
+        what = "rational" if fld == QQ else "GF(5)"
+        want = (ParseError, f"line {line}: map {name!r} row {r}: bad {what} scalar {bad!r}")
+    else:
+        # a row of no token is a blank line, which is skipped, so a short row
+        # keeps one token at least
+        row = row[:-1] if fault == "short row" and len(row) > 1 else row + ["0"]
+        lines[line - 1] = " ".join(row)
+        want = (ParseError, f"line {line}: map {name!r} row {r}: "
+                            f"expected {dom.total} entries, got {len(row)}")
+    with pytest.raises(want[0]) as exc:
+        loads("\n".join(lines) + "\n")
+    assert type(exc.value) is want[0] and str(exc.value) == want[1]
+    if want[0] is ParseError:
+        assert exc.value.line == line
+
+
+def test_loads_parses_each_token_once_and_coerces_none(monkeypatch):
+    t = dq_s3()
+    texts = [dumps(StructureFile(kind, s)) for kind, s in (
+        ("truss", t), ("wtph", post_hopf_from_truss(t)), ("wtrb", rota_baxter_from_truss(t)))]
+    calls = collections.Counter()
+    for name in ("parse", "coerce"):
+        def counted(self, x, real=getattr(Field, name), name=name):
+            calls[name] += 1
+            return real(self, x)
+        monkeypatch.setattr(Field, name, counted)
+    for text in texts:
+        body = text[text.index("\nmap "):].splitlines()
+        ntokens = sum(len(ln.split()) for ln in body if not ln.startswith("map "))
+        calls.clear()
+        loads(text)
+        assert calls == {"parse": ntokens}

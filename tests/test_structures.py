@@ -19,7 +19,8 @@ from hopfkit.errors import NoAntipode, NonSymmetricBraiding, NotInvertible, Shap
 from hopfkit.factories import group_algebra, linearize_endo, named_endo, sweedler_h4
 from hopfkit.fields import Field, QQ
 from hopfkit.groups import GROUPS, cyclic, group_by_name, semidirect_group, symmetric3
-from hopfkit.linmap import LinMap, TensorShape, flip, identity, shape, tensor, zero_map
+from hopfkit.linmap import (LinMap, TensorShape, UNIT_SHAPE, flip, identity, shape, tensor,
+                            zero_map)
 from hopfkit import linmap, post_hopf, structures
 from hopfkit import solve as solve_module
 from hopfkit.rota_baxter import (adjunction_check, check_rb_morphism, rb_equivalence_check,
@@ -27,7 +28,10 @@ from hopfkit.rota_baxter import (adjunction_check, check_rb_morphism, rb_equival
 from hopfkit.solve import solve
 from hopfkit.storage import StructureFile, structure_report
 from hopfkit.structures import (
+    AlgebraData,
+    BialgebraData,
     BraidedObject,
+    CoalgebraData,
     CheckReport,
     antipode_property_check,
     check_bialgebra,
@@ -315,6 +319,47 @@ def test_convolution_refuses_what_the_composite_refuses():
             _convolution_by_composite(*case)
         with pytest.raises(ShapeMismatch):
             convolution(*case)
+
+
+def test_convolution_inverse_refuses_a_mismatch_before_any_solve(monkeypatch):
+    h3 = group_algebra(cyclic(3), QQ)
+    i3 = identity(QQ, shape(3))
+    gf5 = Field.prime(5)
+    narrow = AlgebraData(BraidedObject(QQ, 2), zero_map(QQ, UNIT_SHAPE, shape(2)),
+                         zero_map(QQ, shape(3, 3), shape(2)))
+    point = CoalgebraData(BraidedObject(QQ, 1), zero_map(QQ, shape(1), UNIT_SHAPE),
+                          zero_map(QQ, shape(1), shape(3, 3)))
+    cases = [
+        (identity(QQ, shape(2)), h3, h3),                   # domain against delta
+        (i3, h3, group_algebra(cyclic(2), QQ)),             # codomain against mu
+        (i3.reshape(shape(3), shape(3, 1)), h3, h3),        # codomain, factor-wise
+        (identity(gf5, shape(3)), h3, h3),                  # field of f
+        (i3, group_algebra(cyclic(3), gf5), h3),            # field of delta
+        (i3, h3, narrow),                                   # mu lands outside f's codomain
+        (i3, point, h3),                                    # delta starts outside f's domain
+    ]
+    calls = []
+    for name in ("solve", "rref"):
+        monkeypatch.setattr(solve_module, name, lambda *a, name=name: calls.append(name))
+    for case in cases:
+        with pytest.raises(ShapeMismatch):
+            convolution_inverse(*case)
+    assert calls == []
+
+
+def test_convolution_inverse_refuses_a_one_sided_solution():
+    # a non-lawful bialgebra over GF(3) on which f * x = unit is solvable
+    # but its solution x has x * f != unit
+    fld = Field.prime(3)
+    v1, v2 = shape(2), shape(2, 2)
+    b = BialgebraData(BraidedObject(fld, 2),
+                      eta=LinMap.from_entries(fld, UNIT_SHAPE, v1, [[2], [0]]),
+                      mu=LinMap.from_entries(fld, v2, v1, [[0, 0, 1, 0], [0, 1, 0, 1]]),
+                      eps=LinMap.from_entries(fld, v1, UNIT_SHAPE, [[1, 0]]),
+                      delta=LinMap.from_entries(fld, v1, v2, [[1, 0], [1, 0], [0, 0], [2, 0]]))
+    f = LinMap.from_entries(fld, v1, v1, [[0, 2], [1, 0]])
+    assert _assert_same_inverse(f, b, b) == (
+        "NotInvertible", "solution of f * x = unit is not a two-sided inverse")
 
 
 def _post_hopf_suite(fld):
