@@ -153,6 +153,8 @@ class Field:
 
     def parse(self, token: str):
         """Parse one scalar token as written in structure files."""
+        if token == "0":  # most tokens of a file: no regex for them
+            return 0
         m = _SCALAR.fullmatch(token)
         if self.char:
             if m is None or m[2] is not None:

@@ -208,7 +208,13 @@ class LinMap:
     # -- views ---------------------------------------------------------------
 
     def entry(self, i: int, j: int):
+        """The entry in row ``i``, column ``j``; :class:`ShapeMismatch` outside the map."""
+        self._check_entry(i, j)
         return self.cols[j].get(i, self.field.zero)
+
+    def _check_entry(self, i: int, j: int):
+        if not (0 <= i < self.cod.total and 0 <= j < self.dom.total):
+            raise ShapeMismatch(f"entry ({i}, {j}) out of range for {self.dom}->{self.cod}")
 
     def entries(self):
         """Dense row-major matrix of entries (a list of lists)."""
@@ -248,8 +254,7 @@ class LinMap:
 
     def with_entry(self, i: int, j: int, value) -> "LinMap":
         """Copy of the map with entry (i, j) replaced (handy for mutation tests)."""
-        if not (0 <= i < self.cod.total and 0 <= j < self.dom.total):
-            raise ShapeMismatch(f"entry ({i}, {j}) out of range for {self.dom}->{self.cod}")
+        self._check_entry(i, j)
         v = self.field.coerce(value)
         cols = list(self.cols)
         col = dict(cols[j])

@@ -17,6 +17,18 @@ The module also provides the two functorial constructions to and from Hopf
 trusses, the derived antipode of the derived product (for cocommutative
 carriers), and the bialgebra/Hopf structure induced on the image of the
 (idempotent) cocycle.
+
+Currying needs the flip braiding ``c`` and the basis pairing ``a``/``b`` of
+:func:`~hopfkit.structures.dual_pair`, under which each use of the pairing
+is a reindexing of entries: :func:`_curry` and :func:`_uncurry` copy the
+entries directly, and no tensor product or composite with ``a`` or ``b`` is
+built.  The maps that use them equal these tensor forms:
+
+    curried_action              = (id (x) action) . (c (x) id) . (id (x) a)
+    pairing_of_curried_action   = (b (x) id) . (id (x) alpha)
+    pairing_of_curried_inverse  = (b (x) id) . (id (x) beta)
+    derived_antipode            = (b (x) id) . ((antipode . cocycle) (x) beta)
+                                    . c . delta
 """
 from __future__ import annotations
 
@@ -32,7 +44,7 @@ from .errors import (
     NotInvertible,
     PreconditionNotMet,
 )
-from .linmap import LinMap, TensorShape, tensor
+from .linmap import LinMap, TensorShape, _terms, tensor
 from .structures import (
     BialgebraData,
     BraidedObject,
@@ -85,13 +97,38 @@ def derived_product(w: PostHopfData) -> LinMap:
     return w._bar
 
 
+def _curry(m: LinMap) -> LinMap:
+    """``[n,n] -> [n]`` to ``[n] -> [n,n]``: column ``h`` holds ``m[y, (h, i)]``
+    at row ``i*n + y``.  Entries are copied, never multiplied, and zeros are
+    not stored."""
+    n = m.cod.total
+    cols = [{} for _ in range(n)]
+    for c, y, v in _terms(m):
+        h, i = divmod(c, n)
+        cols[h][i * n + y] = v
+    return LinMap(m.field, TensorShape((n,)), TensorShape((n, n)), tuple(cols))
+
+
+def _uncurry(m: LinMap) -> LinMap:
+    """``[n] -> [n,n]`` to ``[n,n] -> [n]``: column ``x*n + h`` holds
+    ``m[(x, y), h]`` at row ``y``.  Entries are copied, never multiplied, and
+    zeros are not stored."""
+    n = m.dom.total
+    cols = [{} for _ in range(n * n)]
+    for h, r, v in _terms(m):
+        x, y = divmod(r, n)
+        cols[x * n + h][y] = v
+    return LinMap(m.field, TensorShape((n, n)), TensorShape((n,)), tuple(cols))
+
+
 def curried_action(w: PostHopfData) -> LinMap:
     """``alpha: [n] -> [n,n]``; ``alpha(h)`` is the operator ``x -> h |> x``
-    written out against the self-dual basis pairing (flip braiding only)."""
-    obj = w.obj
-    pair = require_flip(obj, "currying the action")
-    i1 = obj.id(1)
-    return tensor(i1, w.action) @ (tensor(obj.braid, i1) @ tensor(i1, pair.a))
+    written out against the self-dual basis pairing (flip braiding only).
+
+    Equals ``(id (x) action) . (c (x) id) . (id (x) a)``, read off the
+    entries of the action by :func:`_curry`."""
+    require_flip(w.obj, "currying the action")
+    return _curry(w.action)
 
 
 def curried_action_inverse(w: PostHopfData) -> LinMap:
@@ -108,19 +145,19 @@ def curried_action_inverse(w: PostHopfData) -> LinMap:
 
 
 def pairing_of_curried_action(w: PostHopfData) -> LinMap:
-    """``(b (x) id) . (id (x) alpha)``; equals ``action . c`` and is always a
-    coalgebra morphism out of the tensor-square coalgebra."""
-    pair = require_flip(w.obj, "pairing the curried action")
-    i1 = w.obj.id(1)
-    return tensor(pair.b, i1) @ tensor(i1, curried_action(w))
+    """``(b (x) id) . (id (x) alpha)``, read off the entries of ``alpha`` by
+    :func:`_uncurry`; equals ``action . c`` and is always a coalgebra
+    morphism out of the tensor-square coalgebra."""
+    require_flip(w.obj, "pairing the curried action")
+    return _uncurry(curried_action(w))
 
 
 def pairing_of_curried_inverse(w: PostHopfData) -> LinMap:
-    """``(b (x) id) . (id (x) beta)``; being a coalgebra morphism is an extra,
+    """``(b (x) id) . (id (x) beta)``, read off the entries of ``beta`` by
+    :func:`_uncurry`; being a coalgebra morphism is an extra,
     instance-dependent property gating the derived-antipode theorems."""
-    pair = require_flip(w.obj, "pairing the inverse curried action")
-    i1 = w.obj.id(1)
-    return tensor(pair.b, i1) @ tensor(i1, curried_action_inverse(w))
+    require_flip(w.obj, "pairing the inverse curried action")
+    return _uncurry(curried_action_inverse(w))
 
 
 def pairing_inverse_is_coalg_morphism(w: PostHopfData) -> bool:
@@ -274,17 +311,19 @@ def truss_roundtrip_check(t: HopfTrussData) -> CheckReport:
 def derived_antipode(w: PostHopfData) -> LinMap:
     """``(b (x) id) . ((antipode . cocycle) (x) beta) . c . delta``.
 
-    Needs a cocommutative carrier; then ``c . delta == delta``, so the form
-    without ``c`` is the same map and only this one is built."""
+    Built as ``uncurry(beta) . ((antipode . cocycle) (x) id) . c . delta``,
+    the same map by the interchange law, with ``uncurry(beta)`` read off the
+    entries of ``beta`` by :func:`_uncurry`.  Needs a cocommutative carrier;
+    then ``c . delta == delta``, so the form without ``c`` is the same map
+    and only this one is built."""
     h = w.hopf
     obj = w.obj
     if not check_cocommutative(h):
         raise NotCocommutative("derived antipode needs a cocommutative carrier")
-    pair = require_flip(obj, "derived antipode")
+    require_flip(obj, "derived antipode")
     beta = curried_action_inverse(w)
-    i1 = obj.id(1)
-    return tensor(pair.b, i1) @ (tensor(h.antipode @ w.cocycle, beta)
-                                 @ (obj.braid @ h.delta))
+    return _uncurry(beta) @ (tensor(h.antipode @ w.cocycle, obj.id(1))
+                             @ (obj.braid @ h.delta))
 
 
 def derived_antipode_suite(w: PostHopfData) -> CheckReport:

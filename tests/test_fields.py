@@ -69,6 +69,20 @@ def test_parse_and_format_round_trip():
                 f7.parse(bad)
 
 
+def test_the_zero_token_parses_to_the_int_zero():
+    # "0" skips the regex; "00", "-0" and "0/7" take the general path and
+    # give the same value and type, and what is not a scalar is still refused
+    for fld in (QQ, Field.prime(5)):
+        got = fld.parse("0")
+        assert got == 0 and type(got) is int
+        for token in ("00", "-0") + (("0/7",) if fld is QQ else ()):
+            same = fld.parse(token)
+            assert same == got and type(same) is int
+        for bad in ("0.0", " 0", "0 ", "+0", "O"):
+            with pytest.raises(FieldError):
+                fld.parse(bad)
+
+
 def test_tokens():
     assert QQ.token() == "Q"
     assert Field.prime(5).token() == "GF:5"

@@ -2,6 +2,7 @@
 import copy
 import gc
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -633,6 +634,20 @@ def test_with_entry_refuses_an_index_outside_the_map(i, j, value):
     for m in (identity(QQ, shape(2)), M([[1, 1], [0, 1]])):
         with pytest.raises(ShapeMismatch):
             m.with_entry(i, j, value)
+
+
+@pytest.mark.parametrize("i, j", [(1, -1), (5, 0), (-1, 0), (0, 7)],
+                         ids=["negative-column", "row-past-the-end", "negative-row",
+                              "column-past-the-end"])
+def test_entry_refuses_an_index_outside_the_map(i, j):
+    # unchecked, column -1 reads the last column (1 at (1, -1)), rows 5 and -1
+    # read as 0, and column 7 raises a bare IndexError
+    for m in (identity(QQ, shape(2)), M([[1, 1], [0, 1]])):
+        with pytest.raises(ShapeMismatch) as info:
+            m.entry(i, j)
+        assert str(info.value) == f"entry ({i}, {j}) out of range for [2]->[2]"
+        with pytest.raises(ShapeMismatch, match=re.escape(str(info.value))):
+            m.with_entry(i, j, 1)
 
 
 def test_a_stored_zero_is_no_entry_of_the_monomial_form():

@@ -1,9 +1,12 @@
 """Weak twisted post-Hopf structures: axioms, derived antipode, splitting,
 and the two functors to and from Hopf trusses."""
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfkit.errors import (
     ClassConditionFailed,
@@ -15,9 +18,11 @@ from hopfkit.errors import (
 from hopfkit.factories import group_algebra, linearize_endo, named_endo, sweedler_h4
 from hopfkit.fields import Field, QQ
 from hopfkit.groups import cyclic, group_by_name, symmetric3
-from hopfkit.linmap import LinMap, identity, shape, tensor, zero_map
+from hopfkit.linmap import LinMap, flip, identity, shape, tensor, zero_map
 from hopfkit.post_hopf import (
     PostHopfData,
+    _curry,
+    _uncurry,
     check_post_hopf,
     check_twisted,
     class_condition,
@@ -31,6 +36,8 @@ from hopfkit.post_hopf import (
     induced_bialgebra,
     induced_hopf,
     lemma_suite,
+    pairing_of_curried_action,
+    pairing_of_curried_inverse,
     post_hopf_from_truss,
     roundtrip_check,
     split_idempotent,
@@ -39,10 +46,22 @@ from hopfkit.post_hopf import (
     truss_roundtrip_check,
 )
 from hopfkit.rota_baxter import truss_from_idempotent
-from hopfkit.structures import check_cocommutative, check_hopf, require_flip, solve_antipode
+from hopfkit.structures import (
+    HopfAlgebraData,
+    check_cocommutative,
+    check_hopf,
+    dual_pair,
+    require_flip,
+    solve_antipode,
+)
 from hopfkit.truss import check_truss
 
-from helpers import negated_flip_c2_post_hopf, suite_trusses, zero_action_c2_post_hopf
+from helpers import (
+    negated_flip_c2_post_hopf,
+    rebased,
+    suite_trusses,
+    zero_action_c2_post_hopf,
+)
 
 
 def sign_retraction_post_hopf(fld=QQ):
@@ -306,3 +325,136 @@ def test_gf5_post_hopf():
     ih, sp = induced_hopf(w)
     assert sp.rank == 2
     assert check_hopf(ih).passed
+
+
+# ---------------------------------------------------------------------------
+# currying by index arithmetic against the tensor forms it replaces
+# ---------------------------------------------------------------------------
+
+
+def _curry_by_pairing(m):
+    """``(id (x) m) . (c (x) id) . (id (x) a)``: the curried action as it was
+    built before ``_curry``."""
+    fld, n = m.field, m.cod.total
+    i1 = identity(fld, shape(n))
+    return tensor(i1, m) @ (tensor(flip(fld, n, n), i1) @ tensor(i1, dual_pair(n, fld).a))
+
+
+def _uncurry_by_pairing(m):
+    """``(b (x) id) . (id (x) m)``: the paired map as it was built before
+    ``_uncurry``."""
+    fld, n = m.field, m.dom.total
+    i1 = identity(fld, shape(n))
+    return tensor(dual_pair(n, fld).b, i1) @ tensor(i1, m)
+
+
+def _derived_antipode_by_pairing(w):
+    """``(b (x) id) . ((antipode . cocycle) (x) beta) . c . delta``, as
+    :func:`derived_antipode` built it before the interchange law."""
+    h, obj = w.hopf, w.obj
+    b = dual_pair(obj.dim, obj.field).b
+    return tensor(b, obj.id(1)) @ (tensor(h.antipode @ w.cocycle, curried_action_inverse(w))
+                                   @ (obj.braid @ h.delta))
+
+
+GF5 = Field.prime(5)
+# zeros are stored raw; on Q, Fraction values, one of them equal to one
+CURRY_SCALARS = {
+    QQ: st.sampled_from([0, 1, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(1),
+                         Fraction(0)]),
+    GF5: st.sampled_from([0, 1, 1, 2, 3, 4]),
+}
+
+
+@st.composite
+def _raw_map(draw, fld, dom, cod):
+    """A map ``dom -> cod`` as raw columns, each empty or of up to three
+    entries (one, when the map is drawn monomial)."""
+    most = draw(st.sampled_from([1, 3]))
+    return LinMap(fld, dom, cod, tuple(
+        {r: draw(CURRY_SCALARS[fld])
+         for r in draw(st.lists(st.integers(0, cod.total - 1), max_size=most, unique=True))}
+        for _ in range(dom.total)))
+
+
+def _typed(m):
+    """The columns of ``m`` with each value paired with its type."""
+    return [{r: (v, type(v)) for r, v in c.items()} for c in m.cols]
+
+
+def _nonzero_cols(m):
+    return tuple({r: v for r, v in c.items() if v} for c in m.cols)
+
+
+def _held(m):
+    """The nonzero values of ``m`` with their types, as a multiset."""
+    return Counter((v, type(v)) for c in m.cols for v in c.values() if v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([QQ, GF5]), st.integers(1, 4))
+def test_currying_agrees_with_the_pairing_forms(data, fld, n):
+    m = data.draw(_raw_map(fld, shape(n, n), shape(n)), label="action")
+    got, want = _curry(m), _curry_by_pairing(m)
+    assert (got.field, got.dom, got.cod) == (want.field, want.dom, want.cod)
+    assert _typed(got) == _typed(want)
+    assert _held(got) == _held(m)
+    m = data.draw(_raw_map(fld, shape(n), shape(n, n)), label="curried")
+    got, want = _uncurry(m), _uncurry_by_pairing(m)
+    assert (got.field, got.dom, got.cod) == (want.field, want.dom, want.cod)
+    # in a column of one entry the pairing form keeps a raw zero of m, and,
+    # as compose shares a column of b for a factor equal to one, holds b's
+    # int one for a Fraction equal to one; the index arithmetic stores no
+    # zero and copies each value of m, type and all
+    assert got.cols == _nonzero_cols(want)
+    assert _held(got) == _held(m)
+
+
+@st.composite
+def _derived_antipode_problem(draw):
+    """A cocommutative Hopf algebra on ``n = 1..4`` (a cyclic group algebra,
+    or the same in a basis where its structure maps are dict-held), a raw
+    cocycle, and a raw map standing in for the curried inverse ``beta``."""
+    fld = draw(st.sampled_from([QQ, GF5]))
+    n = draw(st.integers(1, 4))
+    h = group_algebra(cyclic(n), fld)
+    if draw(st.booleans()):
+        b = rebased(h)
+        h = HopfAlgebraData(b.obj, b.eta, b.mu, b.eps, b.delta, solve_antipode(b))
+    w = PostHopfData(hopf=h, action=tensor(h.eps, h.obj.id(1)),
+                     cocycle=draw(_raw_map(fld, shape(n), shape(n))))
+    w._beta = draw(_raw_map(fld, shape(n), shape(n, n)))
+    return w
+
+
+@settings(max_examples=150, deadline=None)
+@given(_derived_antipode_problem())
+def test_derived_antipode_agrees_with_its_pairing_form(w):
+    got, want = derived_antipode(w), _derived_antipode_by_pairing(w)
+    assert (got.field, got.dom, got.cod) == (want.field, want.dom, want.cod)
+    # a raw zero of the cocycle leaves a stored zero on either side; and
+    # where a product has a factor equal to one the kernel copies the other,
+    # which the two forms meet in a different order, so over Q an integral
+    # value may be an int on one side and a Fraction on the other: values
+    # are compared, not types (fields.py: equality, not type, is the contract)
+    assert _nonzero_cols(got) == _nonzero_cols(want)
+
+
+def test_currying_makes_no_tensor_and_the_antipode_no_kronecker_product(monkeypatch):
+    from hopfkit import linmap, post_hopf, structures
+    w = conjugation_post_hopf(group_algebra(group_by_name("D4"), QQ))
+    curried_action_inverse(w)  # the solve is not what is counted here
+    calls = Counter()
+    for mod in (linmap, post_hopf, structures):
+        real = mod.tensor
+        monkeypatch.setattr(mod, "tensor",
+                            lambda *a, real=real: calls.update(["tensor"]) or real(*a))
+    real_kron = linmap._kron_all
+    monkeypatch.setattr(linmap, "_kron_all",
+                        lambda *a: calls.update(["_kron_all"]) or real_kron(*a))
+    for build in (curried_action, pairing_of_curried_action, pairing_of_curried_inverse):
+        build(w)
+    assert calls == {}
+    s = derived_antipode(w)
+    assert calls["_kron_all"] == 0
+    assert s == w.hopf.antipode
