@@ -114,7 +114,8 @@ class TNotInvertible(NotInvertible):
 
 
 class NonSymmetricBraiding(MathFailure):
-    """A duality-based construction needs the flip braiding."""
+    """Currying an action needs the flip braiding: the basis pairing through
+    which ``H*`` is read is a map of braided objects only for the flip."""
 
 
 class PreconditionNotMet(MathFailure):

@@ -37,7 +37,8 @@ object:
 * ``tensor`` of two monomial maps is lazy: it keeps its factors, and column
   ``j`` of ``f (x) g`` has its entry in row
   ``f.rows[j // ng] * g.cod.total + g.rows[j % ng]``, ``ng = g.dom.total``.
-  Any other product is built whole, column by column, by ``_kron_col``.
+  Any other product is built whole by ``_kron_all``, its columns filled
+  from the entries ``_pair`` lists.
 * ``compose(g, f)`` reads every column of ``f`` and gathers, in one batch,
   only the entries of ``g`` at the rows that ``f`` references.  For a lazy
   ``g`` the gather recurses into the factors, so a product's row tuple is
@@ -50,10 +51,11 @@ object:
 * ``first_mismatch`` compares two monomial maps tuple against tuple.  Only
   when they differ does it scan dict columns for the witness.
 * ``_terms`` lists the entries of a map as ``(column, row, value)`` triples.
-  On a lazy product it pairs the entries of the two factors, so a product
-  with few entries among many columns, such as the dual algebra's ``mu``
-  (``n^3`` entries in ``n^4`` columns), is listed in time proportional to
-  its entries and stays lazy.
+  On a lazy product it pairs the entries of the two factors with ``_pair``,
+  the one Kronecker rule for entries, so a product with few entries among
+  many columns, such as the dual algebra's ``mu`` (``n^3`` entries in
+  ``n^4`` columns), is listed in time proportional to its entries and stays
+  lazy.
 
 The ``cols`` of a monomial map are built on first read and kept, for the
 readers outside the kernel (the solver, file output, ``entries()``).  A
@@ -324,7 +326,7 @@ def _gather(m: LinMap, idx=None):
         rows = tuple([a * ncg + b if a >= 0 and b >= 0 else -1 for a, b in zip(fr, gr)])
     if fv is not None:
         one, mul = m.field.one, m.field.mul
-        # the rule of _kron_col: a factor equal to one is copied, not multiplied
+        # the rule of _pair: a factor equal to one is copied, not multiplied
         gv = tuple([b if a == one else a if b == one else mul(a, b)
                     for a, b in zip(fv, repeat(one) if gv is None else gv)])
     if idx is None:  # kept, as ``cols`` keeps the columns it builds
@@ -342,11 +344,17 @@ def _terms(m: LinMap) -> list:
     if m.factors is None:
         vals = repeat(m.field.one) if m.vals is None else m.vals
         return [(c, r, v) for c, (r, v) in enumerate(zip(m.rows, vals)) if r >= 0]
-    f, g = m.factors
+    return _pair(*m.factors)
+
+
+def _pair(f: LinMap, g: LinMap) -> list:
+    """The entries of ``f (x) g`` as ``(column, row, value)`` triples: each
+    entry of ``f`` with each entry of ``g``, so no empty column is visited."""
     ng, ncg = g.dom.total, g.cod.total
-    one, mul = m.field.one, m.field.mul
+    one, mul = f.field.one, f.field.mul
     gterms = _terms(g)
-    # the values of _gather: a factor equal to one is copied, not multiplied
+    # a factor equal to one is copied, not multiplied: structure maps hold
+    # mostly ones, and ``== one`` on an int costs far less than ``mul``
     return [(cf * ng + cg, rf * ncg + rg, b if a == one else a if b == one else mul(a, b))
             for cf, rf, a in _terms(f) for cg, rg, b in gterms]
 
@@ -439,33 +447,12 @@ def tensor(*maps: LinMap) -> LinMap:
     return out
 
 
-def _kron_col(fitems, gcol, one, mul) -> dict:
-    """The Kronecker column ``fcol (x) gcol``, given ``fcol`` as ``(first
-    row, value)`` items with ``None`` for a value equal to one."""
-    # a factor equal to one is copied, not multiplied: structure maps hold
-    # mostly ones, and ``== one`` on an int costs far less than ``mul``
-    col = {}
-    for base, vf in fitems:
-        if vf is None:
-            for i_g, vg in gcol.items():
-                col[base + i_g] = vg
-        else:
-            for i_g, vg in gcol.items():
-                col[base + i_g] = vf if vg == one else mul(vf, vg)
-    return col
-
-
 def _kron_all(f: LinMap, g: LinMap) -> tuple:
-    """Every column of ``f (x) g``, in order."""
-    one, mul = f.field.one, f.field.mul
-    ncg = g.cod.total
-    gcols = g.cols
-    out = []
-    for fcol in f.cols:
-        # each value of f is compared with one once, not once per column of g
-        fitems = [(i * ncg, None if v == one else v) for i, v in fcol.items()]
-        out.extend([_kron_col(fitems, gcol, one, mul) for gcol in gcols])
-    return tuple(out)
+    """Every column of ``f (x) g``, in order, filled from :func:`_pair`."""
+    cols = [{} for _ in range(f.dom.total * g.dom.total)]
+    for c, r, v in _pair(f, g):
+        cols[c][r] = v
+    return tuple(cols)
 
 
 def flip(field: Field, m: int, n: int) -> LinMap:

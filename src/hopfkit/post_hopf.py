@@ -18,11 +18,14 @@ trusses, the derived antipode of the derived product (for cocommutative
 carriers), and the bialgebra/Hopf structure induced on the image of the
 (idempotent) cocycle.
 
-Currying needs the flip braiding ``c`` and the basis pairing ``a``/``b`` of
-:func:`~hopfkit.structures.dual_pair`, under which each use of the pairing
-is a reindexing of entries: :func:`_curry` and :func:`_uncurry` copy the
-entries directly, and no tensor product or composite with ``a`` or ``b`` is
-built.  The maps that use them equal these tensor forms:
+Currying reads ``H*`` through the basis pairing of ``H`` with itself: the
+coevaluation ``a = sum_i e_i (x) e_i``, a map from the ground field to
+``H (x) H``, and the evaluation ``b(e_i (x) e_j) = [i == j]``, a map from
+``H (x) H`` to the ground field.  Under the flip braiding ``c``, which every
+currying map demands, each use of ``a`` or ``b`` is a reindexing of entries:
+:func:`_curry` and :func:`_uncurry` copy the entries directly, and no
+tensor product or composite with ``a`` or ``b`` is built.  The maps that
+use them equal these tensor forms:
 
     curried_action              = (id (x) action) . (c (x) id) . (id (x) a)
     pairing_of_curried_action   = (b (x) id) . (id (x) alpha)

@@ -408,6 +408,11 @@ def save(sf: StructureFile, path: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hopfkit-", suffix=".tmp")
     try:
+        # mkstemp makes the file owner-only; give it the mode a plain open
+        # would, 0o666 less the umask, which can only be read by setting it
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(data)
         os.replace(tmp, path)

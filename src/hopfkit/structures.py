@@ -14,8 +14,9 @@ Design rules, applied uniformly:
 * every law is a row ``(law id, lhs, rhs)`` with zero-argument sides, built and
   compared only in :meth:`CheckReport.laws`; a gate hands it its rows with its
   skip reason, so a law id is written once and a skipped law builds no map;
-* constructions that need the dual object (evaluation/coevaluation pairing)
-  insist on the flip braiding and raise ``NonSymmetricBraiding`` otherwise.
+* currying an action reads ``H*`` through the basis pairing, a map of braided
+  objects only under the flip, so a construction that curries insists on the
+  flip braiding and raises ``NonSymmetricBraiding`` otherwise.
 """
 from __future__ import annotations
 
@@ -339,14 +340,6 @@ class HopfAlgebraData:
     def as_coalgebra(self) -> CoalgebraData:
         """The coalgebra part alone, as a value of its own."""
         return CoalgebraData(self.obj, self.eps, self.delta)
-
-
-@dataclass
-class DualityData:
-    """Coevaluation/evaluation of a self-dual basis: ``a: [] -> [n,n]``, ``b: [n,n] -> []``."""
-
-    a: LinMap
-    b: LinMap
 
 
 # ---------------------------------------------------------------------------
@@ -690,39 +683,26 @@ def cocommutativity_class_check(f: LinMap, coalg) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# duality (flip braiding only)
+# currying: the flip gate and the matrix algebra
 # ---------------------------------------------------------------------------
 
 
-def dual_pair(dim: int, fld: Field) -> DualityData:
-    """The basis self-pairing: coevaluation ``a = sum_i e_i (x) e_i`` (one
-    dict column) and evaluation ``b(e_i (x) e_j) = [i == j]`` (monomial).  A
-    constant of ``dim``: the tests, not this code, assert its snake identities."""
-    n = dim
-    nn = TensorShape((n, n))
-    a = LinMap(fld, UNIT_SHAPE, nn, ({i * n + i: fld.one for i in range(n)},))
-    b = LinMap(fld, nn, UNIT_SHAPE,
-               rows=tuple([-1 if j % (n + 1) else 0 for j in range(n * n)]))
-    return DualityData(a=a, b=b)
-
-
-def require_flip(obj: BraidedObject, what: str) -> DualityData:
-    """:func:`dual_pair` of ``obj``, built afresh (nothing is cached); flip braiding only."""
+def require_flip(obj: BraidedObject, what: str) -> None:
+    """Raise :class:`NonSymmetricBraiding` unless ``obj`` has the flip braiding."""
     if not obj.is_flip:
         raise NonSymmetricBraiding(f"{what} needs the flip braiding")
-    return dual_pair(obj.dim, obj.field)
 
 
 def dual_algebra(dim: int, fld: Field) -> AlgebraData:
-    """The endomorphism algebra on :func:`dual_pair`, as a dim^2 object.
-
-    Product ``id (x) b (x) id`` (composition through the pairing), unit the
-    coevaluation.  The one builder of the target algebra for convolution
-    inverses of curried actions.
-    """
-    pair = dual_pair(dim, fld)
+    """The algebra of ``dim x dim`` matrices, as a dim^2 object: the product
+    ``E_ij E_kl = [j == k] E_il`` is the lazy ``id (x) b (x) id``, with ``b``
+    the basis contraction ``e_j (x) e_k -> [j == k]``, and the unit is
+    ``sum_i E_ii``.  The target algebra of every curried-action inverse."""
     n2 = dim * dim
     i1 = identity(fld, TensorShape((dim,)))
-    mu = tensor(i1, pair.b, i1).reshape(TensorShape((n2, n2)), TensorShape((n2,)))
-    eta = pair.a.reshape(UNIT_SHAPE, TensorShape((n2,)))
+    b = LinMap(fld, TensorShape((dim, dim)), UNIT_SHAPE,
+               rows=tuple([-1 if j % (dim + 1) else 0 for j in range(n2)]))
+    mu = tensor(i1, b, i1).reshape(TensorShape((n2, n2)), TensorShape((n2,)))
+    eta = LinMap(fld, UNIT_SHAPE, TensorShape((n2,)),
+                 ({i * dim + i: fld.one for i in range(dim)},))
     return AlgebraData(BraidedObject(fld, n2), eta, mu)

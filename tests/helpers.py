@@ -31,6 +31,17 @@ def monoid_bialgebra(fld=QQ):
     return BialgebraData(obj, eta, mu, eps, delta)
 
 
+def dual_pair(n, fld=QQ):
+    """The basis pairing of ``[n]`` with itself, ``(a, b)``: coevaluation
+    ``a = sum_i e_i (x) e_i`` and evaluation ``b(e_i (x) e_j) = [i == j]``.
+    The reference the currying tests compare the index arithmetic against."""
+    nn = TensorShape((n, n))
+    a = LinMap.from_cols(fld, UNIT_SHAPE, nn, [{i * n + i: 1 for i in range(n)}])
+    b = LinMap.from_cols(fld, nn, UNIT_SHAPE,
+                         [{0: 1} if i == j else {} for i in range(n) for j in range(n)])
+    return a, b
+
+
 def rank_of(m):
     """The rank of ``m``: the number of pivots ``rref`` finds in its rows."""
     return len(rref(_rows_of(m), m.dom.total, m.field)[1])

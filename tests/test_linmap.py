@@ -318,13 +318,13 @@ def test_tensor_read_in_full_drops_its_operands(read):
 
 def test_repr_of_an_unread_product_builds_no_column(monkeypatch):
     built = []
-    build = linmap._kron_col
+    build = linmap._kron_all
 
     def counted(*args):
         built.append(args)
         return build(*args)
 
-    monkeypatch.setattr(linmap, "_kron_col", counted)
+    monkeypatch.setattr(linmap, "_kron_all", counted)
     i1 = identity(QQ, shape(4))
     k = tensor(i1, flip(QQ, 4, 4), i1)
     assert repr(k) == "LinMap(Q, [4,4,4,4]->[4,4,4,4])"
@@ -495,6 +495,22 @@ def _forms(fld, nr, nc, cols):
     return mono, held
 
 
+@st.composite
+def _held_map(draw, fld, nr, nc):
+    """A dict-held map ``[nc] -> [nr]`` whose columns hold up to three raw
+    entries, stored zeros among them; column 0 holds two at least, so that
+    the map is not monomial (``nr >= 2`` and ``nc >= 1``)."""
+    cols = [{r: draw(LAZY_SCALARS[fld])
+             for r in draw(st.lists(st.integers(0, nr - 1), min_size=2 if j == 0 else 0,
+                                    max_size=3, unique=True))}
+            for j in range(nc)]
+    if fld is QQ and draw(st.booleans()):
+        cols = [{i: Fraction(v) for i, v in c.items()} for c in cols]
+    m = LinMap(fld, shape(nc), shape(nr), tuple(cols))
+    assert not m.monomial
+    return m
+
+
 def _product(g, f):
     """``g . f`` from the dense entries, through the field."""
     fld = g.field
@@ -547,8 +563,14 @@ def test_monomial_tensor_agrees_with_the_eager_reference(data):
     for k in range(data.draw(st.integers(2, 3), label="factors")):
         # two columns at least, so that a dict-held map can follow the product
         nr, nc = data.draw(st.integers(2, 3), label="rows"), data.draw(st.integers(1 if k else 2, 3), label="cols")
-        forms = _forms(fld, nr, nc, data.draw(_mono_cols(fld, nr, nc), label=f"factor {k}"))
-        maps.append(forms[data.draw(st.integers(0, 1), label=f"held {k}")])
+        # monomial, dict-held by stored zeros only, or dict-held with columns
+        # of several entries
+        form = data.draw(st.integers(0, 2), label=f"form {k}")
+        if form < 2:
+            forms = _forms(fld, nr, nc, data.draw(_mono_cols(fld, nr, nc), label=f"factor {k}"))
+            maps.append(forms[form])
+        else:
+            maps.append(data.draw(_held_map(fld, nr, nc), label=f"factor {k}"))
     ref = _tensor_eager(*maps)
     lazy = tensor(*maps)
     assert lazy.factors is not None or not all(m.monomial for m in maps)

@@ -72,6 +72,24 @@ def test_atomic_save_leaves_no_temp_files(tmp_path):
     assert load(path).structure == sf.structure
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_save_gives_the_mode_a_plain_open_gives(tmp_path, umask, mode):
+    sf = StructureFile("hopf", group_algebra(cyclic(3), QQ))
+    new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+    old.write_text("an older file\n")
+    os.chmod(old, 0o640)
+    before = os.umask(umask)
+    try:
+        save(sf, str(new))
+        save(sf, str(old))
+    finally:
+        os.umask(before)
+    for path in (new, old):
+        assert os.stat(path).st_mode & 0o777 == mode
+        assert path.read_bytes() == dumps(sf).encode("utf-8")
+
+
 def test_wrong_entry_count_is_shape_error():
     text = dumps(StructureFile("hopf", group_algebra(cyclic(2), QQ)))
     broken = text.replace("map lambda: 2x2", "map lambda: 2x3")

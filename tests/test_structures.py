@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    dual_pair,
     monoid_bialgebra,
     negated_flip,
     rebased,
@@ -44,7 +45,6 @@ from hopfkit.structures import (
     convolution_unit,
     coalgebra_morphism_report,
     dual_algebra,
-    dual_pair,
     require_flip,
     solve_antipode,
 )
@@ -440,7 +440,7 @@ def test_convolution_inverse_builds_no_kronecker_product_before_its_solve(monkey
         problem = _curried_problem(_dihedral_conjugation(k))
         calls.clear()
         with monkeypatch.context() as m:
-            for module, name in ((solve_module, "rref"), (linmap, "_kron_col"),
+            for module, name in ((solve_module, "rref"), (linmap, "_kron_all"),
                                  (structures, "tensor"), (linmap, "compose")):
                 m.setattr(module, name, counting(name, getattr(module, name)))
             convolution_inverse(*problem)
@@ -487,23 +487,24 @@ def test_cocommutativity_class_check():
 
 
 def test_dual_pair_snake():
-    d = dual_pair(3, QQ)
+    a, b = dual_pair(3, QQ)
     i1 = identity(QQ, shape(3))
-    assert tensor(d.b, i1) @ tensor(i1, d.a) == i1
-    assert tensor(i1, d.b) @ tensor(d.a, i1) == i1
+    assert tensor(b, i1) @ tensor(i1, a) == i1
+    assert tensor(i1, b) @ tensor(a, i1) == i1
 
 
 @pytest.mark.parametrize("fld", [QQ, Field.prime(2), Field.prime(5)], ids=["Q", "GF2", "GF5"])
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 16])
 def test_dual_pair_snake_identities(fld, n):
-    d = dual_pair(n, fld)
+    # the snake identities of the reference pairing the currying tests use
+    a, b = dual_pair(n, fld)
     i1 = identity(fld, shape(n))
-    assert tensor(d.b, i1) @ tensor(i1, d.a) == i1
-    assert tensor(i1, d.b) @ tensor(d.a, i1) == i1
-    assert d.b.rows is not None and d.b.vals is None
+    assert tensor(b, i1) @ tensor(i1, a) == i1
+    assert tensor(i1, b) @ tensor(a, i1) == i1
+    assert b.rows is not None and b.vals is None
 
 
-def test_dual_pair_and_require_flip_make_no_kernel_call(monkeypatch):
+def test_require_flip_returns_none_and_makes_no_kernel_call(monkeypatch):
     calls = collections.Counter()
 
     def spy(mod, name):
@@ -511,12 +512,12 @@ def test_dual_pair_and_require_flip_make_no_kernel_call(monkeypatch):
         monkeypatch.setattr(mod, name, lambda *a: calls.update([name]) or real(*a))
 
     for mod, name in ((linmap, "tensor"), (linmap, "compose"),
-                      (linmap, "first_mismatch"), (structures, "tensor")):
+                      (linmap, "first_mismatch"), (structures, "tensor"),
+                      (structures, "identity"), (structures, "flip")):
         spy(mod, name)
     for fld in (QQ, Field.prime(5)):
         for n in (1, 3, 8):
-            dual_pair(n, fld)
-            require_flip(BraidedObject(fld, n), "x")
+            assert require_flip(BraidedObject(fld, n), "x") is None
     assert calls == {}
 
 
@@ -536,6 +537,17 @@ def test_dual_algebra_is_matrix_unit_composition():
     col = da.mu.cols[s2.index((unit(0, 1), unit(1, 2)))]
     assert col == {unit(0, 2): QQ.one}
     assert da.mu.cols[s2.index((unit(0, 1), unit(0, 1)))] == {}
+
+
+@pytest.mark.parametrize("fld", [QQ, Field.prime(5)], ids=["Q", "GF5"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dual_algebra_is_a_unital_algebra_with_a_lazy_product(fld, n):
+    da = dual_algebra(n, fld)
+    assert da.mu.factors is not None
+    # the unit is the identity matrix, sum_i E_ii
+    assert da.eta.cols == ({i * n + i: fld.one for i in range(n)},)
+    rep = CheckReport().laws(structures._algebra_rows(da))
+    assert rep.passed and len(rep.results) == 3, str(rep)
 
 
 def test_gf5_group_algebra():

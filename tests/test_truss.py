@@ -168,13 +168,14 @@ def dihedral_identity_truss(k):
     return truss_from_idempotent(group_algebra(g, QQ), q)
 
 
-# Dict columns one check_truss builds, by the two column builders: Kronecker
-# columns (``_kron_col``) and the columns of a monomial map (``_dict_cols``).
+# Dict columns one check_truss builds, by the two column builders: the columns
+# of a dict-held Kronecker product (``_kron_all``) and the columns of a
+# monomial map (``_dict_cols``).
 # Every map of a group algebra is monomial, so its laws are checked by index
 # arithmetic alone.  The counts are exact, and every law side must be
 # monomial, so a law side that falls back to dict columns fails the test.
-DICT_COLUMNS = {8: {"_kron_col": 0, "_dict_cols": 0},
-                12: {"_kron_col": 0, "_dict_cols": 0}}
+DICT_COLUMNS = {8: {"_kron_all": 0, "_dict_cols": 0},
+                12: {"_kron_all": 0, "_dict_cols": 0}}
 
 
 @pytest.mark.parametrize("k", sorted(DICT_COLUMNS))
@@ -189,7 +190,7 @@ def test_check_truss_builds_few_kronecker_columns(monkeypatch, k):
             return out
         return wrapped
 
-    monkeypatch.setattr(linmap, "_kron_col", counted("_kron_col", linmap._kron_col, lambda c: 1))
+    monkeypatch.setattr(linmap, "_kron_all", counted("_kron_all", linmap._kron_all, len))
     monkeypatch.setattr(linmap, "_dict_cols", counted("_dict_cols", linmap._dict_cols, len))
     sides = []
     compare = structures.first_mismatch
