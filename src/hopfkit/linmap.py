@@ -39,11 +39,20 @@ object:
   ``f.rows[j // ng] * g.cod.total + g.rows[j % ng]``, ``ng = g.dom.total``.
   Any other product is built whole by ``_kron_all``, its columns filled
   from the entries ``_pair`` lists.
-* ``compose(g, f)`` reads every column of ``f`` and gathers, in one batch,
-  only the entries of ``g`` at the rows that ``f`` references.  For a lazy
-  ``g`` the gather recurses into the factors, so a product's row tuple is
-  built only when it is read whole.  A law side is therefore written right
-  to left: in ``mu @ (tensor(mu, mu) @ (tensor(i1, c, i1) @ tensor(delta, delta)))``
+* ``compose(g, f)`` of two lazy products whose factors line up
+  (``g1.dom == f1.cod`` and ``g2.dom == f2.cod``) follows the mixed-product
+  rule ``(g1 (x) g2)(f1 (x) f2) = g1 f1 (x) g2 f2``: the result is the lazy
+  product of the two smaller composites, labelled ``f.dom -> g.cod``.  So
+  ``(id (x) c (x) id) . (delta (x) id (x) id)`` costs ``n^2``, not ``n^3``.
+* Otherwise ``compose`` reads every column of ``f`` and gathers, in one
+  batch, only the entries of ``g`` at the rows that ``f`` references.  A
+  lazy ``g`` of two stored factors is read in one pass over those rows; a
+  deeper product splits them into one list per factor and recurses, so a
+  product's row tuple is built only when it is read whole.  A stored ``g``
+  after a product of two stored factors, all of unit entries (``mu @
+  tensor(mu, id)``), is read in the same pass that walks the product's
+  columns.  A law side is therefore written right to left: in
+  ``mu @ (tensor(mu, mu) @ (tensor(i1, c, i1) @ tensor(delta, delta)))``
   the ``n^4``-column ``tensor(i1, c, i1)`` is read at ``n^2`` columns only.
 * Mixed operands: a monomial ``g`` after a dict-held ``f`` is gathered at the
   rows ``f`` holds, and a dict-held ``g`` after a monomial ``f`` hands out the
@@ -148,7 +157,9 @@ class LinMap:
         self.cod = cod
         # the monomial form (see the module docstring): ``rows`` and ``vals``,
         # or, for a lazy product, its two monomial ``factors``; dict columns
-        # of one entry at most are read into it here and nowhere else
+        # of one entry at most are read into it here and nowhere else.  The
+        # factors' shapes need not concatenate to ``dom`` and ``cod``: only
+        # the totals agree, because ``reshape`` keeps the factors
         if rows is None and factors is None and all(len(c) <= 1 for c in cols):
             rows, vals = _monomial(cols, field.one)
         self._cols = cols
@@ -312,6 +323,7 @@ def _gather(m: LinMap, idx=None):
     # column j of the product reads column j // ng of f and j % ng of g
     f, g = m.factors
     ng, ncg = g.dom.total, g.cod.total
+    one = m.field.one
     if idx is None:
         (fr, fv), (gr, gv) = _gather(f), _gather(g)
         rows = tuple([a + b if a >= 0 and b >= 0 else -1
@@ -319,13 +331,25 @@ def _gather(m: LinMap, idx=None):
         gv = None if gv is None else gv * len(fr)
         if fv is not None:
             fv = [a for a in fv for _ in range(ng)]
-    else:
+    elif f.factors is None and g.factors is None:
+        # two stored factors: each column is read in one pass, not split into
+        # an index list per factor
         ng = ng or 1  # a product with no column reads only column -1
+        fr, gr = f.rows + (-1,), g.rows + (-1,)
+        rows = tuple([a * ncg + b if (a := fr[k // ng]) >= 0 and (b := gr[k % ng]) >= 0
+                      else -1 for k in idx])
+        if f.vals is None and g.vals is None:
+            return rows, None
+        fv = (one,) * len(fr) if f.vals is None else f.vals + (one,)
+        gv = (one,) * len(gr) if g.vals is None else g.vals + (one,)
+        fv, gv = [fv[k // ng] for k in idx], [gv[k % ng] for k in idx]
+    else:
+        ng = ng or 1
         fr, fv = _gather(f, [k // ng for k in idx])
         gr, gv = _gather(g, [k % ng for k in idx])
         rows = tuple([a * ncg + b if a >= 0 and b >= 0 else -1 for a, b in zip(fr, gr)])
     if fv is not None:
-        one, mul = m.field.one, m.field.mul
+        mul = m.field.mul
         # the rule of _pair: a factor equal to one is copied, not multiplied
         gv = tuple([b if a == one else a if b == one else mul(a, b)
                     for a, b in zip(fv, repeat(one) if gv is None else gv)])
@@ -385,6 +409,21 @@ def compose(g: LinMap, f: LinMap) -> LinMap:
     if f.cod != g.dom:
         raise ShapeMismatch(f"cannot compose: {f.dom}->{f.cod} then {g.dom}->{g.cod}")
     field = g.field
+    if (g.factors is not None and f.factors is not None
+            and g.factors[0].dom == f.factors[0].cod and g.factors[1].dom == f.factors[1].cod):
+        # the mixed-product rule: (g1 (x) g2)(f1 (x) f2) = g1 f1 (x) g2 f2
+        (g1, g2), (f1, f2) = g.factors, f.factors
+        return LinMap(field, f.dom, g.cod, factors=(compose(g1, f1), compose(g2, f2)))
+    if (f.factors is not None and g.rows is not None and g.vals is None
+            and all(h.rows is not None and h.vals is None for h in f.factors)):
+        # a stored g after a product of two stored factors, all of unit
+        # entries: column j of g.f is column (row j of the product) of g,
+        # read in the one pass that walks the product's columns
+        f1, f2 = f.factors
+        grows, ncg = g.rows + (-1,), f2.cod.total
+        return LinMap(field, f.dom, g.cod, rows=tuple([
+            grows[a + b if a >= 0 and b >= 0 else -1]
+            for a in [a * ncg for a in f1.rows] for b in f2.rows]))
     mul, add, one = field.mul, field.add, field.one
     if f.monomial:
         fr, fv = _gather(f)

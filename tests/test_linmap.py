@@ -16,6 +16,7 @@ from hopfkit.linmap import (
     LinMap,
     TensorShape,
     UNIT_SHAPE,
+    compose,
     first_mismatch,
     flip,
     identity,
@@ -589,6 +590,119 @@ def test_monomial_tensor_agrees_with_the_eager_reference(data):
     assert first_mismatch(tensor(*maps), mutant) == _first_mismatch_scan(ref, mutant)
     assert first_mismatch(mutant, tensor(*maps)) == _first_mismatch_scan(mutant, ref)
     assert _nonzero(lazy.cols) == _nonzero(ref.cols)
+
+
+# -- composites of two products against the eager reference -----------------------
+
+
+@st.composite
+def _unit_or_mono_cols(draw, fld, nr, nc):
+    """Raw columns of a monomial map: unit entries only, the form of a
+    structure map, or any of :func:`_mono_cols`."""
+    if draw(st.booleans()):
+        return [{draw(st.integers(0, nr - 1)): 1} if nr and draw(st.booleans()) else {}
+                for _ in range(nc)]
+    return draw(_mono_cols(fld, nr, nc))
+
+
+@st.composite
+def _stored(draw, fld, dom, cod):
+    m = LinMap(fld, dom, cod, tuple(draw(_unit_or_mono_cols(fld, cod.total, dom.total))))
+    assert m.rows is not None
+    return m
+
+
+# the factor shapes of f = f1 (x) f2 and g = g1 (x) g2 for g . f, as
+# (f1.cod, f2.cod, g1.dom, g2.dom, middle): a "reshaped" product is relabelled
+# to the middle shape [a*b], which its factors' shapes do not concatenate to
+PRODUCT_LAYOUTS = {
+    "aligned": lambda a, b, c: ((a,), (b,), (a,), (b,), None),
+    "misaligned": lambda a, b, c: ((a,), (b, c), (a, b), (c,), None),
+    "reshaped": lambda a, b, c: ((a,), (b,), (a,), (b,), (a * b,)),
+    "reshaped-misaligned": lambda a, b, c: ((a,), (b,), (b,), (a,), (a * b,)),
+}
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_composite_of_two_products_agrees_with_the_eager_reference(data):
+    # tensor(g1, g2) @ tensor(f1, f2), whatever the compose rule that applies,
+    # holds the entries of the eager composite, labelled f.dom -> g.cod, and
+    # gives its witness against a mutated copy; so does a stored or dict-held
+    # map after the product f
+    fld = data.draw(st.sampled_from((QQ, GF5)), label="field")
+    layout = data.draw(st.sampled_from(sorted(PRODUCT_LAYOUTS)), label="layout")
+    dims = data.draw(st.lists(st.integers(1, 3), min_size=7, max_size=7), label="dims")
+    zero = data.draw(st.sampled_from((None, None, None, *range(7))), label="zero-size")
+    if zero is not None:
+        dims[zero] = 0
+    p, q, r, s, a, b, c = dims
+    f1cod, f2cod, g1dom, g2dom, middle = PRODUCT_LAYOUTS[layout](a, b, c)
+    f1 = data.draw(_stored(fld, shape(p), shape(*f1cod)), label="f1")
+    f2 = data.draw(_stored(fld, shape(q), shape(*f2cod)), label="f2")
+    g1 = data.draw(_stored(fld, shape(*g1dom), shape(r)), label="g1")
+    g2 = data.draw(_stored(fld, shape(*g2dom), shape(s)), label="g2")
+
+    def relabel(m, dom, cod):
+        return m if middle is None else m.reshape(dom, cod)
+
+    def operands():
+        # fresh each time: comparing a lazy composite reads it whole
+        return (relabel(tensor(g1, g2), shape(*middle or ()), shape(r * s)),
+                relabel(tensor(f1, f2), shape(p * q), shape(*middle or ())))
+
+    ref_g = relabel(_tensor_eager(g1, g2), shape(*middle or ()), shape(r * s))
+    ref_f = relabel(_tensor_eager(f1, f2), shape(p * q), shape(*middle or ()))
+    ref = _product(ref_g, ref_f)
+    g, f = operands()
+    # g read by index: some columns, in any order, repeated, -1 as empty
+    n = ref_g.dom.total
+    idx = data.draw(st.lists(st.integers(-1, n - 1), max_size=2 * n), label="read")
+    read = linmap._dict_cols(*linmap._gather(g, idx), fld.one)
+    assert _nonzero(read) == _nonzero([ref_g.cols[k] if k >= 0 else {} for k in idx])
+    got = g @ f
+    assert (got.dom, got.cod) == (f.dom, g.cod)
+    if layout in ("aligned", "reshaped"):
+        assert got.factors is not None
+    assert first_mismatch(got, ref) is None and first_mismatch(ref, got) is None
+    if ref.dom.total and ref.cod.total:
+        mutant = _bumped(data, ref)
+        assert first_mismatch(compose(*operands()), mutant) == _first_mismatch_scan(ref, mutant)
+        assert first_mismatch(mutant, compose(*operands())) == _first_mismatch_scan(mutant, ref)
+    if f.cod.total:
+        nr = data.draw(st.integers(2, 3), label="h rows")
+        cols = data.draw(_unit_or_mono_cols(fld, nr, f.cod.total), label="h")
+        for h in _forms(fld, nr, f.cod.total, cols):
+            h = h.reshape(f.cod, h.cod)
+            assert first_mismatch(h @ operands()[1], _product(h, ref_f)) is None
+
+
+def test_aligned_compose_stays_a_lazy_product():
+    # the mixed-product rule keeps a product lazy, labelled f.dom -> g.cod
+    i2, a = identity(QQ, shape(2)), M([[0, 2], [1, 0]])
+    g = tensor(flip(QQ, 2, 3), i2)
+    f = tensor(flip(QQ, 3, 2), a)
+    got = g @ f
+    assert got.factors is not None
+    assert (got.dom, got.cod) == (f.dom, g.cod) == (shape(3, 2, 2), shape(3, 2, 2))
+    ref = _product(_tensor_eager(flip(QQ, 2, 3), i2), _tensor_eager(flip(QQ, 3, 2), a))
+    assert first_mismatch(got, ref) is None and first_mismatch(ref, got) is None
+    # dual_algebra's mu keeps the factors of id (x) b (x) id under its
+    # [n^2, n^2] -> [n^2] label: composed with a product relabelled to match,
+    # its factors line up with the product's
+    from hopfkit.structures import dual_algebra
+
+    for n in (2, 3):
+        mu = dual_algebra(n, QQ).mu
+        i1 = identity(QQ, shape(n))
+        sq = shape(n * n, n * n)
+        f = tensor(i1, flip(QQ, n, n), i1).reshape(sq, sq)
+        got = mu @ f
+        assert got.factors is not None
+        assert (got.dom, got.cod) == (sq, shape(n * n))
+        ref = _product(dual_algebra(n, QQ).mu,
+                       _tensor_eager(i1, flip(QQ, n, n), i1).reshape(sq, sq))
+        assert first_mismatch(got, ref) is None and first_mismatch(ref, got) is None
 
 
 @settings(max_examples=200, deadline=None)

@@ -207,6 +207,30 @@ def test_check_truss_builds_few_kronecker_columns(monkeypatch, k):
     assert all(m.monomial for m in sides)
 
 
+# Total length of the column lists ``_gather`` is asked to read during one
+# check_truss, recursive reads included: 64 146 at order 16 and 208 346 at
+# order 24 when every product was split into one list per factor and a stored
+# map after a product was read at the product's rows.  The mixed-product rule
+# reads ``(id (x) c (x) id) . (delta (x) id (x) id)`` at n^2 columns, not n^3.
+GATHERED = {8: 12_322, 12: 36_722}
+
+
+@pytest.mark.parametrize("k", sorted(GATHERED))
+def test_check_truss_gathers_few_columns(monkeypatch, k):
+    t = dihedral_identity_truss(k)
+    read = []
+    gather = linmap._gather
+
+    def counted(m, idx=None):
+        if idx is not None:
+            read.append(len(idx))
+        return gather(m, idx)
+
+    monkeypatch.setattr(linmap, "_gather", counted)
+    assert check_truss(t).passed
+    assert sum(read) == GATHERED[k]
+
+
 def test_check_truss_memory_at_order_16():
     t = dihedral_identity_truss(8)
     tracemalloc.start()
