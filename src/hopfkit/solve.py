@@ -12,8 +12,6 @@ off by index arithmetic, identical to the one ``rref`` gives.
 """
 from __future__ import annotations
 
-from itertools import repeat
-
 from .errors import ShapeMismatch
 from .fields import Field
 from .linmap import LinMap, _gather
@@ -115,14 +113,17 @@ def solve(m: LinMap, rhs_col: dict):
         raise ShapeMismatch(f"right-hand side row {bad[0]} out of range for {m.dom}->{m.cod}")
     if m.monomial:
         rows, vals = _gather(m)
-        x, held = {}, set()
-        for c, (r, v) in enumerate(zip(rows, repeat(field.one) if vals is None else vals)):
-            if r >= 0 and r not in held:
-                held.add(r)
-                b = rhs_col.get(r)
-                if b:
-                    x[c] = b if v == field.one else field.mul(field.inv(v), b)
-        return None if any(v and i not in held for i, v in rhs_col.items()) else x
+        # the lowest-numbered column holding a row is the last one written,
+        # walking the columns from the right
+        pivot = dict(zip(reversed(rows), range(n - 1, -1, -1)))
+        if any(b and i not in pivot for i, b in rhs_col.items()):
+            return None
+        x = {}
+        for c in sorted(pivot[i] for i, b in rhs_col.items() if b):
+            v = field.one if vals is None else vals[c]
+            b = rhs_col[rows[c]]
+            x[c] = b if v == field.one else field.mul(field.inv(v), b)
+        return x
     rows = _rows_of(m)
     aug = n  # column index holding the right-hand side
     for i, v in rhs_col.items():

@@ -20,6 +20,7 @@ Design rules, applied uniformly:
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field, fields, is_dataclass
 from typing import Optional
 
@@ -35,7 +36,6 @@ from .linmap import (
     TensorShape,
     UNIT_SHAPE,
     _dict_cols,
-    _gather,
     _terms,
     first_mismatch,
     flip,
@@ -541,46 +541,59 @@ def _check_convolvable(f: LinMap, g: LinMap, coalg, alg) -> None:
                             f"through {delta.dom}->{delta.cod} and {mu.dom}->{mu.cod}")
 
 
+def _by_r(mu: LinMap, n: int, nq: int) -> list:
+    """The entries ``(column, row, value)`` of ``mu``, cut by the first index
+    ``r < n`` of their column ``(r, q)``, ``q < nq``.  Slices of
+    :func:`~hopfkit.linmap._terms`, which lists the entries by column, so no
+    entry is visited here and a lazy product is never read whole."""
+    terms = _terms(mu)
+    cuts = [bisect_left(terms, (r * nq,)) for r in range(n + 1)]
+    return [terms[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _convolve(f: LinMap, g: LinMap, delta: LinMap, cod: TensorShape, by_r) -> LinMap:
+    """``f * g``, a map ``delta.dom -> cod``, with the entries of ``mu``
+    listed by :func:`_by_r`; see :func:`convolution`."""
+    field = f.field
+    mul, add, one = field.mul, field.add, field.one
+    ndom, nq = g.dom.total, g.cod.total
+    fcols, gcols = f.cols, g.cols
+    cols = []
+    for dcol in delta.cols:
+        col = {}
+        for ij, d in dcol.items():
+            i, j = divmod(ij, ndom)
+            gcol = gcols[j]
+            for r, v in fcols[i].items():
+                # a factor equal to one is copied, not multiplied
+                vd = v if d == one else d if v == one else mul(v, d)
+                rq = r * nq
+                for cm, p, m in by_r[r]:
+                    q = cm - rq
+                    if q in gcol:
+                        w = gcol[q]
+                        t = vd if w == one else w if vd == one else mul(vd, w)
+                        t = t if m == one else m if t == one else mul(t, m)
+                        col[p] = add(col[p], t) if p in col else t
+        cols.append({p: x for p, x in col.items() if x})
+    return LinMap(field, delta.dom, cod, tuple(cols))
+
+
 def convolution(f: LinMap, g: LinMap, coalg, alg) -> LinMap:
     """``f * g = mu . (f (x) g) . delta`` for maps from a coalgebra to an algebra.
 
     Read off the entries in one pass over ``delta``, with no Kronecker
     product built: entries ``d`` of ``delta`` at ``(i, j) -> k``, ``v`` of
-    ``f`` at ``(r, i)``, ``w`` of ``g`` at ``(s, j)`` and ``m`` of ``mu`` at
-    ``(p, (r, s))`` add ``v*w*d*m`` to entry ``(p, k)``.  ``mu`` is read only
-    at the columns ``(r, s)`` met, so a lazy product stays lazy.  A field or
-    shape mismatch raises :class:`ShapeMismatch` before any work.
+    ``f`` at ``(r, i)``, ``w`` of ``g`` at ``(q, j)`` and ``m`` of ``mu`` at
+    ``(p, (r, q))`` add ``v*d*w*m`` to entry ``(p, k)``.  The entries of
+    ``mu`` are listed once, by their first index ``r``, so a lazy product
+    stays lazy; each is matched against the column of ``g`` at ``q``.  The
+    same kernel checks :func:`convolution_inverse`.  A field or shape
+    mismatch raises :class:`ShapeMismatch` before any work.
     """
     _check_convolvable(f, g, coalg, alg)
-    delta, mu = coalg.delta, alg.mu
-    field = f.field
-    mul, add, one = field.mul, field.add, field.one
-    ndom, ng = g.dom.total, g.cod.total
-    fcols, gcols = f.cols, g.cols
-    terms = []  # (k, column (r, s) of mu, v*w*d)
-    for k, dcol in enumerate(delta.cols):
-        for ij, d in dcol.items():
-            i, j = divmod(ij, ndom)
-            gcol = gcols[j].items()
-            for r, v in fcols[i].items():
-                for s, w in gcol:
-                    # a factor equal to one is copied, not multiplied
-                    t = v if w == one else w if v == one else mul(v, w)
-                    t = t if d == one else d if t == one else mul(t, d)
-                    terms.append((k, r * ng + s, t))
-    if mu.monomial:
-        need = list({c for _, c, _ in terms})
-        mcols = dict(zip(need, _dict_cols(*_gather(mu, need), one)))
-    else:
-        mcols = mu.cols
-    cols = [dict() for _ in range(delta.dom.total)]
-    for k, c, t in terms:
-        col = cols[k]
-        for p, m in mcols[c].items():
-            x = t if m == one else m if t == one else mul(t, m)
-            col[p] = add(col[p], x) if p in col else x
-    return LinMap(field, delta.dom, mu.cod,
-                  tuple({p: x for p, x in col.items() if x} for col in cols))
+    return _convolve(f, g, coalg.delta, alg.mu.cod,
+                     _by_r(alg.mu, f.cod.total, g.cod.total))
 
 
 def convolution_unit(coalg, alg) -> LinMap:
@@ -591,22 +604,23 @@ def convolution_inverse(f: LinMap, coalg, alg) -> LinMap:
     """Two-sided convolution inverse of ``f``, by exact linear solve.
 
     Solves ``f * x = eta . eps`` entrywise (the equation is linear in x) and
-    then checks ``x * f = eta . eps`` with :func:`convolution`; raises
-    :class:`NotInvertible` with the failing direction otherwise.  A field or
-    shape mismatch, ``f`` not a map ``delta.dom -> mu.cod`` among them,
-    raises :class:`ShapeMismatch` before any work.
+    then checks ``x * f = eta . eps``; raises :class:`NotInvertible` with the
+    failing direction otherwise.  A field or shape mismatch, ``f`` not a map
+    ``delta.dom -> mu.cod`` among them, raises :class:`ShapeMismatch` before
+    any work.
 
     The system is read off ``f``, ``delta`` and ``mu`` in one pass, with no
     map ``mu . (f (x) id)`` built: entries ``d`` of ``delta`` at
     ``(i, j) -> k``, ``v`` of ``f`` at ``(r, i)`` and ``m`` of ``mu`` at
     ``(p, (r, q))`` add ``v*d*m`` to the coefficient of ``x[q, j]`` (column
-    ``q*n_C + j``) in entry ``(p, k)`` of ``f * x`` (row ``p*n_C + k``).  The
-    entries of ``mu`` are listed by :func:`~hopfkit.linmap._terms`, so a lazy
-    product is never read whole, and a coefficient that cancels is dropped
-    on the spot.  For the curried action the system is monomial, which
-    ``solve`` reads off by index arithmetic; ``rref`` touches only the rows
-    holding a pivot column, which keeps independent blocks apart with no
-    explicit split.
+    ``q*n_C + j``) in entry ``(p, k)`` of ``f * x`` (row ``p*n_C + k``), and a
+    coefficient that cancels is dropped on the spot.  A column is held as
+    its one row and value until it meets a second row, and only then as a
+    dict.  For the curried action none does, so ``solve`` reads the system
+    by index arithmetic; ``rref`` gets every other system and touches only
+    the rows holding a pivot column.  The entries of ``mu``, listed once by
+    their first index, also serve the closing check, the kernel of
+    :func:`convolution`.
     """
     _check_convolvable(f, f, coalg, alg)  # the inverse has the shapes of f
     if coalg.delta.dom != f.dom or alg.mu.cod != f.cod:
@@ -616,30 +630,54 @@ def convolution_inverse(f: LinMap, coalg, alg) -> LinMap:
     unit = convolution_unit(coalg, alg)
     ncod = f.cod.total
     ndom = f.dom.total
-    by_r = [[] for _ in range(ncod)]  # the entries (q, p, m) of mu at column (r, q), by r
-    for c, p, m in _terms(alg.mu):
-        r, q = divmod(c, ncod)
-        by_r[r].append((q, p, m))
+    by_r = _by_r(alg.mu, ncod, ncod)
     fcols = f.cols
-    cols = [dict() for _ in range(ncod * ndom)]
+    # column c holds row rows[c] with value vals[c]; -1 is an empty column
+    # and -2 one held in ``wide``, as a dict
+    rows, vals, wide = [-1] * (ncod * ndom), [one] * (ncod * ndom), {}
     for k, dcol in enumerate(coalg.delta.cols):
         for ij, d in dcol.items():
             i, j = divmod(ij, ndom)
             for r, v in fcols[i].items():
                 # a factor equal to one is copied, not multiplied
                 vd = v if d == one else d if v == one else mul(v, d)
-                for q, p, m in by_r[r]:
-                    col = cols[q * ndom + j]
+                if not vd:  # a stored zero of f or delta adds nothing
+                    continue
+                base = j - r * ncod * ndom
+                for cm, p, m in by_r[r]:
+                    c = cm * ndom + base  # the unknown x[q, j], cm = (r, q)
                     row = p * ndom + k
                     t = vd if m == one else m if vd == one else mul(vd, m)
+                    held = rows[c]
+                    if held == -1:
+                        rows[c] = row
+                        vals[c] = t
+                        continue
+                    if held == row:
+                        t = add(vals[c], t)
+                        if t:
+                            vals[c] = t
+                        else:  # cancelled: dropped now, not in a second pass
+                            rows[c] = -1
+                        continue
+                    if held >= 0:  # a second row: the column becomes a dict
+                        wide[c] = {held: vals[c]}
+                        rows[c] = -2
+                    col = wide[c]
                     if row in col:
                         t = add(col[row], t)
-                        if not t:  # cancelled: dropped now, not in a second pass
+                        if not t:
                             del col[row]
                             continue
                     col[row] = t
-    system = LinMap(field, TensorShape((ncod * ndom,)), TensorShape((ncod * ndom,)),
-                    tuple(cols))
+    unknowns = TensorShape((ncod * ndom,))
+    if wide:
+        cols = _dict_cols(rows, vals, one)
+        for c, col in wide.items():
+            cols[c] = col
+        system = LinMap(field, unknowns, unknowns, tuple(cols))
+    else:
+        system = LinMap(field, unknowns, unknowns, rows=tuple(rows), vals=tuple(vals))
     rhs = {ii * ndom + jj: v for jj, c in enumerate(unit.cols) for ii, v in c.items()}
     x = _solve.solve(system, rhs)
     if x is None:
@@ -648,7 +686,7 @@ def convolution_inverse(f: LinMap, coalg, alg) -> LinMap:
     for flat, v in x.items():
         inv_cols[flat % ndom][flat // ndom] = v
     inverse = LinMap(field, f.dom, f.cod, tuple(inv_cols))
-    if convolution(inverse, f, coalg, alg) != unit:
+    if _convolve(inverse, f, coalg.delta, f.cod, by_r) != unit:
         raise NotInvertible("solution of f * x = unit is not a two-sided inverse")
     return inverse
 

@@ -169,13 +169,10 @@ def _convolution_by_composite(f, g, coalg, alg):
     return alg.mu @ (tensor(f, g) @ coalg.delta)
 
 
-def _convolution_inverse_by_probing(f, coalg, alg):
-    """The solver :func:`convolution_inverse` replaced: the system is found
-    column by column, one full convolution of ``f`` with a single-entry map
-    per unknown.  The reference the one-pass construction must agree with
-    exactly, system, solution and messages alike."""
+def _probed_system(f, coalg, alg):
+    """The system of ``f * x = unit`` found column by column, one full
+    convolution of ``f`` with a single-entry map per unknown."""
     field = f.field
-    unit = convolution_unit(coalg, alg)
     ncod, ndom = f.cod.total, f.dom.total
     cols = []
     for i in range(ncod):
@@ -186,9 +183,18 @@ def _convolution_inverse_by_probing(f, coalg, alg):
             cols.append({ii * ndom + jj: v
                          for jj, c in enumerate(conv.cols) for ii, v in c.items()})
     n_unknown = TensorShape((ncod * ndom,))
-    system = LinMap(field, n_unknown, n_unknown, tuple(cols))
+    return LinMap(field, n_unknown, n_unknown, tuple(cols))
+
+
+def _convolution_inverse_by_probing(f, coalg, alg):
+    """The solver :func:`convolution_inverse` replaced: the system is
+    :func:`_probed_system`.  The reference the one-pass construction must
+    agree with exactly, system, solution and messages alike."""
+    field = f.field
+    unit = convolution_unit(coalg, alg)
+    ndom = f.dom.total
     rhs = {ii * ndom + jj: v for jj, c in enumerate(unit.cols) for ii, v in c.items()}
-    x = solve(system, rhs)
+    x = solve(_probed_system(f, coalg, alg), rhs)
     if x is None:
         raise NotInvertible("no solution of f * x = unit (not convolution invertible)")
     inv_cols = [dict() for _ in range(ndom)]
@@ -362,6 +368,126 @@ def test_convolution_inverse_refuses_a_one_sided_solution():
         "NotInvertible", "solution of f * x = unit is not a two-sided inverse")
 
 
+def _solved_system(f, coalg, alg):
+    """The system :func:`convolution_inverse` hands to ``solve``, and the
+    inverse or refusal it ends in."""
+    seen = []
+    real = solve_module.solve
+
+    def spy(m, rhs):
+        seen.append(m)
+        return real(m, rhs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solve_module, "solve", spy)
+        got = _inverse_or_message(convolution_inverse, f, coalg, alg)
+    return seen[0], got
+
+
+def _assert_same_system(f, coalg, alg):
+    """The system, its form and the inverse agree with the probing reference:
+    the system is monomial exactly when no column holds two nonzero rows."""
+    system, got = _solved_system(f, coalg, alg)
+    want = tuple({i: v for i, v in c.items() if v} for c in _probed_system(f, coalg, alg).cols)
+    assert system.cols == want
+    assert system.monomial == all(len(c) <= 1 for c in want)
+    assert got == _inverse_or_message(_convolution_inverse_by_probing, f, coalg, alg)
+    return system
+
+
+def _point_problem(fld, dim, mu, f):
+    """``f`` on the one-dimensional coalgebra (``delta = e (x) e``), into an
+    algebra on ``[dim]`` with unit ``e_0`` and the product ``mu``, given as
+    ``{(r, q): {p: value}}``; ``f`` is the raw column ``{r: value}``.  The
+    coefficient of the unknown ``x[q]`` in row ``p`` is the sum over ``r`` of
+    ``f[r] * mu[p, (r, q)]``, met in the order of ``f``, then of ``mu``."""
+    one = TensorShape((1,))
+    a = shape(dim)
+    coalg = CoalgebraData(BraidedObject(fld, 1), LinMap.from_cols(fld, one, UNIT_SHAPE, [{0: 1}]),
+                          LinMap.from_cols(fld, one, shape(1, 1), [{0: 1}]))
+    alg = AlgebraData(BraidedObject(fld, dim), LinMap.from_cols(fld, UNIT_SHAPE, a, [{0: 1}]),
+                      LinMap.from_cols(fld, shape(dim, dim), a,
+                                       [mu.get(divmod(c, dim), {}) for c in range(dim * dim)]))
+    return LinMap(fld, one, a, (f,)), coalg, alg
+
+
+# how the unknowns x[q] fill up, f = e_0 + e_1 throughout: the product, the
+# column x[0] ends with, and whether the system stays monomial
+POINT_CASES = {
+    # x[1] meets row 1, then row 0: the dict fallback starts mid-build, after
+    # x[0] and the first row of x[1] were written in the monomial form
+    "second-row": (2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 1): {0: 1}}, {0: 1}, False),
+    # row 0 of x[0] cancels (1 - 1), then x[0] meets row 1
+    "cancel-then-row": (2, {(0, 0): {0: 1}, (0, 1): {0: 1}, (1, 0): {0: -1, 1: 1}},
+                        {1: 1}, True),
+    # x[0] holds rows 0 and 1, row 0 cancels, then x[0] meets row 2
+    "dict-cancel-then-row": (3, {(0, 0): {0: 1, 1: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
+                                 (1, 0): {0: -1, 2: 1}}, {1: 1, 2: 1}, False),
+    # x[0] holds rows 0 and 1, then row 0 cancels: one row left, so monomial
+    "dict-cancel-to-one-row": (2, {(0, 0): {0: 1, 1: 1}, (0, 1): {0: 1}, (1, 0): {0: -1}},
+                               {1: 1}, True),
+}
+
+
+@pytest.mark.parametrize("fld", [QQ, Field.prime(5)], ids=["Q", "GF5"])
+@pytest.mark.parametrize("case", sorted(POINT_CASES))
+def test_convolution_inverse_writes_the_probed_system(fld, case):
+    dim, mu, x0, monomial = POINT_CASES[case]
+    mu = {rq: {p: fld.coerce(v) for p, v in col.items()} for rq, col in mu.items()}
+    system = _assert_same_system(*_point_problem(fld, dim, mu, {0: 1, 1: 1}))
+    assert system.cols[0] == x0
+    assert system.monomial == monomial
+    # f with values one held as Fractions, and with stored zeros
+    ones = (Fraction(1),) if fld is QQ else ()
+    for a in (1, 0, *ones):
+        for b in (1, 0, *ones):
+            col = {0: a, 1: b}
+            if dim == 3:
+                col[2] = 0
+            _assert_same_system(*_point_problem(fld, dim, mu, col))
+
+
+@st.composite
+def small_structures(draw):
+    """A coalgebra on ``[1]`` or ``[2]`` and an algebra on ``[1]`` to ``[3]``
+    whose maps are raw columns of zero, one or two entries (stored zeros
+    and, on Q, Fraction-held values among them), and two maps ``f`` and
+    ``g`` between them."""
+    fld = draw(st.sampled_from([QQ, Field.prime(5)]))
+    c, a = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    coalg = CoalgebraData(BraidedObject(fld, c), draw(_convolution_map(fld, c, UNIT_SHAPE)),
+                          draw(_convolution_map(fld, c, shape(c, c))))
+    alg = AlgebraData(BraidedObject(fld, a),
+                      draw(_convolution_map(fld, 1, shape(a))).reshape(UNIT_SHAPE, shape(a)),
+                      draw(_convolution_map(fld, a * a, shape(a))).reshape(shape(a, a),
+                                                                            shape(a)))
+    f, g = (draw(_convolution_map(fld, c, shape(a))) for _ in range(2))
+    return f, g, coalg, alg
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_structures())
+def test_convolution_and_its_inverse_agree_with_the_references(problem):
+    f, g, coalg, alg = problem
+    got = convolution(f, g, coalg, alg)
+    want = _convolution_by_composite(f, g, coalg, alg)
+    assert got.cols == tuple({i: v for i, v in c.items() if v} for c in want.cols)
+    _assert_same_system(f, coalg, alg)
+
+
+@pytest.mark.parametrize("fld", [QQ, Field.prime(5)], ids=["Q", "GF5"])
+def test_convolution_inverse_writes_the_probed_system_of_lazy_and_monomial_mu(fld):
+    # the dual algebra's lazy mu (n^3 entries in n^4 columns) for the curried
+    # action, a group algebra's monomial mu for the antipode
+    s3 = group_algebra(symmetric3(), fld)
+    problem = _curried_problem(post_hopf.conjugation_post_hopf(s3))
+    assert _assert_same_system(*problem).monomial
+    assert problem[2].mu.factors is not None
+    assert _assert_same_system(s3.obj.id(1), s3, s3).monomial
+    h4 = sweedler_h4(fld)
+    _assert_same_system(h4.obj.id(1), h4, h4)
+
+
 def _post_hopf_suite(fld):
     s3 = group_algebra(symmetric3(), fld)
     return ([(name, post_hopf.post_hopf_from_truss(t)) for name, t in suite_trusses(fld)]
@@ -446,6 +572,42 @@ def test_convolution_inverse_builds_no_kronecker_product_before_its_solve(monkey
             convolution_inverse(*problem)
         assert dict(calls) == {"compose": 1}
         assert problem[2].mu.factors is not None  # the dual mu is never read whole
+
+
+def test_convolution_inverse_writes_its_system_in_the_monomial_form(monkeypatch):
+    # the n^3-column system of the curried action is written as rows and
+    # values, never read back through _monomial, and mu's entries are listed
+    # once, for the system and the closing check alike
+    for k in (4, 8):
+        problem = _curried_problem(_dihedral_conjugation(k))
+        f, mu = problem[0], problem[2].mu
+        read_back, listed, calls = [], [], collections.Counter()
+
+        def monomial(cols, one, real=linmap._monomial):
+            read_back.append(len(cols))
+            return real(cols, one)
+
+        def terms(m, real=structures._terms):
+            listed.append(m)
+            return real(m)
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        with monkeypatch.context() as m:
+            m.setattr(linmap, "_monomial", monomial)
+            m.setattr(structures, "_terms", terms)
+            for module, name in ((solve_module, "rref"), (linmap, "_kron_all"),
+                                 (structures, "tensor"), (linmap, "compose")):
+                m.setattr(module, name, counting(name, getattr(module, name)))
+            convolution_inverse(*problem)
+        assert f.dom.total * f.cod.total == (2 * k) ** 3
+        assert all(n < (2 * k) ** 3 for n in read_back)
+        assert len(listed) == 1 and listed[0] is mu
+        assert dict(calls) == {"compose": 1}
 
 
 def test_solve_antipode_group_algebra_is_inversion():
