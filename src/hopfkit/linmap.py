@@ -49,11 +49,17 @@ object:
   lazy ``g`` of two stored factors is read in one pass over those rows; a
   deeper product splits them into one list per factor and recurses, so a
   product's row tuple is built only when it is read whole.  A stored ``g``
-  after a product of two stored factors, all of unit entries (``mu @
-  tensor(mu, id)``), is read in the same pass that walks the product's
-  columns.  A law side is therefore written right to left: in
-  ``mu @ (tensor(mu, mu) @ (tensor(i1, c, i1) @ tensor(delta, delta)))``
-  the ``n^4``-column ``tensor(i1, c, i1)`` is read at ``n^2`` columns only.
+  after a product ``f1 (x) f2`` of two stored factors, all of unit entries
+  (``mu @ tensor(mu, id)``), is read block by block: for each row ``a`` of
+  ``f1``, the slice of ``g``'s rows at ``a`` is picked at ``f2``'s rows by
+  one ``itemgetter`` (or taken whole when ``f2`` is the identity).  A whole
+  read of a lazy product fills its rows the same way; a factor with an empty
+  column, or an ``f2`` of fewer than two columns, is read entry by entry.
+  A law side is therefore written right to left, each ``n^3``-column step
+  as a stored map after a product of two stored factors: in
+  ``(mu @ tensor(i1, m)) @ (tensor(m, i1, i1) @ (tensor(i1, c, i1) @
+  tensor(delta, i1, i1)))`` the right half follows the mixed-product rule
+  at ``n^2`` cost and both ``n^3`` steps are block reads.
 * Mixed operands: a monomial ``g`` after a dict-held ``f`` is gathered at the
   rows ``f`` holds, and a dict-held ``g`` after a monomial ``f`` hands out the
   columns of ``g`` that ``f`` selects.
@@ -76,6 +82,7 @@ edits.
 from __future__ import annotations
 
 from itertools import repeat
+from operator import itemgetter
 
 from .errors import ShapeMismatch
 from .fields import Field
@@ -307,27 +314,26 @@ def _monomial(cols, one):
 
 def _gather(m: LinMap, idx=None):
     """Rows and values of the monomial map ``m`` at the columns ``idx``, or at
-    every column for ``None``, as tuples; column ``-1`` reads as empty.
+    every column for ``None``, as tuples; column ``-1`` reads as empty.  A
+    stored map is read at ``idx`` by one ``itemgetter``.
 
     A lazy product gathers from its factors, at the column of each that a
     column of the product reads."""
     if m.factors is None:
         if idx is None:
             return m.rows, m.vals
-        rows = m.rows + (-1,)
-        picked = tuple([rows[k] for k in idx])
+        pick = itemgetter(*idx) if len(idx) > 1 else lambda t: tuple([t[k] for k in idx])
+        picked = pick(m.rows + (-1,))
         if m.vals is None:
             return picked, None
-        vals = m.vals + (m.field.one,)
-        return picked, tuple([vals[k] for k in idx])
+        return picked, pick(m.vals + (m.field.one,))
     # column j of the product reads column j // ng of f and j % ng of g
     f, g = m.factors
     ng, ncg = g.dom.total, g.cod.total
     one = m.field.one
     if idx is None:
         (fr, fv), (gr, gv) = _gather(f), _gather(g)
-        rows = tuple([a + b if a >= 0 and b >= 0 else -1
-                      for a in [a * ncg for a in fr] for b in gr])
+        rows = _blocks(fr, gr, ncg)
         gv = None if gv is None else gv * len(fr)
         if fv is not None:
             fv = [a for a in fv for _ in range(ng)]
@@ -358,6 +364,31 @@ def _gather(m: LinMap, idx=None):
     return rows, gv
 
 
+def _blocks(fr, gr, width, rows=None) -> tuple:
+    """The rows ``a * width + b`` of a product, or ``rows`` read at them, for
+    each ``a`` of ``fr`` and, within it, each ``b`` of ``gr``; ``-1`` where
+    ``a`` or ``b`` is ``-1``.
+
+    One block per ``a``: the ``width`` rows from ``a * width`` on, picked at
+    ``gr`` by one ``itemgetter`` (or taken whole when ``gr`` is the
+    identity's).  An empty column, or a ``gr`` of fewer than two, is read
+    entry by entry."""
+    if len(gr) < 2 or -1 in fr or -1 in gr:
+        fr = [a * width for a in fr]
+        if rows is None:
+            return tuple([a + b if a >= 0 and b >= 0 else -1 for a in fr for b in gr])
+        rows += (-1,)
+        return tuple([rows[a + b if a >= 0 and b >= 0 else -1] for a in fr for b in gr])
+    pick = None if len(gr) == width and gr == tuple(range(width)) else itemgetter(*gr)
+    out = []
+    extend = out.extend
+    for a in fr:
+        a *= width
+        block = range(a, a + width) if rows is None else rows[a:a + width]
+        extend(block if pick is None else pick(block))
+    return tuple(out)
+
+
 def _terms(m: LinMap) -> list:
     """The entries of ``m`` as ``(column, row, value)`` triples, by column.
 
@@ -377,10 +408,20 @@ def _pair(f: LinMap, g: LinMap) -> list:
     ng, ncg = g.dom.total, g.cod.total
     one, mul = f.field.one, f.field.mul
     gterms = _terms(g)
+    if _unit(f) and _unit(g):
+        return [(cf * ng + cg, rf * ncg + rg, one)
+                for cf, rf, _ in _terms(f) for cg, rg, _ in gterms]
     # a factor equal to one is copied, not multiplied: structure maps hold
     # mostly ones, and ``== one`` on an int costs far less than ``mul``
     return [(cf * ng + cg, rf * ncg + rg, b if a == one else a if b == one else mul(a, b))
             for cf, rf, a in _terms(f) for cg, rg, b in gterms]
+
+
+def _unit(m: LinMap) -> bool:
+    """Whether ``m`` is monomial with every entry the int one."""
+    if m.factors is not None:
+        return _unit(m.factors[0]) and _unit(m.factors[1])
+    return m.rows is not None and m.vals is None
 
 
 def _dict_cols(rows, vals, one) -> list:
@@ -418,12 +459,10 @@ def compose(g: LinMap, f: LinMap) -> LinMap:
             and all(h.rows is not None and h.vals is None for h in f.factors)):
         # a stored g after a product of two stored factors, all of unit
         # entries: column j of g.f is column (row j of the product) of g,
-        # read in the one pass that walks the product's columns
+        # read one block of g's rows per row of the first factor
         f1, f2 = f.factors
-        grows, ncg = g.rows + (-1,), f2.cod.total
-        return LinMap(field, f.dom, g.cod, rows=tuple([
-            grows[a + b if a >= 0 and b >= 0 else -1]
-            for a in [a * ncg for a in f1.rows] for b in f2.rows]))
+        return LinMap(field, f.dom, g.cod,
+                      rows=_blocks(f1.rows, f2.rows, f2.cod.total, g.rows))
     mul, add, one = field.mul, field.add, field.one
     if f.monomial:
         fr, fv = _gather(f)

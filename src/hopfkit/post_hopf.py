@@ -192,7 +192,8 @@ def check_post_hopf(w: PostHopfData) -> CheckReport:
          lambda: m @ tensor(i1, m), lambda: m @ tensor(bar, i1)),
         ("post-hopf.action-distributes",
          lambda: m @ tensor(i1, h.mu),
-         lambda: h.mu @ (tensor(m, m) @ (tensor(i1, c, i1) @ tensor(h.delta, i1, i1)))),
+         lambda: (h.mu @ tensor(i1, m))
+         @ (tensor(m, i1, i1) @ (tensor(i1, c, i1) @ tensor(h.delta, i1, i1)))),
         ("derived.action-on-unit", lambda: m @ tensor(i1, h.eta), lambda: h.eta @ h.eps),
         ("derived.derived-product-right-unit", lambda: bar @ tensor(i1, h.eta), lambda: phi),
     ))

@@ -498,8 +498,8 @@ def check_module_algebra(acting, phi: LinMap, alg) -> CheckReport:
     return rep.laws(((
         "module-algebra.product-compat",
         lambda: phi @ tensor(ix, alg.mu),
-        lambda: alg.mu @ (tensor(phi, phi) @ (tensor(ix, cxa, ic)
-                                              @ tensor(acting.delta, ic, ic))),
+        lambda: (alg.mu @ tensor(ic, phi))
+        @ (tensor(phi, ix, ic) @ (tensor(ix, cxa, ic) @ tensor(acting.delta, ic, ic))),
     ),), _NO_CROSS_BRAIDING if cxa is None else None)
 
 

@@ -8,7 +8,9 @@ with a second associative product ``mu2`` and a coalgebra endomorphism
       = mu1 . (mu2 (x) gamma) . (id (x) c (x) id) . (delta (x) id (x) id)
 
 where ``gamma = mu1 . ((antipode . sigma) (x) mu2) . (delta (x) id)`` is the
-action the second product induces on the first.
+action the second product induces on the first.  The law is checked with
+``mu2 (x) gamma`` read as ``(id (x) gamma) . (mu2 (x) id (x) id)``, so that
+every ``n^3``-column step is a block read (see :mod:`hopfkit.linmap`).
 """
 from __future__ import annotations
 
@@ -70,8 +72,8 @@ def check_truss(t: HopfTrussData) -> CheckReport:
     return rep.laws(((
         "truss.distributivity",
         lambda: t.mu2 @ tensor(i1, t.mu1),
-        lambda: t.mu1 @ (tensor(t.mu2, gamma)
-                         @ (tensor(i1, t.obj.braid, i1) @ tensor(t.delta, i1, i1))),
+        lambda: (t.mu1 @ tensor(i1, gamma))
+        @ (tensor(t.mu2, i1, i1) @ (tensor(i1, t.obj.braid, i1) @ tensor(t.delta, i1, i1))),
     ),))
 
 

@@ -8,7 +8,8 @@ from hopfkit.linmap import LinMap, TensorShape, UNIT_SHAPE, flip, shape, tensor,
 from hopfkit.post_hopf import PostHopfData, trivial_post_hopf
 from hopfkit.rota_baxter import rota_baxter_from_truss, truss_from_idempotent
 from hopfkit.solve import _rows_of, invert, rref
-from hopfkit.structures import BialgebraData, BraidedObject
+from hopfkit.structures import BialgebraData, BraidedObject, braiding_between
+from hopfkit.truss import truss_action
 
 # verdict lines collected by the acceptance tests; a terminal-summary hook in
 # conftest.py replays them after the run, outside pytest's output capture
@@ -125,3 +126,30 @@ def mixed_braiding_c2_rota_baxter(fld=QQ):
     braiding between the two objects is known."""
     w = rota_baxter_from_truss(c2_identity_truss(fld))
     return replace(w, hopf=replace(w.hopf, obj=negated_flip(fld, 2)))
+
+
+# The right sides of the three distributive laws as the checkers composed
+# them before reading ``x (x) y`` as ``(id (x) y) . (x (x) id (x) id)``: the
+# references the interchanged forms are compared against.
+
+
+def distributivity_rhs(t):
+    """``mu1 . (mu2 (x) gamma) . (id (x) c (x) id) . (delta (x) id (x) id)``."""
+    i1 = t.obj.id(1)
+    return t.mu1 @ (tensor(t.mu2, truss_action(t))
+                    @ (tensor(i1, t.obj.braid, i1) @ tensor(t.delta, i1, i1)))
+
+
+def action_distributes_rhs(w):
+    """``mu . (m (x) m) . (id (x) c (x) id) . (delta (x) id (x) id)``."""
+    h, i1 = w.hopf, w.obj.id(1)
+    return h.mu @ (tensor(w.action, w.action)
+                   @ (tensor(i1, w.obj.braid, i1) @ tensor(h.delta, i1, i1)))
+
+
+def product_compat_rhs(acting, phi, alg):
+    """``mu . (phi (x) phi) . (id (x) c (x) id) . (delta (x) id (x) id)``,
+    ``c`` the braiding of the acting object past the carrier."""
+    ix, ic = acting.obj.id(1), alg.obj.id(1)
+    cxa = braiding_between(acting.obj, alg.obj)
+    return alg.mu @ (tensor(phi, phi) @ (tensor(ix, cxa, ic) @ tensor(acting.delta, ic, ic)))

@@ -705,6 +705,56 @@ def test_aligned_compose_stays_a_lazy_product():
         assert first_mismatch(got, ref) is None and first_mismatch(ref, got) is None
 
 
+# -- block reads of a product of two stored factors ------------------------------
+
+
+@st.composite
+def _block_factor(draw, fld, nc, nr):
+    """A stored map ``[nc] -> [nr]``: the identity (when ``nc == nr``), unit
+    entries in every column, unit entries with empty columns, or any of
+    :func:`_mono_cols`."""
+    kind = draw(st.sampled_from(("identity", "full", "unit", "any")))
+    if kind == "identity" and nc == nr:
+        return identity(fld, shape(nc))
+    if kind == "any":
+        cols = draw(_mono_cols(fld, nr, nc))
+    else:
+        low = 0 if kind == "full" else -1
+        rows = draw(st.lists(st.integers(low, nr - 1), min_size=nc, max_size=nc)) if nr else [-1] * nc
+        cols = [{r: 1} if r >= 0 else {} for r in rows]
+    m = LinMap(fld, shape(nc), shape(nr), tuple(cols))
+    assert m.rows is not None
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_block_reads_agree_with_the_eager_reference(data):
+    # a stored g after a product of two stored factors, and a whole read of
+    # the product, read one block per row of the left factor: empty columns
+    # in either factor, a right factor of 0, 1 or more columns or the
+    # identity, and a g holding values (the general path) all give the eager
+    # composite's entries and witnesses
+    fld = data.draw(st.sampled_from((QQ, GF5)), label="field")
+    p, a, r = (data.draw(st.integers(0, 3), label=x) for x in ("p", "a", "r"))
+    q = data.draw(st.sampled_from((0, 1, 2, 3)), label="q")
+    b = data.draw(st.sampled_from((q, 1, 2, 3)), label="b")
+    f1 = data.draw(_block_factor(fld, p, a), label="f1")
+    f2 = data.draw(_block_factor(fld, q, b), label="f2")
+    g = data.draw(_block_factor(fld, a * b, r), label="g").reshape(shape(a, b), shape(r))
+    ref_f = _tensor_eager(f1, f2)
+    got = linmap._dict_cols(*linmap._gather(tensor(f1, f2)), fld.one)
+    assert _nonzero(got) == _nonzero(ref_f.cols)
+    ref = _product(g, ref_f)
+    got = g @ tensor(f1, f2)
+    assert (got.dom, got.cod) == (ref.dom, ref.cod)
+    assert first_mismatch(got, ref) is None and first_mismatch(ref, got) is None
+    if ref.dom.total and ref.cod.total:
+        mutant = _bumped(data, ref)
+        assert first_mismatch(g @ tensor(f1, f2), mutant) == _first_mismatch_scan(ref, mutant)
+        assert first_mismatch(mutant, g @ tensor(f1, f2)) == _first_mismatch_scan(mutant, ref)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_monomial_first_mismatch_agrees_with_the_entry_scan(data):

@@ -1,12 +1,20 @@
 """Hopf trusses: the suite induced by idempotent endomorphisms, the derived
 identities, mutation detection, and truss morphisms."""
+import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from hopfkit.errors import ConditionBFailed, LawViolation, PreconditionNotMet
-from hopfkit.factories import group_algebra, linearize_endo, named_endo, sweedler_h4
+from hopfkit.factories import (
+    function_algebra,
+    group_algebra,
+    linearize_endo,
+    named_endo,
+    sweedler_h4,
+)
 from hopfkit.fields import Field, QQ
 from hopfkit import linmap, structures
 from hopfkit.groups import (
@@ -16,8 +24,10 @@ from hopfkit.groups import (
     semidirect_group,
     symmetric3,
 )
-from hopfkit.linmap import identity, shape, tensor
+from hopfkit.linmap import first_mismatch, identity, shape, tensor
+from hopfkit.post_hopf import check_post_hopf, post_hopf_from_truss
 from hopfkit.rota_baxter import truss_from_idempotent
+from hopfkit.structures import CheckReport, check_module_algebra
 from hopfkit.truss import (
     HopfTrussData,
     check_truss,
@@ -25,6 +35,13 @@ from hopfkit.truss import (
     check_truss_morphism,
     truss_action,
     truss_class_condition,
+)
+
+from helpers import (
+    action_distributes_rhs,
+    distributivity_rhs,
+    product_compat_rhs,
+    suite_trusses,
 )
 
 SUITE_GROUPS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "S3", "D4", "Q8")
@@ -211,8 +228,13 @@ def test_check_truss_builds_few_kronecker_columns(monkeypatch, k):
 # check_truss, recursive reads included: 64 146 at order 16 and 208 346 at
 # order 24 when every product was split into one list per factor and a stored
 # map after a product was read at the product's rows.  The mixed-product rule
-# reads ``(id (x) c (x) id) . (delta (x) id (x) id)`` at n^2 columns, not n^3.
-GATHERED = {8: 12_322, 12: 36_722}
+# reads ``(id (x) c (x) id) . (delta (x) id (x) id)`` at n^2 columns, not n^3:
+# 12 322 and 36 722.  ``truss.distributivity`` then still read its right side
+# through two n^3-column lists, after ``mu2 (x) gamma`` and after ``mu1``;
+# written as ``(mu1 . (id (x) gamma)) . (mu2 (x) id (x) id) . ...``, both n^3
+# steps are a stored map after a product of two stored factors, which reads
+# its blocks without a column list.
+GATHERED = {8: 4_402, 12: 9_674}
 
 
 @pytest.mark.parametrize("k", sorted(GATHERED))
@@ -242,3 +264,80 @@ def test_check_truss_memory_at_order_16():
     assert rep.passed
     # about 4.5 MB with lazy products; 49 MB when every product was built
     assert peak < 12_000_000
+
+
+# -- the distributive laws in the interchanged association ----------------------
+
+
+def _law(mp, law, check, *args):
+    """The sides ``check(*args)`` compared for ``law``, and its result."""
+    sides = {}
+    add = CheckReport.add
+
+    def spy(self, name, lhs, rhs):
+        if name == law:
+            sides[law] = (lhs, rhs)
+        return add(self, name, lhs, rhs)
+
+    mp.setattr(CheckReport, "add", spy)
+    rep = check(*args)
+    return sides[law], next(r for r in rep.results if r.law == law)
+
+
+def _bump(m, rng):
+    """``m`` with one entry, picked by ``rng``, raised by one."""
+    i, j = rng.randrange(m.cod.total), rng.randrange(m.dom.total)
+    return m.with_entry(i, j, m.field.add(m.entry(i, j), m.field.one))
+
+
+def _distributive_cases(fld):
+    """The suite trusses, and the identity truss on the functions on D4,
+    whose coproduct is dict-held."""
+    h = function_algebra(group_by_name("D4"), fld)
+    return [*suite_trusses(fld),
+            ("fun(D4)/id", truss_from_idempotent(h, identity(fld, shape(h.obj.dim))))]
+
+
+@pytest.mark.parametrize("fld", [QQ, Field.prime(5)], ids=["Q", "GF5"])
+def test_distributive_laws_keep_their_maps_and_witnesses(monkeypatch, fld):
+    # truss.distributivity, post-hopf.action-distributes and
+    # module-algebra.product-compat read x (x) y as (id (x) y) . (x (x) id (x) id):
+    # each side equals the old association's, and with one entry of mu2, sigma
+    # or the action bumped both give the same verdict and witness
+    rng = random.Random(23)
+    cases = _distributive_cases(fld)
+    assert len(cases) == 35
+    for name, t in cases:
+        w = post_hopf_from_truss(t)
+        gamma = truss_action(t)
+        laws = [
+            ("truss.distributivity", check_truss, (t,), lambda: distributivity_rhs(t)),
+            ("post-hopf.action-distributes", check_post_hopf, (w,),
+             lambda: action_distributes_rhs(w)),
+            ("module-algebra.product-compat", check_module_algebra,
+             (t.second(), gamma, t.hopf()),
+             lambda: product_compat_rhs(t.second(), gamma, t.hopf())),
+        ]
+        for law, check, args, old in laws:
+            with monkeypatch.context() as mp:
+                (_, rhs), res = _law(mp, law, check, *args)
+            assert res.passed, (name, law)
+            assert first_mismatch(rhs, old()) is None, (name, law)
+        t2 = replace(t, mu2=_bump(t.mu2, rng))
+        t3 = replace(t, cocycle=_bump(t.cocycle, rng))
+        w2 = replace(w, action=_bump(w.action, rng))
+        g2 = _bump(gamma, rng)
+        bumped = [
+            ("truss.distributivity", check_truss, (t2,), lambda: distributivity_rhs(t2)),
+            ("truss.distributivity", check_truss, (t3,), lambda: distributivity_rhs(t3)),
+            ("post-hopf.action-distributes", check_post_hopf, (w2,),
+             lambda: action_distributes_rhs(w2)),
+            ("module-algebra.product-compat", check_module_algebra,
+             (t.second(), g2, t.hopf()),
+             lambda: product_compat_rhs(t.second(), g2, t.hopf())),
+        ]
+        for law, check, args, old in bumped:
+            with monkeypatch.context() as mp:
+                (lhs, _), res = _law(mp, law, check, *args)
+            want = first_mismatch(lhs, old())
+            assert (res.passed, res.witness) == (want is None, want), (name, law)
