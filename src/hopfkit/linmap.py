@@ -18,18 +18,20 @@ of two forms, and ``entries()`` materializes the dense view whenever one is
 wanted:
 
 * **Monomial form.**  Every structure map of a group algebra (``mu``,
-  ``delta``, ``eps``, ``eta``, the antipode, a linearized endomorphism) has at
-  most one nonzero entry per column, and so have the identity, the flip and
+  ``delta``, ``eps``, ``eta``, the antipode, a linearized endomorphism) is a
+  0/1 partial map of basis indices, and so are the identity, the flip and
   every Kronecker product or composite of such maps (generalized permutation
-  matrices; C. F. Van Loan, "The ubiquitous Kronecker product", J. Comput.
-  Appl. Math. 123, 2000).  Such a map is held as a tuple ``rows`` giving the
-  row of each column's entry, ``-1`` for an empty column, and a tuple
-  ``vals`` of the entries, ``None`` when each is the int one.  A stored zero
-  is no entry.  ``LinMap(...)`` reads dict columns of at most one entry each
-  into this form, whoever builds them.
+  matrices with every entry one; C. F. Van Loan, "The ubiquitous Kronecker
+  product", J. Comput. Appl. Math. 123, 2000).  Such a map is held as a
+  tuple ``rows`` giving the row of each column's entry, ``-1`` for an empty
+  column.  ``LinMap(...)`` reads into this form any dict columns of at most
+  one entry each, that entry the int one, whoever builds them; a stored
+  zero is no entry.
 * **Dict columns.**  Any other map is a tuple of sparse column dicts (zero
   entries are not stored): dense matrices of the sizes met here, 4096x4096
-  at order 8, would be hopeless in exact arithmetic.
+  at order 8, would be hopeless in exact arithmetic.  That includes a map
+  whose single entries are -1, 2 or a ``Fraction`` one; the last keeps its
+  map dict-held so that a witness holds what the map holds.
 
 The kernel works on the monomial form by index arithmetic, with no per-column
 object:
@@ -49,8 +51,8 @@ object:
   lazy ``g`` of two stored factors is read in one pass over those rows; a
   deeper product splits them into one list per factor and recurses, so a
   product's row tuple is built only when it is read whole.  A stored ``g``
-  after a product ``f1 (x) f2`` of two stored factors, all of unit entries
-  (``mu @ tensor(mu, id)``), is read block by block: for each row ``a`` of
+  after a product ``f1 (x) f2`` of two stored factors
+  (``mu @ tensor(mu, id)``) is read block by block: for each row ``a`` of
   ``f1``, the slice of ``g``'s rows at ``a`` is picked at ``f2``'s rows by
   one ``itemgetter`` (or taken whole when ``f2`` is the identity).  A whole
   read of a lazy product fills its rows the same way; a factor with an empty
@@ -81,7 +83,6 @@ edits.
 """
 from __future__ import annotations
 
-from itertools import repeat
 from operator import itemgetter
 
 from .errors import ShapeMismatch
@@ -155,23 +156,22 @@ UNIT_SHAPE = TensorShape(())
 class LinMap:
     """An exact linear map ``dom -> cod`` between tensor powers."""
 
-    __slots__ = ("field", "dom", "cod", "_cols", "rows", "vals", "factors")
+    __slots__ = ("field", "dom", "cod", "_cols", "rows", "factors")
 
     def __init__(self, field: Field, dom: TensorShape, cod: TensorShape, cols=None,
-                 rows=None, vals=None, factors=None):
+                 rows=None, factors=None):
         self.field = field
         self.dom = dom
         self.cod = cod
-        # the monomial form (see the module docstring): ``rows`` and ``vals``,
-        # or, for a lazy product, its two monomial ``factors``; dict columns
-        # of one entry at most are read into it here and nowhere else.  The
+        # the monomial form (see the module docstring): ``rows``, or, for a
+        # lazy product, its two monomial ``factors``; dict columns of one
+        # unit entry at most are read into it here and nowhere else.  The
         # factors' shapes need not concatenate to ``dom`` and ``cod``: only
         # the totals agree, because ``reshape`` keeps the factors
-        if rows is None and factors is None and all(len(c) <= 1 for c in cols):
-            rows, vals = _monomial(cols, field.one)
+        if rows is None and factors is None:
+            rows = _monomial(cols, field.one)
         self._cols = cols
         self.rows = rows
-        self.vals = vals
         self.factors = factors
 
     @property
@@ -184,11 +184,12 @@ class LinMap:
 
         A column is never mutated in place, so maps share them (``compose``
         hands out the columns of a dict-held ``g`` that it reads).  A
-        monomial map builds them on first read and keeps them; the kernel
-        reads them only where a monomial map meets a dict-held one in
-        ``tensor`` or ``first_mismatch``, and for the witness of a mismatch."""
+        monomial map builds them, each ``{row: 1}`` or empty, on first read
+        and keeps them; the kernel reads them only where a monomial map meets
+        a dict-held one in ``tensor`` or ``first_mismatch``, and for the
+        witness of a mismatch."""
         if self._cols is None:
-            self._cols = tuple(_dict_cols(*_gather(self), self.field.one))
+            self._cols = tuple(_dict_cols(_gather(self), self.field.one))
         return self._cols
 
     # -- constructors -------------------------------------------------------
@@ -270,7 +271,7 @@ class LinMap:
             raise ShapeMismatch(
                 f"reshape {self.dom}->{self.cod} to {dom}->{cod} changes totals"
             )
-        return LinMap(self.field, dom, cod, self._cols, self.rows, self.vals, self.factors)
+        return LinMap(self.field, dom, cod, self._cols, self.rows, self.factors)
 
     def with_entry(self, i: int, j: int, value) -> "LinMap":
         """Copy of the map with entry (i, j) replaced (handy for mutation tests)."""
@@ -299,69 +300,48 @@ def _as_shape(s) -> TensorShape:
 
 
 def _monomial(cols, one):
-    """Rows and values of dict columns that hold at most one entry each."""
-    rows, vals = [], []
+    """The rows of dict columns that hold at most one entry each, that entry
+    the int one; ``None`` at the first column that does not.  A stored zero
+    is no entry."""
+    rows = []
     for col in cols:
-        (i, v), = col.items() or ((-1, one),)
-        rows.append(i if v else -1)  # a stored zero is no entry
-        vals.append(v)
-    # a value equal to one but held as a Fraction is kept, so that a witness
-    # holds what the map holds
-    if all(type(v) is int and v == one for v in vals):
-        return tuple(rows), None
-    return tuple(rows), tuple(vals)
+        if len(col) > 1:
+            return None
+        (i, v), = col.items() or ((-1, 0),)
+        if v and (v != one or type(v) is not int):
+            return None
+        rows.append(i if v else -1)
+    return tuple(rows)
 
 
-def _gather(m: LinMap, idx=None):
-    """Rows and values of the monomial map ``m`` at the columns ``idx``, or at
-    every column for ``None``, as tuples; column ``-1`` reads as empty.  A
-    stored map is read at ``idx`` by one ``itemgetter``.
+def _gather(m: LinMap, idx=None) -> tuple:
+    """The rows of the monomial map ``m`` at the columns ``idx``, or at every
+    column for ``None``, as a tuple; column ``-1`` reads as empty.  A stored
+    map is read at ``idx`` by one ``itemgetter``.
 
     A lazy product gathers from its factors, at the column of each that a
     column of the product reads."""
     if m.factors is None:
         if idx is None:
-            return m.rows, m.vals
+            return m.rows
         pick = itemgetter(*idx) if len(idx) > 1 else lambda t: tuple([t[k] for k in idx])
-        picked = pick(m.rows + (-1,))
-        if m.vals is None:
-            return picked, None
-        return picked, pick(m.vals + (m.field.one,))
+        return pick(m.rows + (-1,))
     # column j of the product reads column j // ng of f and j % ng of g
     f, g = m.factors
     ng, ncg = g.dom.total, g.cod.total
-    one = m.field.one
-    if idx is None:
-        (fr, fv), (gr, gv) = _gather(f), _gather(g)
-        rows = _blocks(fr, gr, ncg)
-        gv = None if gv is None else gv * len(fr)
-        if fv is not None:
-            fv = [a for a in fv for _ in range(ng)]
-    elif f.factors is None and g.factors is None:
+    if idx is None:  # kept, as ``cols`` keeps the columns it builds
+        m.rows, m.factors = _blocks(_gather(f), _gather(g), ncg), None
+        return m.rows
+    ng = ng or 1  # a product with no column reads only column -1
+    if f.factors is None and g.factors is None:
         # two stored factors: each column is read in one pass, not split into
         # an index list per factor
-        ng = ng or 1  # a product with no column reads only column -1
         fr, gr = f.rows + (-1,), g.rows + (-1,)
-        rows = tuple([a * ncg + b if (a := fr[k // ng]) >= 0 and (b := gr[k % ng]) >= 0
+        return tuple([a * ncg + b if (a := fr[k // ng]) >= 0 and (b := gr[k % ng]) >= 0
                       else -1 for k in idx])
-        if f.vals is None and g.vals is None:
-            return rows, None
-        fv = (one,) * len(fr) if f.vals is None else f.vals + (one,)
-        gv = (one,) * len(gr) if g.vals is None else g.vals + (one,)
-        fv, gv = [fv[k // ng] for k in idx], [gv[k % ng] for k in idx]
-    else:
-        ng = ng or 1
-        fr, fv = _gather(f, [k // ng for k in idx])
-        gr, gv = _gather(g, [k % ng for k in idx])
-        rows = tuple([a * ncg + b if a >= 0 and b >= 0 else -1 for a, b in zip(fr, gr)])
-    if fv is not None:
-        mul = m.field.mul
-        # the rule of _pair: a factor equal to one is copied, not multiplied
-        gv = tuple([b if a == one else a if b == one else mul(a, b)
-                    for a, b in zip(fv, repeat(one) if gv is None else gv)])
-    if idx is None:  # kept, as ``cols`` keeps the columns it builds
-        m.rows, m.vals, m.factors = rows, gv, None
-    return rows, gv
+    fr = _gather(f, [k // ng for k in idx])
+    gr = _gather(g, [k % ng for k in idx])
+    return tuple([a * ncg + b if a >= 0 and b >= 0 else -1 for a, b in zip(fr, gr)])
 
 
 def _blocks(fr, gr, width, rows=None) -> tuple:
@@ -397,8 +377,8 @@ def _terms(m: LinMap) -> list:
     if not m.monomial:
         return [(c, r, v) for c, col in enumerate(m.cols) for r, v in col.items() if v]
     if m.factors is None:
-        vals = repeat(m.field.one) if m.vals is None else m.vals
-        return [(c, r, v) for c, (r, v) in enumerate(zip(m.rows, vals)) if r >= 0]
+        one = m.field.one
+        return [(c, r, one) for c, r in enumerate(m.rows) if r >= 0]
     return _pair(*m.factors)
 
 
@@ -408,7 +388,7 @@ def _pair(f: LinMap, g: LinMap) -> list:
     ng, ncg = g.dom.total, g.cod.total
     one, mul = f.field.one, f.field.mul
     gterms = _terms(g)
-    if _unit(f) and _unit(g):
+    if f.monomial and g.monomial:
         return [(cf * ng + cg, rf * ncg + rg, one)
                 for cf, rf, _ in _terms(f) for cg, rg, _ in gterms]
     # a factor equal to one is copied, not multiplied: structure maps hold
@@ -417,17 +397,9 @@ def _pair(f: LinMap, g: LinMap) -> list:
             for cf, rf, a in _terms(f) for cg, rg, b in gterms]
 
 
-def _unit(m: LinMap) -> bool:
-    """Whether ``m`` is monomial with every entry the int one."""
-    if m.factors is not None:
-        return _unit(m.factors[0]) and _unit(m.factors[1])
-    return m.rows is not None and m.vals is None
-
-
-def _dict_cols(rows, vals, one) -> list:
-    """The dict columns of a monomial form."""
-    return [{i: v} if i >= 0 else {}
-            for i, v in zip(rows, repeat(one) if vals is None else vals)]
+def _dict_cols(rows, one) -> list:
+    """The dict columns of a monomial form: ``{row: one}``, or empty."""
+    return [{i: one} if i >= 0 else {} for i in rows]
 
 
 # -- the four structural operations ------------------------------------------
@@ -455,33 +427,27 @@ def compose(g: LinMap, f: LinMap) -> LinMap:
         # the mixed-product rule: (g1 (x) g2)(f1 (x) f2) = g1 f1 (x) g2 f2
         (g1, g2), (f1, f2) = g.factors, f.factors
         return LinMap(field, f.dom, g.cod, factors=(compose(g1, f1), compose(g2, f2)))
-    if (f.factors is not None and g.rows is not None and g.vals is None
-            and all(h.rows is not None and h.vals is None for h in f.factors)):
-        # a stored g after a product of two stored factors, all of unit
-        # entries: column j of g.f is column (row j of the product) of g,
-        # read one block of g's rows per row of the first factor
+    if (f.factors is not None and g.rows is not None
+            and all(h.rows is not None for h in f.factors)):
+        # a stored g after a product of two stored factors: column j of g.f
+        # is column (row j of the product) of g, read one block of g's rows
+        # per row of the first factor
         f1, f2 = f.factors
         return LinMap(field, f.dom, g.cod,
                       rows=_blocks(f1.rows, f2.rows, f2.cod.total, g.rows))
     mul, add, one = field.mul, field.add, field.one
     if f.monomial:
-        fr, fv = _gather(f)
+        fr = _gather(f)
         if g.monomial:
-            # index arithmetic: column j of g.f is column fr[j] of g, scaled
-            gr, gv = _gather(g, fr)
-            if fv is not None:
-                gv = tuple([w if v == one else mul(w, v)
-                            for v, w in zip(fv, repeat(one) if gv is None else gv)])
-            return LinMap(field, f.dom, g.cod, rows=gr, vals=gv)
+            # index arithmetic: column j of g.f is column fr[j] of g
+            return LinMap(field, f.dom, g.cod, rows=_gather(g, fr))
         gcols = g.cols + ({},)  # column -1 of f selects no column of g
-        return LinMap(field, f.dom, g.cod, tuple([
-            gcols[k] if v == one else {i: mul(w, v) for i, w in gcols[k].items()}
-            for k, v in zip(fr, repeat(one) if fv is None else fv)]))
+        return LinMap(field, f.dom, g.cod, tuple([gcols[k] for k in fr]))
     fcols = f.cols
     if g.monomial:
         # only the columns of g that f reads, gathered in one batch
         ks = list({k for fcol in fcols for k in fcol})
-        gcols = dict(zip(ks, _dict_cols(*_gather(g, ks), one)))
+        gcols = dict(zip(ks, _dict_cols(_gather(g, ks), one)))
     else:
         gcols = g.cols
     out = []

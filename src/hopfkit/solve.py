@@ -5,10 +5,11 @@ the rows holding the pivot column and, in them, the nonzero entries of the
 pivot row, which keeps the block-diagonal systems produced by convolution
 inverses cheap.
 
-``solve`` on a monomial map (one entry per column at most, see
-:mod:`hopfkit.linmap`) needs no elimination: the pivot of each row is the
-lowest-numbered column holding it, as in ``rref``, so the solution is read
-off by index arithmetic, identical to the one ``rref`` gives.
+``solve`` on a monomial map (at most one entry per column, that entry one,
+see :mod:`hopfkit.linmap`) needs no elimination: the pivot of each row is
+the lowest-numbered column holding it, as in ``rref``, and already one, so
+the solution is the right-hand side read off by index arithmetic, identical
+to the one ``rref`` gives.
 """
 from __future__ import annotations
 
@@ -102,8 +103,8 @@ def solve(m: LinMap, rhs_col: dict):
     ``rhs_col`` is a sparse column {row: value}; free variables are set to 0,
     so the answer is canonical for a fixed elimination order.  A monomial
     ``m`` is solved without elimination: the lowest-numbered column holding
-    a row is its pivot and gets ``rhs[row] / value``; a nonzero ``rhs`` in a
-    row no column holds makes the system inconsistent.  A row of ``rhs_col``
+    a row is its pivot and gets ``rhs[row]``; a nonzero ``rhs`` in a row no
+    column holds makes the system inconsistent.  A row of ``rhs_col``
     outside ``m`` raises :class:`ShapeMismatch`.
     """
     n = m.dom.total
@@ -112,18 +113,13 @@ def solve(m: LinMap, rhs_col: dict):
     if bad:
         raise ShapeMismatch(f"right-hand side row {bad[0]} out of range for {m.dom}->{m.cod}")
     if m.monomial:
-        rows, vals = _gather(m)
+        rows = _gather(m)
         # the lowest-numbered column holding a row is the last one written,
         # walking the columns from the right
         pivot = dict(zip(reversed(rows), range(n - 1, -1, -1)))
         if any(b and i not in pivot for i, b in rhs_col.items()):
             return None
-        x = {}
-        for c in sorted(pivot[i] for i, b in rhs_col.items() if b):
-            v = field.one if vals is None else vals[c]
-            b = rhs_col[rows[c]]
-            x[c] = b if v == field.one else field.mul(field.inv(v), b)
-        return x
+        return {c: rhs_col[rows[c]] for c in sorted(pivot[i] for i, b in rhs_col.items() if b)}
     rows = _rows_of(m)
     aug = n  # column index holding the right-hand side
     for i, v in rhs_col.items():

@@ -615,10 +615,11 @@ def convolution_inverse(f: LinMap, coalg, alg) -> LinMap:
     ``(p, (r, q))`` add ``v*d*m`` to the coefficient of ``x[q, j]`` (column
     ``q*n_C + j``) in entry ``(p, k)`` of ``f * x`` (row ``p*n_C + k``), and a
     coefficient that cancels is dropped on the spot.  A column is held as
-    its one row and value until it meets a second row, and only then as a
-    dict.  For the curried action none does, so ``solve`` reads the system
-    by index arithmetic; ``rref`` gets every other system and touches only
-    the rows holding a pivot column.  The entries of ``mu``, listed once by
+    its one row while its only term is the int one, and as a dict from its
+    first other term on: a second term, or a value such as -1, 2 or a
+    ``Fraction`` one.  For the curried action no column leaves the row
+    form, so ``solve`` reads the system by index arithmetic; ``rref`` gets
+    every other system and touches only the rows holding a pivot column.  The entries of ``mu``, listed once by
     their first index, also serve the closing check, the kernel of
     :func:`convolution`.
     """
@@ -632,9 +633,9 @@ def convolution_inverse(f: LinMap, coalg, alg) -> LinMap:
     ndom = f.dom.total
     by_r = _by_r(alg.mu, ncod, ncod)
     fcols = f.cols
-    # column c holds row rows[c] with value vals[c]; -1 is an empty column
+    # column c holds row rows[c] with the value one; -1 is an empty column
     # and -2 one held in ``wide``, as a dict
-    rows, vals, wide = [-1] * (ncod * ndom), [one] * (ncod * ndom), {}
+    rows, wide = [-1] * (ncod * ndom), {}
     for k, dcol in enumerate(coalg.delta.cols):
         for ij, d in dcol.items():
             i, j = divmod(ij, ndom)
@@ -649,35 +650,27 @@ def convolution_inverse(f: LinMap, coalg, alg) -> LinMap:
                     row = p * ndom + k
                     t = vd if m == one else m if vd == one else mul(vd, m)
                     held = rows[c]
-                    if held == -1:
+                    if held == -1 and t == one and type(t) is int:
                         rows[c] = row
-                        vals[c] = t
                         continue
-                    if held == row:
-                        t = add(vals[c], t)
-                        if t:
-                            vals[c] = t
-                        else:  # cancelled: dropped now, not in a second pass
-                            rows[c] = -1
-                        continue
-                    if held >= 0:  # a second row: the column becomes a dict
-                        wide[c] = {held: vals[c]}
+                    if held != -2:  # a second term or another value: a dict
+                        wide[c] = {} if held == -1 else {held: one}
                         rows[c] = -2
                     col = wide[c]
                     if row in col:
                         t = add(col[row], t)
-                        if not t:
+                        if not t:  # cancelled: dropped now, not in a second pass
                             del col[row]
                             continue
                     col[row] = t
     unknowns = TensorShape((ncod * ndom,))
     if wide:
-        cols = _dict_cols(rows, vals, one)
+        cols = _dict_cols(rows, one)
         for c, col in wide.items():
             cols[c] = col
         system = LinMap(field, unknowns, unknowns, tuple(cols))
     else:
-        system = LinMap(field, unknowns, unknowns, rows=tuple(rows), vals=tuple(vals))
+        system = LinMap(field, unknowns, unknowns, rows=tuple(rows))
     rhs = {ii * ndom + jj: v for jj, c in enumerate(unit.cols) for ii, v in c.items()}
     x = _solve.solve(system, rhs)
     if x is None:

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from hopfkit import linmap
 from hopfkit.errors import ShapeMismatch
+from hopfkit.factories import group_algebra
 from hopfkit.fields import Field, QQ
+from hopfkit.groups import cyclic, symmetric3
 from hopfkit.linmap import (
     LinMap,
     TensorShape,
@@ -27,6 +29,7 @@ from hopfkit.linmap import (
 from hopfkit.solve import invert, solve
 
 from helpers import rank_of
+from test_structures import _assert_same_system
 
 
 def M(rows, dom=None, cod=None, fld=QQ):
@@ -486,13 +489,31 @@ def _mono_cols(draw, fld, nr, nc):
     return cols
 
 
+@st.composite
+def _unit_or_mono_cols(draw, fld, nr, nc):
+    """Raw columns of one entry at most: unit entries only, the form of a
+    structure map, or any of :func:`_mono_cols`."""
+    if draw(st.booleans()):
+        return [{draw(st.integers(0, nr - 1)): 1} if nr and draw(st.booleans()) else {}
+                for _ in range(nc)]
+    return draw(_mono_cols(fld, nr, nc))
+
+
+def _unit_cols(cols) -> bool:
+    """Whether raw columns make a monomial map: no column holds two entries
+    or a nonzero value other than the int one."""
+    return all(len(c) <= 1 and all(not v or (type(v) is int and v == 1) for v in c.values())
+               for c in cols)
+
+
 def _forms(fld, nr, nc, cols):
-    """The map of ``cols`` twice: monomial, and dict-held through two stored
-    zeros in column 0 (so ``nr >= 2`` and ``nc >= 1``)."""
+    """The map of ``cols`` twice: as built, monomial exactly when
+    :func:`_unit_cols`, and dict-held through two stored zeros in column 0
+    (so ``nr >= 2`` and ``nc >= 1``)."""
     dom, cod = shape(nc), shape(nr)
     mono = LinMap(fld, dom, cod, tuple(cols))
     held = LinMap(fld, dom, cod, ({0: 0, 1: 0, **cols[0]},) + tuple(cols[1:]))
-    assert mono.monomial and not held.monomial
+    assert mono.monomial == _unit_cols(cols) and not held.monomial
     return mono, held
 
 
@@ -544,8 +565,8 @@ def test_monomial_compose_agrees_with_the_dict_path(data):
     # g . f with each operand monomial or dict-held: the four paths of compose
     fld = data.draw(st.sampled_from((QQ, GF5)), label="field")
     a, b, c = (data.draw(st.integers(2, 3), label=x) for x in ("a", "b", "c"))
-    fs = _forms(fld, b, a, data.draw(_mono_cols(fld, b, a), label="f"))
-    gs = _forms(fld, c, b, data.draw(_mono_cols(fld, c, b), label="g"))
+    fs = _forms(fld, b, a, data.draw(_unit_or_mono_cols(fld, b, a), label="f"))
+    gs = _forms(fld, c, b, data.draw(_unit_or_mono_cols(fld, c, b), label="g"))
     ref = _product(gs[0], fs[0])
     mutant = _bumped(data, ref)
     for g, f in itertools.product(gs, fs):
@@ -568,7 +589,8 @@ def test_monomial_tensor_agrees_with_the_eager_reference(data):
         # of several entries
         form = data.draw(st.integers(0, 2), label=f"form {k}")
         if form < 2:
-            forms = _forms(fld, nr, nc, data.draw(_mono_cols(fld, nr, nc), label=f"factor {k}"))
+            forms = _forms(fld, nr, nc,
+                           data.draw(_unit_or_mono_cols(fld, nr, nc), label=f"factor {k}"))
             maps.append(forms[form])
         else:
             maps.append(data.draw(_held_map(fld, nr, nc), label=f"factor {k}"))
@@ -579,7 +601,7 @@ def test_monomial_tensor_agrees_with_the_eager_reference(data):
     if lazy.monomial:
         # read by index: some columns, in any order, repeated, -1 as empty
         idx = data.draw(st.lists(st.integers(-1, n - 1), max_size=2 * n), label="read")
-        got = linmap._dict_cols(*linmap._gather(lazy, idx), fld.one)
+        got = linmap._dict_cols(linmap._gather(lazy, idx), fld.one)
         assert _nonzero(got) == _nonzero([ref.cols[k] if k >= 0 else {} for k in idx])
     # a narrow or wide map after the product reads it partly or whole
     width = data.draw(st.integers(1, n + 1), label="width")
@@ -596,19 +618,12 @@ def test_monomial_tensor_agrees_with_the_eager_reference(data):
 
 
 @st.composite
-def _unit_or_mono_cols(draw, fld, nr, nc):
-    """Raw columns of a monomial map: unit entries only, the form of a
-    structure map, or any of :func:`_mono_cols`."""
-    if draw(st.booleans()):
-        return [{draw(st.integers(0, nr - 1)): 1} if nr and draw(st.booleans()) else {}
-                for _ in range(nc)]
-    return draw(_mono_cols(fld, nr, nc))
-
-
-@st.composite
 def _stored(draw, fld, dom, cod):
-    m = LinMap(fld, dom, cod, tuple(draw(_unit_or_mono_cols(fld, cod.total, dom.total))))
-    assert m.rows is not None
+    """A map built from :func:`_unit_or_mono_cols`: stored monomial, or
+    dict-held where a value other than the int one was drawn."""
+    cols = draw(_unit_or_mono_cols(fld, cod.total, dom.total))
+    m = LinMap(fld, dom, cod, tuple(cols))
+    assert (m.rows is not None) == _unit_cols(cols)
     return m
 
 
@@ -658,11 +673,12 @@ def test_composite_of_two_products_agrees_with_the_eager_reference(data):
     # g read by index: some columns, in any order, repeated, -1 as empty
     n = ref_g.dom.total
     idx = data.draw(st.lists(st.integers(-1, n - 1), max_size=2 * n), label="read")
-    read = linmap._dict_cols(*linmap._gather(g, idx), fld.one)
-    assert _nonzero(read) == _nonzero([ref_g.cols[k] if k >= 0 else {} for k in idx])
+    if g.monomial:
+        read = linmap._dict_cols(linmap._gather(g, idx), fld.one)
+        assert _nonzero(read) == _nonzero([ref_g.cols[k] if k >= 0 else {} for k in idx])
     got = g @ f
     assert (got.dom, got.cod) == (f.dom, g.cod)
-    if layout in ("aligned", "reshaped"):
+    if layout in ("aligned", "reshaped") and all(h.monomial for h in (f1, f2, g1, g2)):
         assert got.factors is not None
     assert first_mismatch(got, ref) is None and first_mismatch(ref, got) is None
     if ref.dom.total and ref.cod.total:
@@ -678,15 +694,17 @@ def test_composite_of_two_products_agrees_with_the_eager_reference(data):
 
 
 def test_aligned_compose_stays_a_lazy_product():
-    # the mixed-product rule keeps a product lazy, labelled f.dom -> g.cod
-    i2, a = identity(QQ, shape(2)), M([[0, 2], [1, 0]])
+    # the mixed-product rule keeps a product lazy, labelled f.dom -> g.cod; a
+    # factor holding a 2 is dict-held, so its product is built whole
+    i2 = identity(QQ, shape(2))
     g = tensor(flip(QQ, 2, 3), i2)
-    f = tensor(flip(QQ, 3, 2), a)
-    got = g @ f
-    assert got.factors is not None
-    assert (got.dom, got.cod) == (f.dom, g.cod) == (shape(3, 2, 2), shape(3, 2, 2))
-    ref = _product(_tensor_eager(flip(QQ, 2, 3), i2), _tensor_eager(flip(QQ, 3, 2), a))
-    assert first_mismatch(got, ref) is None and first_mismatch(ref, got) is None
+    for a in (M([[0, 2], [1, 0]]), M([[0, 1], [1, 0]])):
+        f = tensor(flip(QQ, 3, 2), a)
+        got = g @ f
+        assert (got.factors is not None) == a.monomial
+        assert (got.dom, got.cod) == (f.dom, g.cod) == (shape(3, 2, 2), shape(3, 2, 2))
+        ref = _product(_tensor_eager(flip(QQ, 2, 3), i2), _tensor_eager(flip(QQ, 3, 2), a))
+        assert first_mismatch(got, ref) is None and first_mismatch(ref, got) is None
     # dual_algebra's mu keeps the factors of id (x) b (x) id under its
     # [n^2, n^2] -> [n^2] label: composed with a product relabelled to match,
     # its factors line up with the product's
@@ -723,7 +741,7 @@ def _block_factor(draw, fld, nc, nr):
         rows = draw(st.lists(st.integers(low, nr - 1), min_size=nc, max_size=nc)) if nr else [-1] * nc
         cols = [{r: 1} if r >= 0 else {} for r in rows]
     m = LinMap(fld, shape(nc), shape(nr), tuple(cols))
-    assert m.rows is not None
+    assert (m.rows is not None) == _unit_cols(cols)
     return m
 
 
@@ -733,8 +751,8 @@ def test_block_reads_agree_with_the_eager_reference(data):
     # a stored g after a product of two stored factors, and a whole read of
     # the product, read one block per row of the left factor: empty columns
     # in either factor, a right factor of 0, 1 or more columns or the
-    # identity, and a g holding values (the general path) all give the eager
-    # composite's entries and witnesses
+    # identity, and a factor or g holding other values (dict-held, the
+    # general path) all give the eager composite's entries and witnesses
     fld = data.draw(st.sampled_from((QQ, GF5)), label="field")
     p, a, r = (data.draw(st.integers(0, 3), label=x) for x in ("p", "a", "r"))
     q = data.draw(st.sampled_from((0, 1, 2, 3)), label="q")
@@ -743,8 +761,7 @@ def test_block_reads_agree_with_the_eager_reference(data):
     f2 = data.draw(_block_factor(fld, q, b), label="f2")
     g = data.draw(_block_factor(fld, a * b, r), label="g").reshape(shape(a, b), shape(r))
     ref_f = _tensor_eager(f1, f2)
-    got = linmap._dict_cols(*linmap._gather(tensor(f1, f2)), fld.one)
-    assert _nonzero(got) == _nonzero(ref_f.cols)
+    assert _nonzero(tensor(f1, f2).cols) == _nonzero(ref_f.cols)
     ref = _product(g, ref_f)
     got = g @ tensor(f1, f2)
     assert (got.dom, got.cod) == (ref.dom, ref.cod)
@@ -760,7 +777,7 @@ def test_block_reads_agree_with_the_eager_reference(data):
 def test_monomial_first_mismatch_agrees_with_the_entry_scan(data):
     fld = data.draw(st.sampled_from((QQ, GF5)), label="field")
     nr, nc = data.draw(st.integers(2, 3), label="rows"), data.draw(st.integers(1, 4), label="cols")
-    xcols = data.draw(_mono_cols(fld, nr, nc), label="x")
+    xcols = data.draw(_unit_or_mono_cols(fld, nr, nc), label="x")
     # y is x with a few columns replaced, so equal maps and first differences
     # anywhere both occur; it may hold its values as Fractions where x does not
     ycols = list(xcols)
@@ -775,8 +792,6 @@ def test_monomial_first_mismatch_agrees_with_the_entry_scan(data):
 
 
 def test_cols_of_an_eager_map_is_a_tuple_of_dicts():
-    from hopfkit.factories import group_algebra
-    from hopfkit.groups import symmetric3
     from hopfkit.structures import solve_antipode
 
     g = symmetric3()
@@ -797,17 +812,19 @@ def test_cols_of_an_eager_map_is_a_tuple_of_dicts():
 
 
 def test_with_entry_on_a_monomial_map_copies():
+    # the raw map holds a 2, so it is dict-held; the other two are monomial
     raw = ({1: 1}, {0: Fraction(2)}, {})
-    for m in (identity(QQ, shape(3)), LinMap(QQ, shape(3), shape(3), raw),
-              tensor(identity(QQ, shape(1)), flip(QQ, 1, 3))):
+    for m, monomial in ((identity(QQ, shape(3)), True),
+                        (LinMap(QQ, shape(3), shape(3), raw), False),
+                        (tensor(identity(QQ, shape(1)), flip(QQ, 1, 3)), True)):
         before = copy.deepcopy(m.cols)
-        form = (m.rows, m.vals, m.factors)
+        form = (m.rows, m.factors)
         for i, j, v in ((0, 1, 7), (2, 2, 0), (1, 0, 0)):
             e = m.with_entry(i, j, v)
             assert e.entry(i, j) == v
             assert e.cols[j] is not m.cols[j]
-            assert m.cols == before and (m.rows, m.vals, m.factors) == form
-            assert m.monomial
+            assert m.cols == before and (m.rows, m.factors) == form
+            assert m.monomial == monomial
 
 
 @pytest.mark.parametrize("i, j, value", [(5, 0, 1), (-1, 0, 7), (0, -1, 5), (0, 7, 1)],
@@ -837,15 +854,25 @@ def test_entry_refuses_an_index_outside_the_map(i, j):
 
 
 def test_a_stored_zero_is_no_entry_of_the_monomial_form():
-    m = LinMap(QQ, shape(3), shape(2), ({1: 0}, {0: Fraction(0)}, {1: 2}))
-    assert m.monomial and m.rows == (-1, -1, 1)
-    assert m == zero_map(QQ, shape(3), shape(2)).with_entry(1, 2, 2)
-    assert first_mismatch(m, zero_map(QQ, shape(3), shape(2))) == (1, 2, 2, 0)
+    # with a 2 the map is dict-held, with a 1 monomial: either way the
+    # stored zeros are no entries
+    for v in (2, 1):
+        m = LinMap(QQ, shape(3), shape(2), ({1: 0}, {0: Fraction(0)}, {1: v}))
+        assert m.monomial == (v == 1)
+        if m.monomial:
+            assert m.rows == (-1, -1, 1)
+        assert m == zero_map(QQ, shape(3), shape(2)).with_entry(1, 2, v)
+        assert first_mismatch(m, zero_map(QQ, shape(3), shape(2))) == (1, 2, v, 0)
 
 
 def test_a_whole_read_of_a_lazy_product_is_kept(monkeypatch):
+    # a scaled factor is dict-held, so its product is built whole, not lazy
     scaled = LinMap.from_entries(QQ, shape(2), shape(2), [[0, 2], [3, 0]])
     maps = (identity(QQ, shape(2)), scaled, flip(QQ, 2, 1))
+    p = tensor(*maps)
+    assert not p.monomial and p == _tensor_eager(*maps)
+    swap = LinMap.from_entries(QQ, shape(2), shape(2), [[0, 1], [1, 0]])
+    maps = (identity(QQ, shape(2)), swap, flip(QQ, 2, 1))
     p = tensor(*maps)
     gather, read = linmap._gather, []
     monkeypatch.setattr(linmap, "_gather",
@@ -853,7 +880,7 @@ def test_a_whole_read_of_a_lazy_product_is_kept(monkeypatch):
     first = linmap._gather(p)
     assert len(read) > 1  # the first whole read recurses into the factors
     read.clear()
-    assert linmap._gather(p) == first and first[1] is not None
+    assert linmap._gather(p) == first
     assert len(read) == 1 and read[0] is p and p.factors is None
     assert p.monomial and p == _tensor_eager(*maps)
 
@@ -865,32 +892,116 @@ def _held_terms(terms):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_terms_agree_with_a_whole_gather(data):
-    # nested lazy products of factors with empty columns, stored zeros, values
-    # held as ints or Fractions, no column at all, or all ones (vals None)
+    # nested lazy products of factors with empty columns, stored zeros, unit
+    # entries, no column at all, or the identity; a factor holding another
+    # value, as an int or a Fraction, is dict-held, and so is its product,
+    # whose terms are the eager product's
     fld = data.draw(st.sampled_from((QQ, GF5)), label="field")
     maps = []
     for k in range(data.draw(st.integers(1, 3), label="factors")):
         nr, nc = data.draw(st.integers(1, 3), label="rows"), data.draw(st.integers(0, 3), label="cols")
-        kind = data.draw(st.sampled_from(["raw", "identity", "empty"]), label=f"kind {k}")
+        kind = data.draw(st.sampled_from(["raw", "identity", "empty", "unit"]), label=f"kind {k}")
         if kind == "identity":
             maps.append(identity(fld, shape(nr)))
         elif kind == "empty":
             maps.append(LinMap(fld, shape(0), shape(nr), ()))
         else:
+            cols = _unit_or_mono_cols if kind == "unit" else _mono_cols
             maps.append(LinMap(fld, shape(nc), shape(nr),
-                               tuple(data.draw(_mono_cols(fld, nr, nc), label=f"factor {k}"))))
+                               tuple(data.draw(cols(fld, nr, nc), label=f"factor {k}"))))
     if len(maps) == 3 and data.draw(st.booleans(), label="right-nested"):
         lazy = tensor(maps[0], tensor(*maps[1:]))
     else:
         lazy = tensor(*maps)
-    assert lazy.monomial
     got = linmap._terms(lazy)
-    assert lazy.factors is not None or len(maps) == 1
-    rows, vals = linmap._gather(lazy)
-    want = [(c, r, v) for c, (r, v) in
-            enumerate(zip(rows, itertools.repeat(fld.one) if vals is None else vals)) if r >= 0]
+    if all(m.monomial for m in maps):
+        assert lazy.monomial and (lazy.factors is not None or len(maps) == 1)
+        want = [(c, r, fld.one) for c, r in enumerate(linmap._gather(lazy)) if r >= 0]
+    else:
+        want = [(c, r, v) for c, col in enumerate(_tensor_eager(*maps).cols)
+                for r, v in col.items() if v]
     assert _held_terms(got) == _held_terms(want)
     # a dict-held map lists its nonzero entries, column by column
     if lazy.dom.total and lazy.cod.total >= 2:
         held = _forms(fld, lazy.cod.total, lazy.dom.total, list(lazy.cols))[1]
         assert _held_terms(linmap._terms(held)) == _held_terms(want)
+
+
+# -- the boundary of the monomial form ---------------------------------------------
+
+
+# single entries on either side of the form: the int one is monomial; -1, 2,
+# GF(5)'s 4 and a Fraction one keep their map dict-held
+BOUNDARY_SCALARS = {QQ: [1, 1, -1, 2, Fraction(1)], GF5: [1, 1, 4, 2]}
+
+
+@st.composite
+def _boundary_cols(draw, fld, nr, nc, full=False):
+    """Raw columns of one entry at most, drawn from ``BOUNDARY_SCALARS``;
+    every column holds one when ``full``."""
+    return [{draw(st.integers(0, nr - 1)): draw(st.sampled_from(BOUNDARY_SCALARS[fld]))}
+            if full or draw(st.booleans()) else {} for _ in range(nc)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_single_entries_other_than_the_int_one_are_dict_held(data):
+    # maps of single entries are monomial exactly when each entry is the int
+    # one; in either form, and with a dict-held twin through stored zeros,
+    # compose, tensor, first_mismatch and solve give the eager references'
+    # entries and witnesses
+    fld = data.draw(st.sampled_from((QQ, GF5)), label="field")
+    a, b, c = (data.draw(st.integers(2, 3), label=x) for x in "abc")
+    fcols = data.draw(_boundary_cols(fld, b, a), label="f")
+    gcols = data.draw(_boundary_cols(fld, c, b), label="g")
+    fs, gs = _forms(fld, b, a, fcols), _forms(fld, c, b, gcols)  # asserts the form
+    ref = _product(gs[0], fs[0])
+    mutant = _bumped(data, ref)
+    for g, f in itertools.product(gs, fs):
+        got = g @ f
+        assert got.monomial or not (g.monomial and f.monomial)
+        assert first_mismatch(got, ref) is None and first_mismatch(ref, got) is None
+        assert first_mismatch(got, mutant) == _first_mismatch_scan(ref, mutant)
+        assert first_mismatch(mutant, got) == _first_mismatch_scan(mutant, ref)
+        ref_t = _tensor_eager(g, f)
+        assert tensor(g, f).monomial or not (g.monomial and f.monomial)
+        assert _nonzero(tensor(g, f).cols) == _nonzero(ref_t.cols)
+        bumped = _bumped(data, ref_t)
+        for lhs, rhs, want in ((tensor(g, f), bumped, (ref_t, bumped)),
+                               (bumped, tensor(g, f), (bumped, ref_t))):
+            got_w, want_w = first_mismatch(lhs, rhs), _first_mismatch_scan(*want)
+            assert got_w == want_w and _held_witness(got_w) == _held_witness(want_w)
+    # f against a copy with a few columns drawn again
+    ycols = list(fcols)
+    for j in data.draw(st.lists(st.integers(0, a - 1), max_size=2), label="edits"):
+        ycols[j] = data.draw(_boundary_cols(fld, b, 1), label="column")[0]
+    for x, y in itertools.product(fs, _forms(fld, b, a, ycols)):
+        for lhs, rhs in ((x, y), (y, x)):
+            got_w, want_w = first_mismatch(lhs, rhs), _first_mismatch_scan(lhs, rhs)
+            assert got_w == want_w and _held_witness(got_w) == _held_witness(want_w)
+    # solve against the rref of the dict-held twin, value types included
+    rhs = data.draw(st.dictionaries(st.integers(0, b - 1),
+                                    st.sampled_from(BOUNDARY_SCALARS[fld] + [0])), label="rhs")
+    got, want = (solve(m, rhs) for m in fs)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert [(k, type(v), v) for k, v in got.items()] == \
+            [(k, type(v), v) for k, v in want.items()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_convolution_inverse_of_single_entries_other_than_the_int_one(data):
+    # on a group algebra each unknown's column holds the one term f's column
+    # gives it, of f's value: the system is monomial exactly when f's entries
+    # are int ones, and it, the inverse and any refusal are the probing
+    # reference's
+    fld = data.draw(st.sampled_from((QQ, GF5)), label="field")
+    group = data.draw(st.sampled_from((cyclic(2), cyclic(3), symmetric3())), label="group")
+    h = group_algebra(group, fld)
+    n = h.obj.dim
+    full = data.draw(st.booleans(), label="full")
+    cols = data.draw(_boundary_cols(fld, n, n, full), label="f")
+    f = LinMap(fld, shape(n), shape(n), tuple(cols))
+    assert f.monomial == _unit_cols(cols)
+    assert _assert_same_system(f, h, h).monomial == _unit_cols(cols)

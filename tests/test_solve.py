@@ -177,15 +177,17 @@ _Q_VALUES = [1, -1, 2, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(1), Fraction
 
 @st.composite
 def monomial_system(draw):
-    """A monomial map held in its monomial form and the same map held as dict
-    columns, plus a right-hand side that is consistent, inconsistent, zero
-    or anything."""
+    """A map of one entry per column at most, as built (monomial when each
+    entry is the int one, dict-held otherwise) and held as dict columns,
+    plus a right-hand side that is consistent, inconsistent, zero or
+    anything."""
     fld = draw(st.sampled_from([QQ, Field.prime(5)]))
     values = _Q_VALUES if fld == QQ else [1, 2, 3, 4]
+    entries = [1] if draw(st.booleans()) else values
     nrows = draw(st.integers(2, 6))
     # few rows, so that several columns often share one; 0 is a stored zero
     entry = st.one_of(st.just(None), st.tuples(st.integers(0, nrows - 1),
-                                               st.sampled_from(values + [0])))
+                                               st.sampled_from(entries + [0])))
     ncols = draw(st.one_of(st.just(nrows), st.integers(1, 8)))  # square or not
     raw = [{} if e is None else {e[0]: e[1]}
            for e in draw(st.lists(entry, min_size=ncols, max_size=ncols))]
@@ -214,7 +216,10 @@ def monomial_system(draw):
 @given(monomial_system())
 def test_monomial_solve_matches_the_rref_solve(system):
     m, twin, rhs = system
-    assert m.monomial and not twin.monomial
+    # monomial exactly when no column holds a nonzero value other than the
+    # int one (a stored zero is no entry)
+    units = all(not v or (type(v) is int and v == 1) for c in m.cols for v in c.values())
+    assert m.monomial == units and not twin.monomial
     got, want = solve(m, rhs), solve(twin, rhs)
     if want is None:
         assert got is None
