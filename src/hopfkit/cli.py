@@ -9,10 +9,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import json
 import sys
 import time
 
+# only what every subcommand uses: each kind's own module is loaded by storage
+# when a file of that kind is built or checked, and gen, search, construct
+# and the machine report import the rest themselves
 from .errors import (
     BoundExceeded,
     DomainMismatch,
@@ -20,25 +22,9 @@ from .errors import (
     LawViolation,
     MathFailure,
 )
-from .factories import (
-    SWEEDLER_BASIS,
-    function_algebra,
-    group_algebra,
-    linearize_endo,
-    named_endo,
-    sweedler_h4,
-)
 from .fields import Field
-from .groups import group_by_name, idempotent_endos
 from .linmap import LinMap, TensorShape, tensor
-from .post_hopf import induced_hopf, post_hopf_from_truss, truss_from_post_hopf
-from .rota_baxter import (
-    rota_baxter_from_truss,
-    truss_from_idempotent,
-    truss_from_rota_baxter,
-    truss_from_twisted_operator,
-)
-from .storage import KINDS, SCHEMAS, StructureFile, load, save, structure_report
+from .storage import KINDS, SCHEMAS, StructureFile, load, resolve, save, structure_report
 from .structures import CheckReport, coalgebra_morphism_report, is_entry_witness
 
 
@@ -47,7 +33,7 @@ def star_verdict(sf: StructureFile) -> bool:
     star = SCHEMAS[sf.kind].star
     if star is None:
         raise InputError("--star is not defined for plain Hopf files")
-    return star(sf.structure)
+    return resolve(star)(sf.structure)
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +74,7 @@ def _emit(sf: StructureFile, rep: CheckReport, star, mode: str,
           time_ms=None) -> None:
     obj = sf.structure.obj
     if mode == "machine":
+        import json
         doc = {
             "kind": sf.kind,
             "field": obj.field.token(),
@@ -138,25 +125,29 @@ def cmd_check(args) -> int:
 
 
 # functor -> (input kind, output kind, construction); each construction is
-# looked up when called, so a function rebound on this module is the one run
+# named for ``storage.resolve`` and read off its module when called, so the
+# module loads only then and a function rebound on it is the one run
 _FUNCTORS = {
-    "F": ("wtph", "truss", lambda s: truss_from_post_hopf(s)),
-    "G": ("truss", "wtph", lambda s: post_hopf_from_truss(s)),
-    "Omega": ("wtrb", "truss", lambda s: truss_from_rota_baxter(s)),
-    "Lambda": ("truss", "wtrb", lambda s: rota_baxter_from_truss(s)),
-    "split": ("wtph", "hopf", lambda s: induced_hopf(s)[0]),
+    "F": ("wtph", "truss", "post_hopf.truss_from_post_hopf"),
+    "G": ("truss", "wtph", "post_hopf.post_hopf_from_truss"),
+    "Omega": ("wtrb", "truss", "rota_baxter.truss_from_rota_baxter"),
+    "Lambda": ("truss", "wtrb", "rota_baxter.rota_baxter_from_truss"),
+    "split": ("wtph", "hopf", "post_hopf.induced_hopf"),
 }
 
 
 def cmd_construct(args) -> int:
     sf = load(args.path)
-    domain, out_kind, construct = _FUNCTORS[args.functor]
+    domain, out_kind, construction = _FUNCTORS[args.functor]
     if sf.kind != domain:
         raise DomainMismatch(
             f"functor {args.functor} expects a {domain} file, got {sf.kind!r}")
-    built = construct(sf.structure)
-    # split changes the carrier, so the basis names no longer apply
-    basis = None if args.functor == "split" else sf.basis
+    built = resolve(construction)(sf.structure)
+    basis = sf.basis
+    if args.functor == "split":
+        # keep the induced Hopf algebra; it has a new carrier, so the basis
+        # names no longer apply
+        built, basis = built[0], None
     out = StructureFile(kind=out_kind, structure=built, basis=basis,
                         metadata=dict(sf.metadata))
     _checked_save(out, args.output)
@@ -181,6 +172,10 @@ def _require(args, names) -> None:
 
 
 def cmd_gen(args) -> int:
+    from .factories import (SWEEDLER_BASIS, function_algebra, group_algebra,
+                            linearize_endo, named_endo, sweedler_h4)
+    from .groups import group_by_name
+    from .rota_baxter import truss_from_idempotent, truss_from_twisted_operator
     fld = Field.from_token(args.field)
     if args.kind == "sweedler":
         out = StructureFile("hopf", sweedler_h4(fld), basis=list(SWEEDLER_BASIS))
@@ -218,6 +213,7 @@ _SEARCH_BUDGET = 200000
 
 def cmd_search(args) -> int:
     if args.what == "idempotents":
+        from .groups import group_by_name, idempotent_endos
         g = group_by_name(args.group)
         endos = idempotent_endos(g)
         print(f"group {args.group}: {len(endos)} idempotent endomorphisms")

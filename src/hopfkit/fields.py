@@ -1,10 +1,10 @@
 """Exact scalar arithmetic: the rationals and prime fields GF(p).
 
-Scalars are plain Python values.  Over the rationals an integral value is an
-``int`` and any other value a ``fractions.Fraction``; over GF(p) a value is its
-canonical ``int`` representative in ``[0, p)``.  A ``Field`` object mediates
-every arithmetic operation so that the linear-map layer never needs to know
-which kind of scalar it is holding.
+Scalars are plain Python values.  Over the rationals a value is an ``int`` or
+a ``fractions.Fraction`` (a parsed integral value is an ``int``); over GF(p) a
+value is its canonical ``int`` representative in ``[0, p)``.  A ``Field``
+object mediates every arithmetic operation so that the linear-map layer never
+needs to know which kind of scalar it is holding.
 
 Over Q, equality, not type, is the contract: sums and products of
 ``Fraction`` values may be integral ``Fraction`` values, which compare (and

@@ -21,12 +21,16 @@ canonical integers).  ``SCHEMAS`` below is the single statement of what each
 kind is: its map sections in file order, the attribute each one fills, and
 its shape; its law suite; and its class verdict.  Loading, saving, the CLI's
 kind list, ``structure_report`` and the CLI's ``--star`` verdict are all read
-off it.  A structure with a non-flip braiding declares ``braiding: explicit``
-and ships the matrix as a map section.  Saving is canonical (same structure,
-same bytes) and atomic (temp file then rename).
+off it.  A kind's classes and verdict are named there as ``module.name``
+strings and read off their module by :func:`resolve` when used, and its law
+suite imports its checkers when run, so a file of one kind loads only the
+modules that kind needs.  A structure with a non-flip braiding declares
+``braiding: explicit`` and ships the matrix as a map section.  Saving is
+canonical (same structure, same bytes) and atomic (temp file then rename).
 """
 from __future__ import annotations
 
+import importlib
 import os
 import tempfile
 from collections import namedtuple
@@ -37,13 +41,7 @@ from typing import Dict, List, Optional
 from .errors import ParseError, ShapeMismatch, UnknownKind, _echo, _echo_int
 from .fields import Field, FieldError, parse_natural
 from .linmap import LinMap, TensorShape
-from .post_hopf import (PostHopfData, check_post_hopf, check_twisted, class_condition,
-                        cocycle_unital_report)
-from .rota_baxter import (RotaBaxterData, check_rota_baxter, check_twisted_operator,
-                          rb_class_condition)
-from .structures import (BraidedObject, CheckReport, HopfAlgebraData, NonUnitalBialgebraData,
-                         antipode_property_check, check_braided_object, check_hopf)
-from .truss import HopfTrussData, check_truss, check_truss_derived, truss_class_condition
+from .structures import BraidedObject, CheckReport, check_braided_object
 
 FORMAT_VERSION = 1
 
@@ -75,44 +73,57 @@ def _hopf_rows(prefix=""):
     )
 
 
+def resolve(ref):
+    """The object ``ref``, a ``module.name`` string, names in this package,
+    read off its module now: the module is imported on first use, and a name
+    rebound on it since is the one returned."""
+    module, _, name = ref.partition(".")
+    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
+
+
 # The law suites, each yielding its reports in order.  The twisted
 # refinements run when their precondition holds (a wtph cocycle that fixes
 # the unit, a wtrb target with a unit), so a file never silently
-# under-claims.  Each checker is looked up when called, so a function
-# rebound on this module is the one run.
+# under-claims.  Each checker is read off its module when called, so the
+# module loads only then and a function rebound on it is the one run.
 def _hopf_laws(h):
-    yield check_hopf(h)
-    yield antipode_property_check(h)
+    from . import structures
+    yield structures.check_hopf(h)
+    yield structures.antipode_property_check(h)
 
 
 def _truss_laws(t):
-    yield check_truss(t)
-    yield check_truss_derived(t)
+    from . import truss
+    yield truss.check_truss(t)
+    yield truss.check_truss_derived(t)
 
 
 def _wtph_laws(w):
-    yield check_post_hopf(w)
-    unital = cocycle_unital_report(w)
+    from . import post_hopf
+    yield post_hopf.check_post_hopf(w)
+    unital = post_hopf.cocycle_unital_report(w)
     if unital.passed:
-        yield check_twisted(w, unital)
+        yield post_hopf.check_twisted(w, unital)
 
 
 def _wtrb_laws(w):
-    yield check_rota_baxter(w)
+    from . import rota_baxter
+    yield rota_baxter.check_rota_baxter(w)
     if w.target.eta is not None:
-        yield check_twisted_operator(w)
+        yield rota_baxter.check_twisted_operator(w)
 
 
 # What a kind is.  ``parts`` are the dataclasses the structure is built from,
-# by attribute ("" the structure itself), each with the letter of its
-# ``obj`` (None: it has no such field); ``rows`` its map sections in file
-# order; ``laws`` its law suite, run after the braided-object laws of each
-# object; ``star`` its braided-cocommutativity class verdict (None: none).
+# by attribute ("" the structure itself), each named for :func:`resolve` and
+# with the letter of its ``obj`` (None: it has no such field); ``rows`` its
+# map sections in file order; ``laws`` its law suite, run after the
+# braided-object laws of each object; ``star`` its braided-cocommutativity
+# class verdict, named for :func:`resolve` (None: none).
 Schema = namedtuple("Schema", "parts rows laws star")
 
 SCHEMAS = {
-    "hopf": Schema({"": (HopfAlgebraData, "n")}, _hopf_rows(), _hopf_laws, None),
-    "truss": Schema({"": (HopfTrussData, "n")}, (
+    "hopf": Schema({"": ("structures.HopfAlgebraData", "n")}, _hopf_rows(), _hopf_laws, None),
+    "truss": Schema({"": ("truss.HopfTrussData", "n")}, (
         MapRow("eta", "eta", "", "n"),
         MapRow("mu1", "mu1", "nn", "n", "n"),
         MapRow("mu2", "mu2", "nn", "n", "n"),
@@ -120,14 +131,16 @@ SCHEMAS = {
         MapRow("delta", "delta", "n", "nn", "n"),
         MapRow("lambda", "antipode", "n", "n", "n"),
         MapRow("sigma", "cocycle", "n", "n", "n"),
-    ), _truss_laws, truss_class_condition),
-    "wtph": Schema({"": (PostHopfData, None), "hopf": (HopfAlgebraData, "n")},
+    ), _truss_laws, "truss.truss_class_condition"),
+    "wtph": Schema({"": ("post_hopf.PostHopfData", None),
+                    "hopf": ("structures.HopfAlgebraData", "n")},
                    _hopf_rows("hopf.") + (
                        MapRow("m", "action", "nn", "n", "n"),
                        MapRow("phi", "cocycle", "n", "n", "n"),
-                   ), _wtph_laws, class_condition),
-    "wtrb": Schema({"": (RotaBaxterData, None), "hopf": (HopfAlgebraData, "n"),
-                    "target": (NonUnitalBialgebraData, "k")},
+                   ), _wtph_laws, "post_hopf.class_condition"),
+    "wtrb": Schema({"": ("rota_baxter.RotaBaxterData", None),
+                    "hopf": ("structures.HopfAlgebraData", "n"),
+                    "target": ("structures.NonUnitalBialgebraData", "k")},
                    _hopf_rows("hopf.") + (
                        MapRow("muB", "target.mu", "kk", "k", "k"),
                        MapRow("epsB", "target.eps", "k", ""),
@@ -136,7 +149,7 @@ SCHEMAS = {
                        MapRow("T", "operator", "n", "k"),
                        MapRow("psi", "cocycle", "n", "n", "n"),
                        MapRow("etaB", "target.eta", "", "k", optional=True),
-                   ), _wtrb_laws, rb_class_condition),
+                   ), _wtrb_laws, "rota_baxter.rb_class_condition"),
 }
 
 KINDS = tuple(SCHEMAS)
@@ -167,8 +180,8 @@ def _build(parts, objs, maps):
         part, _, attr = path.rpartition(".")
         kwargs[part][attr] = m
     top = kwargs.pop("")
-    top.update((part, parts[part][0](**kw)) for part, kw in kwargs.items())
-    return parts[""][0](**top)
+    top.update((part, resolve(parts[part][0])(**kw)) for part, kw in kwargs.items())
+    return resolve(parts[""][0])(**top)
 
 
 @dataclass

@@ -889,6 +889,31 @@ def _held_terms(terms):
     return [(c, r, type(v).__name__, str(v)) for c, r, v in terms]
 
 
+def _assert_terms_agree(fld, maps, right_nested):
+    # the reference is nested as the lazy product is: the kernel's copy of a
+    # one is exact in value, not in type, and each nesting multiplies its
+    # scalars in its own order, so 2 (x) (1/2 (x) 1) holds Fraction(1) where
+    # (2 (x) 1/2) (x) 1 holds int 1
+    if right_nested:
+        lazy = tensor(maps[0], tensor(*maps[1:]))
+        eager = _tensor_eager(maps[0], _tensor_eager(*maps[1:]))
+    else:
+        lazy = tensor(*maps)
+        eager = _tensor_eager(*maps)
+    got = linmap._terms(lazy)
+    if all(m.monomial for m in maps):
+        assert lazy.monomial and (lazy.factors is not None or len(maps) == 1)
+        want = [(c, r, fld.one) for c, r in enumerate(linmap._gather(lazy)) if r >= 0]
+    else:
+        want = [(c, r, v) for c, col in enumerate(eager.cols)
+                for r, v in col.items() if v]
+    assert _held_terms(got) == _held_terms(want)
+    # a dict-held map lists its nonzero entries, column by column
+    if lazy.dom.total and lazy.cod.total >= 2:
+        held = _forms(fld, lazy.cod.total, lazy.dom.total, list(lazy.cols))[1]
+        assert _held_terms(linmap._terms(held)) == _held_terms(want)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_terms_agree_with_a_whole_gather(data):
@@ -909,22 +934,16 @@ def test_terms_agree_with_a_whole_gather(data):
             cols = _unit_or_mono_cols if kind == "unit" else _mono_cols
             maps.append(LinMap(fld, shape(nc), shape(nr),
                                tuple(data.draw(cols(fld, nr, nc), label=f"factor {k}"))))
-    if len(maps) == 3 and data.draw(st.booleans(), label="right-nested"):
-        lazy = tensor(maps[0], tensor(*maps[1:]))
-    else:
-        lazy = tensor(*maps)
-    got = linmap._terms(lazy)
-    if all(m.monomial for m in maps):
-        assert lazy.monomial and (lazy.factors is not None or len(maps) == 1)
-        want = [(c, r, fld.one) for c, r in enumerate(linmap._gather(lazy)) if r >= 0]
-    else:
-        want = [(c, r, v) for c, col in enumerate(_tensor_eager(*maps).cols)
-                for r, v in col.items() if v]
-    assert _held_terms(got) == _held_terms(want)
-    # a dict-held map lists its nonzero entries, column by column
-    if lazy.dom.total and lazy.cod.total >= 2:
-        held = _forms(fld, lazy.cod.total, lazy.dom.total, list(lazy.cols))[1]
-        assert _held_terms(linmap._terms(held)) == _held_terms(want)
+    right_nested = len(maps) == 3 and data.draw(st.booleans(), label="right-nested")
+    _assert_terms_agree(fld, maps, right_nested)
+
+
+@pytest.mark.parametrize("right_nested", [False, True])
+def test_terms_of_a_product_whose_scalars_multiply_to_one(right_nested):
+    # 2 (x) 1/2 (x) 1: an integral Fraction one in one nesting, an int one in
+    # the other, and equal terms against the reference of the same nesting
+    maps = [LinMap(QQ, shape(1), shape(1), ({0: v},)) for v in (2, Fraction(1, 2), 1)]
+    _assert_terms_agree(QQ, maps, right_nested)
 
 
 # -- the boundary of the monomial form ---------------------------------------------
