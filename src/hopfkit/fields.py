@@ -4,7 +4,8 @@ Scalars are plain Python values.  Over the rationals a value is an ``int`` or
 a ``fractions.Fraction`` (a parsed integral value is an ``int``); over GF(p) a
 value is its canonical ``int`` representative in ``[0, p)``.  A ``Field``
 object mediates every arithmetic operation so that the linear-map layer never
-needs to know which kind of scalar it is holding.
+needs to know which kind of scalar it is holding.  There is one ``Field``
+object per characteristic, so ``==`` on fields is ``is``.
 
 Over Q, equality, not type, is the contract: sums and products of
 ``Fraction`` values may be integral ``Fraction`` values, which compare (and
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import index
 
 from .errors import InputError, _echo
 
@@ -54,6 +56,9 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+_FIELDS = {}  # char -> its one Field
+
+
 class Field:
     """The rationals (``char == 0``) or GF(p) (``char == p`` prime).
 
@@ -64,16 +69,31 @@ class Field:
     arithmetic on ``Fraction`` inputs may return an integral ``Fraction``.
     Compare scalars by value, never by type.  GF(p) scalars are ints already
     reduced mod p.
+
+    ``Field(p)`` is made once per characteristic and returned again after
+    that, through copy, deepcopy and pickle too, so ``==`` is ``is``.
     """
 
     __slots__ = ("char",)
 
-    def __init__(self, char: int = 0):
-        if char >= MAX_CHAR or (char != 0 and not _is_prime(char)):
-            raise FieldError(
-                "field characteristic must be 0 or a prime below 2^31, "
-                f"got {_echo(str(char))}")
-        self.char = char
+    def __new__(cls, char: int = 0):
+        try:
+            char = index(char)
+        except TypeError:
+            raise FieldError(f"characteristic {_echo(str(char))} is not an integer") from None
+        got = _FIELDS.get(char)
+        if got is None:
+            if char >= MAX_CHAR or (char != 0 and not _is_prime(char)):
+                raise FieldError(
+                    "field characteristic must be 0 or a prime below 2^31, "
+                    f"got {_echo(str(char))}")
+            got = object.__new__(cls)
+            got.char = char
+            got = _FIELDS.setdefault(char, got)
+        return got
+
+    def __reduce__(self):
+        return (Field, (self.char,))
 
     # -- constructors ----------------------------------------------------
 
@@ -88,12 +108,6 @@ class Field:
         return Field(p)
 
     # -- identity ---------------------------------------------------------
-
-    def __eq__(self, other):
-        return isinstance(other, Field) and self.char == other.char
-
-    def __hash__(self):
-        return hash(("Field", self.char))
 
     def __repr__(self):
         return "Q" if self.char == 0 else f"GF({self.char})"

@@ -12,6 +12,8 @@ matter live here:
 * **Exactness.**  Entries are exact scalars of one :class:`~hopfkit.fields.Field`;
   no operation rounds.  Equality is entrywise and exact, and shapes compare
   factor-wise (``[6]`` differs from ``[2,3]`` even though the totals agree).
+  A field and a shape are each made once (per characteristic, per tuple of
+  factors), so the kernel compares them by identity.
 
 A map is logically a ``cod.total x dom.total`` matrix.  Physically it has one
 of two forms, and ``entries()`` materializes the dense view whenever one is
@@ -83,32 +85,41 @@ edits.
 """
 from __future__ import annotations
 
-from operator import itemgetter
+from math import prod
+from operator import index as as_index, itemgetter
 
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, _echo
 from .fields import Field
 
 
+_SHAPES = {}  # factors -> their one TensorShape
+
+
 class TensorShape:
-    """An ordered tuple of tensor-factor dimensions; ``()`` is the ground field."""
+    """An ordered tuple of tensor-factor dimensions; ``()`` is the ground field.
+
+    A shape is made once per tuple of factors and returned again after that,
+    through copy, deepcopy and pickle too, so ``==`` is ``is``; shapes still
+    differ factor by factor (``[6]`` is not ``[2,3]``)."""
 
     __slots__ = ("factors", "total")
 
-    def __init__(self, factors=()):
-        fs = tuple(int(n) for n in factors)
-        if any(n < 0 for n in fs):
-            raise ShapeMismatch(f"negative factor in shape {fs}")
-        self.factors = fs
-        total = 1
-        for n in fs:
-            total *= n
-        self.total = total
+    def __new__(cls, factors=()):
+        try:
+            fs = tuple(map(as_index, factors))
+        except TypeError:
+            raise ShapeMismatch(f"shape {_echo(str(factors))} has a non-integer factor") from None
+        got = _SHAPES.get(fs)
+        if got is None:
+            if any(n < 0 for n in fs):
+                raise ShapeMismatch(f"negative factor in shape {fs}")
+            got = object.__new__(cls)
+            got.factors, got.total = fs, prod(fs)
+            got = _SHAPES.setdefault(fs, got)
+        return got
 
-    def __eq__(self, other):
-        return isinstance(other, TensorShape) and self.factors == other.factors
-
-    def __hash__(self):
-        return hash(self.factors)
+    def __reduce__(self):
+        return (TensorShape, (self.factors,))
 
     def __repr__(self):
         return f"[{','.join(str(n) for n in self.factors)}]"
@@ -121,7 +132,9 @@ class TensorShape:
 
     def __mul__(self, other: "TensorShape") -> "TensorShape":
         """Concatenation: the shape of a tensor product."""
-        return TensorShape(self.factors + other.factors)
+        fs = self.factors + other.factors
+        got = _SHAPES.get(fs)
+        return TensorShape(fs) if got is None else got
 
     def index(self, coords) -> int:
         """Flat index of a multi-index, leftmost factor most significant."""
@@ -198,7 +211,7 @@ class LinMap:
     def from_cols(field, dom, cod, cols) -> "LinMap":
         """Build from per-column {row: value} dicts of Python values: the one
         loop that coerces each value, checks each row and drops zeros."""
-        dom, cod = _as_shape(dom), _as_shape(cod)
+        dom, cod = TensorShape(dom), TensorShape(cod)
         if len(cols) != dom.total:
             raise ShapeMismatch(f"{len(cols)} columns for domain of total {dom.total}")
         clean = []
@@ -217,7 +230,7 @@ class LinMap:
     def from_entries(field, dom, cod, rows) -> "LinMap":
         """Build from a dense row-major matrix (list of rows): its shape is
         checked here, its values by :meth:`from_cols`."""
-        dom, cod = _as_shape(dom), _as_shape(cod)
+        dom, cod = TensorShape(dom), TensorShape(cod)
         rows = [list(r) for r in rows]
         if len(rows) != cod.total or any(len(r) != dom.total for r in rows):
             raise ShapeMismatch(
@@ -266,7 +279,7 @@ class LinMap:
         Totals must be preserved; this is the strictness isomorphism
         ``[m*n] = [m,n]`` made explicit.
         """
-        dom, cod = _as_shape(dom), _as_shape(cod)
+        dom, cod = TensorShape(dom), TensorShape(cod)
         if dom.total != self.dom.total or cod.total != self.cod.total:
             raise ShapeMismatch(
                 f"reshape {self.dom}->{self.cod} to {dom}->{cod} changes totals"
@@ -288,12 +301,6 @@ class LinMap:
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         return compose(self, other)
-
-
-def _as_shape(s) -> TensorShape:
-    if isinstance(s, TensorShape):
-        return s
-    return TensorShape(s)
 
 
 # -- the monomial form ------------------------------------------------------------
@@ -406,12 +413,12 @@ def _dict_cols(rows, one) -> list:
 
 
 def identity(field: Field, shp) -> LinMap:
-    shp = _as_shape(shp)
+    shp = TensorShape(shp)
     return LinMap(field, shp, shp, rows=tuple(range(shp.total)))
 
 
 def zero_map(field: Field, dom, cod) -> LinMap:
-    dom, cod = _as_shape(dom), _as_shape(cod)
+    dom, cod = TensorShape(dom), TensorShape(cod)
     return LinMap(field, dom, cod, rows=(-1,) * dom.total)
 
 

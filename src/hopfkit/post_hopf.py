@@ -78,6 +78,8 @@ class PostHopfData:
     cocycle: LinMap  # [n] -> [n]
     _bar: Optional[LinMap] = dc_field(default=None, init=False, repr=False,
                                       compare=False)
+    _alpha: Optional[LinMap] = dc_field(default=None, init=False, repr=False,
+                                        compare=False)
     _beta: Optional[LinMap] = dc_field(default=None, init=False, repr=False,
                                        compare=False)
 
@@ -129,9 +131,11 @@ def curried_action(w: PostHopfData) -> LinMap:
     written out against the self-dual basis pairing (flip braiding only).
 
     Equals ``(id (x) action) . (c (x) id) . (id (x) a)``, read off the
-    entries of the action by :func:`_curry`."""
+    entries of the action by :func:`_curry`.  Cached."""
     require_flip(w.obj, "currying the action")
-    return _curry(w.action)
+    if w._alpha is None:
+        w._alpha = _curry(w.action)
+    return w._alpha
 
 
 def curried_action_inverse(w: PostHopfData) -> LinMap:

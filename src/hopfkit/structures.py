@@ -170,7 +170,8 @@ class BraidedObject:
 
     ``is_flip`` is decided once, here (true for ``braid=None`` and for a braid
     equal to the flip); the ``n^2``-column flip matrix is only built on the
-    first read of ``braid``.
+    first read of ``braid``.  Every derived braiding is kept once built, and
+    so is every identity: ``id(k)`` is ``braiding(0, k)``.
     """
 
     __slots__ = ("field", "dim", "is_flip", "_braid", "_powers", "_braid_inv")
@@ -201,7 +202,7 @@ class BraidedObject:
         return TensorShape((self.dim,) * k)
 
     def id(self, k: int = 1) -> LinMap:
-        return identity(self.field, self.shape(k))
+        return self.braiding(0, k)
 
     def braid_inverse(self) -> LinMap:
         if self._braid_inv is None:
@@ -218,7 +219,7 @@ class BraidedObject:
         if got is not None:
             return got
         if j == 0 or k == 0:
-            out = self.id(j + k)
+            out = identity(self.field, self.shape(j + k))
         elif j == 1 and k == 1:
             out = self.braid
         elif j == 1:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -31,6 +33,29 @@ def test_characteristic_must_be_prime():
         Field(6)
     Field(2)
     Field(97)
+
+
+def test_one_field_object_per_characteristic():
+    assert QQ is Field(0) is Field.rationals() is Field.from_token("Q")
+    assert Field.prime(5) is Field.from_token("GF:5") is Field(5)
+    assert QQ != Field(5) and Field(5) is not Field(7)
+    for fld in (QQ, Field(5)):
+        assert copy.copy(fld) is fld
+        assert copy.deepcopy(fld) is fld
+        assert pickle.loads(pickle.dumps(fld)) is fld
+
+
+def test_characteristic_must_be_an_integer():
+    # a refused value is never kept: no other test makes GF(101), so a kept
+    # Field(101.0) would be what Field(101) returns
+    for p in (2, 101):
+        for bad in (float(p), str(p), None):
+            with pytest.raises(FieldError, match="not an integer"):
+                Field(bad)
+        assert type(Field(p).char) is int
+        assert Field(p).token() == f"GF:{p}"
+    with pytest.raises(FieldError):
+        Field.prime("5")
 
 
 def test_inverse_of_zero():

@@ -34,7 +34,8 @@ from hopfkit.rota_baxter import (adjunction_check, check_rb_morphism,
                                  rota_baxter_from_truss, truss_equivalence_check,
                                  truss_from_idempotent)
 from hopfkit.solve import invert
-from hopfkit.storage import load
+from hopfkit import storage
+from hopfkit.storage import load, structure_report
 from hopfkit.structures import BraidedObject, antipode_property_check
 from hopfkit.truss import check_truss_morphism
 
@@ -310,8 +311,13 @@ ROUNDTRIP = {
 
 
 @pytest.fixture(scope="module")
-def observed(tmp_path_factory):
-    return build_golden(str(tmp_path_factory.mktemp("golden")))
+def golden_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.fixture(scope="module")
+def observed(golden_dir):
+    return build_golden(golden_dir)
 
 
 @pytest.mark.parametrize("name", [n for n, _ in GEN + CONSTRUCT + MUTANTS + BAD_INPUT])
@@ -322,6 +328,20 @@ def test_golden_file_and_report(observed, name):
 @pytest.mark.parametrize("check", sorted(ROUNDTRIP))
 def test_golden_roundtrip_laws(observed, check):
     assert observed[check] == ROUNDTRIP[check]
+
+
+@pytest.mark.parametrize("name", [n for n, _ in GEN + CONSTRUCT])
+def test_golden_report_leaves_the_shared_identities_as_they_are(observed, golden_dir, name):
+    # ``obj.id(k)`` is one map per object and power, read by every law that
+    # needs it: no law may write into it
+    sf = load(os.path.join(golden_dir, name + ".txt"))
+    objs = storage._objects(storage._schema(sf.kind).parts, sf.structure).values()
+    ids = [(obj, k, obj.id(k)) for obj in objs for k in (1, 2, 3)]
+    structure_report(sf)
+    for obj, k, m in ids:
+        n = obj.dim ** k
+        assert obj.id(k) is m and m.factors is None
+        assert m.rows == tuple(range(n)) and list(m.cols) == [{i: 1} for i in range(n)]
 
 
 # -- checkers the CLI never runs ---------------------------------------------

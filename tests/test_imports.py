@@ -136,6 +136,33 @@ def test_public_names_resolve_in_a_fresh_interpreter():
     assert json.loads(_python(code)) == []
 
 
+def test_each_fresh_import_makes_its_own_fields_and_shapes():
+    # import hopfkit afresh five times in one interpreter, as the benchmark
+    # does before each set-up: each import's cached fields and shapes are its
+    # own, and a truss built from its modules checks
+    code = (
+        "import importlib, json, sys\nseen, out = [], []\n"
+        "for _ in range(5):\n"
+        "    for m in [m for m in sys.modules if m.split('.')[0] == 'hopfkit']:\n"
+        "        del sys.modules[m]\n"
+        "    mod = {m: importlib.import_module('hopfkit.' + m) for m in\n"
+        "           ('fields', 'linmap', 'groups', 'factories', 'rota_baxter', 'truss')}\n"
+        "    f, lm = mod['fields'], mod['linmap']\n"
+        "    g = mod['groups'].group_by_name('S3')\n"
+        "    passed = []\n"
+        "    for fld in (f.QQ, f.Field(5)):\n"
+        "        h = mod['factories'].group_algebra(g, fld)\n"
+        "        q = mod['factories'].linearize_endo(g, mod['factories'].named_endo(\n"
+        "            g, 'sign-retraction'), fld)\n"
+        "        t = mod['rota_baxter'].truss_from_idempotent(h, q)\n"
+        "        passed.append(mod['truss'].check_truss(t).passed)\n"
+        "    out.append([f.QQ is f.Field(0), lm.TensorShape(()) is lm.UNIT_SHAPE,\n"
+        "                all(passed), f.QQ not in seen, lm.UNIT_SHAPE not in seen])\n"
+        "    seen += [f.QQ, lm.UNIT_SHAPE]\n"
+        "print(json.dumps(out))")
+    assert json.loads(_python(code)) == [[True] * 5] * 5
+
+
 def _spy(monkeypatch, module, name):
     """Rebind ``module.name`` to a wrapper that records each call."""
     calls, real = [], getattr(module, name)

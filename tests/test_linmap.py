@@ -2,6 +2,7 @@
 import copy
 import gc
 import itertools
+import pickle
 import re
 from fractions import Fraction
 
@@ -46,6 +47,42 @@ def test_tensor_shape_indexing():
     # leftmost factor most significant
     assert [s.index((i, j)) for i in range(2) for j in range(3)] == list(range(6))
     assert s.coords(5) == (1, 2)
+
+
+def test_one_shape_object_per_tuple_of_factors():
+    a, b = shape(2, 3), shape(4)
+    assert TensorShape([2, 3]) is a and TensorShape(()) is UNIT_SHAPE
+    assert a * b is TensorShape(a.factors + b.factors) is shape(2, 3, 4)
+    # the unit shape has length 0: a product with it is still found
+    assert a * UNIT_SHAPE is a and UNIT_SHAPE * UNIT_SHAPE is UNIT_SHAPE
+    assert shape(6) != a and shape(6).total == a.total
+    for s in (a, UNIT_SHAPE):
+        assert copy.copy(s) is s
+        assert copy.deepcopy(s) is s
+        assert pickle.loads(pickle.dumps(s)) is s
+
+
+def test_shape_factors_must_be_nonnegative_integers():
+    for bad in ([2.7, 3], [2.0, 3], ["2", 3], "23", [-1, 2]):
+        with pytest.raises(ShapeMismatch):
+            TensorShape(bad)
+
+
+def test_identical_totals_or_fields_are_not_enough():
+    # [6] and [2,3] are different shapes, Q and GF(5) different fields:
+    # each kernel operation still refuses them, and ``first_mismatch`` names
+    # the first difference
+    f5 = Field.prime(5)
+    six, two_three = identity(QQ, shape(6)), identity(QQ, shape(2, 3))
+    with pytest.raises(ShapeMismatch):
+        six @ two_three
+    assert first_mismatch(six, two_three) == (
+        "shape", (shape(6), shape(6)), (shape(2, 3), shape(2, 3)))
+    q, g = identity(QQ, shape(2)), identity(f5, shape(2))
+    for op in (compose, tensor):
+        with pytest.raises(ShapeMismatch):
+            op(q, g)
+    assert first_mismatch(q, g) == ("field", QQ, f5)
 
 
 def test_compose_is_matrix_product():

@@ -213,6 +213,17 @@ def test_replace_does_not_carry_the_curried_action_inverse():
     assert "FAIL  twisted.curried-action-invertible" in str(check_twisted(zero))
 
 
+def test_replace_starts_with_no_cached_map():
+    w = trivial_post_hopf(group_algebra(cyclic(3), QQ))
+    derived_product(w)
+    curried_action_inverse(w)
+    assert curried_action(w) is curried_action(w)  # built once, then kept
+    assert None not in (w._alpha, w._beta, w._bar)
+    zero = replace(w, action=zero_map(QQ, shape(3, 3), shape(3)))
+    assert (zero._alpha, zero._beta, zero._bar) == (None, None, None)
+    assert curried_action(zero) == _curry(zero.action) != curried_action(w)
+
+
 def test_curried_action_invertible_on_twisted():
     w = sign_retraction_post_hopf()
     alpha = curried_action(w)

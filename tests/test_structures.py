@@ -104,6 +104,14 @@ def test_braiding_powers_compose():
                 assert c21.cols[col] == {s3.index((k, i, j)): QQ.one}
 
 
+def test_identities_are_kept_with_the_braidings():
+    obj = BraidedObject(QQ, 2)
+    for k in range(4):
+        assert obj.id(k) is obj.braiding(0, k) is obj.id(k)
+        assert obj.id(k) == identity(QQ, shape(*(2,) * k))
+    assert obj.id() is obj.id(1)
+
+
 def test_non_flip_braiding_is_lawful_but_refuses_duality():
     # on a 1-dim object the flip is the identity; scaling by 2 is a
     # different, still lawful, braiding
