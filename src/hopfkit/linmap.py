@@ -26,23 +26,26 @@ wanted:
   matrices with every entry one; C. F. Van Loan, "The ubiquitous Kronecker
   product", J. Comput. Appl. Math. 123, 2000).  Such a map is held as a
   tuple ``rows`` giving the row of each column's entry, ``-1`` for an empty
-  column.  ``LinMap(...)`` reads into this form any dict columns of at most
-  one entry each, that entry the int one, whoever builds them; a stored
-  zero is no entry.
+  column.
 * **Dict columns.**  Any other map is a tuple of sparse column dicts (zero
   entries are not stored): dense matrices of the sizes met here, 4096x4096
   at order 8, would be hopeless in exact arithmetic.  That includes a map
   whose single entries are -1, 2 or a ``Fraction`` one; the last keeps its
   map dict-held so that a witness holds what the map holds.
+* **Lazy product.**  ``tensor`` keeps its two factors, in either form; the
+  product is monomial when both factors are.
+
+A map is built from ``(column, row, value)`` triples by :func:`from_terms`;
+``LinMap(...)`` reads dict columns of one int-one entry at most into
+``rows``, a stored zero being no entry.
 
 The kernel works on the monomial form by index arithmetic, with no per-column
 object:
 
-* ``tensor`` of two monomial maps is lazy: it keeps its factors, and column
-  ``j`` of ``f (x) g`` has its entry in row
-  ``f.rows[j // ng] * g.cod.total + g.rows[j % ng]``, ``ng = g.dom.total``.
-  Any other product is built whole by ``_kron_all``, its columns filled
-  from the entries ``_pair`` lists.
+* Column ``j`` of a lazy ``f (x) g`` of monomial factors has its entry in
+  row ``f.rows[j // ng] * g.cod.total + g.rows[j % ng]``,
+  ``ng = g.dom.total``.  The columns of any other product are filled by
+  ``_kron_all`` from the entries ``_pair`` lists when they are first read.
 * ``compose(g, f)`` of two lazy products whose factors line up
   (``g1.dom == f1.cod`` and ``g2.dom == f2.cod``) follows the mixed-product
   rule ``(g1 (x) g2)(f1 (x) f2) = g1 f1 (x) g2 f2``: the result is the lazy
@@ -95,6 +98,14 @@ from .fields import Field
 _SHAPES = {}  # factors -> their one TensorShape
 
 
+def _as_index(i, what: str) -> int:
+    """``i`` as an ``int``, or :class:`ShapeMismatch` when it is no integer."""
+    try:
+        return as_index(i)
+    except TypeError:
+        raise ShapeMismatch(f"{what} {_echo(str(i))} is not an integer") from None
+
+
 class TensorShape:
     """An ordered tuple of tensor-factor dimensions; ``()`` is the ground field.
 
@@ -143,6 +154,7 @@ class TensorShape:
             raise ShapeMismatch(f"multi-index {coords} does not fit shape {self}")
         flat = 0
         for c, n in zip(coords, self.factors):
+            c = _as_index(c, "coordinate")
             if not 0 <= c < n:
                 raise ShapeMismatch(f"coordinate {c} out of range for factor {n}")
             flat = flat * n + c
@@ -150,6 +162,7 @@ class TensorShape:
 
     def coords(self, flat: int):
         """Inverse of :meth:`index`."""
+        flat = _as_index(flat, "flat index")
         if not 0 <= flat < self.total:
             raise ShapeMismatch(f"flat index {flat} out of range for shape {self}")
         out = []
@@ -169,40 +182,38 @@ UNIT_SHAPE = TensorShape(())
 class LinMap:
     """An exact linear map ``dom -> cod`` between tensor powers."""
 
-    __slots__ = ("field", "dom", "cod", "_cols", "rows", "factors")
+    __slots__ = ("field", "dom", "cod", "_cols", "rows", "factors", "monomial")
 
     def __init__(self, field: Field, dom: TensorShape, cod: TensorShape, cols=None,
                  rows=None, factors=None):
         self.field = field
         self.dom = dom
         self.cod = cod
-        # the monomial form (see the module docstring): ``rows``, or, for a
-        # lazy product, its two monomial ``factors``; dict columns of one
-        # unit entry at most are read into it here and nowhere else.  The
-        # factors' shapes need not concatenate to ``dom`` and ``cod``: only
-        # the totals agree, because ``reshape`` keeps the factors
-        if rows is None and factors is None:
-            rows = _monomial(cols, field.one)
+        # the form (see the module docstring).  The factors' shapes need not
+        # concatenate to ``dom`` and ``cod``: ``reshape`` keeps the factors
+        if factors is not None:
+            self.monomial = factors[0].monomial and factors[1].monomial
+        else:
+            if rows is None:
+                rows = _monomial(cols, field.one)
+            self.monomial = rows is not None
         self._cols = cols
         self.rows = rows
         self.factors = factors
-
-    @property
-    def monomial(self) -> bool:
-        return self.rows is not None or self.factors is not None
 
     @property
     def cols(self):
         """The columns, a tuple of ``{row: nonzero scalar}`` dicts.
 
         A column is never mutated in place, so maps share them (``compose``
-        hands out the columns of a dict-held ``g`` that it reads).  A
-        monomial map builds them, each ``{row: 1}`` or empty, on first read
-        and keeps them; the kernel reads them only where a monomial map meets
-        a dict-held one in ``tensor`` or ``first_mismatch``, and for the
-        witness of a mismatch."""
+        hands out the columns of a dict-held ``g`` that it reads).  A lazy
+        product or a monomial map builds them on first read and keeps them;
+        the kernel reads them only for a product that is not monomial, where
+        a monomial map meets a dict-held one in ``compose`` or
+        ``first_mismatch``, and for the witness of a mismatch."""
         if self._cols is None:
-            self._cols = tuple(_dict_cols(_gather(self), self.field.one))
+            self._cols = (tuple(_dict_cols(_gather(self), self.field.one)) if self.monomial
+                          else _kron_all(*self.factors))
         return self._cols
 
     # -- constructors -------------------------------------------------------
@@ -210,21 +221,17 @@ class LinMap:
     @staticmethod
     def from_cols(field, dom, cod, cols) -> "LinMap":
         """Build from per-column {row: value} dicts of Python values: the one
-        loop that coerces each value, checks each row and drops zeros."""
+        loop that coerces each value and checks each row; zeros are dropped."""
         dom, cod = TensorShape(dom), TensorShape(cod)
         if len(cols) != dom.total:
             raise ShapeMismatch(f"{len(cols)} columns for domain of total {dom.total}")
-        clean = []
-        for col in cols:
-            d = {}
+        terms = []
+        for j, col in enumerate(cols):
             for i, v in col.items():
-                if not 0 <= i < cod.total:
+                if not 0 <= (i := _as_index(i, "row")) < cod.total:
                     raise ShapeMismatch(f"row {i} out of range for codomain total {cod.total}")
-                v = field.coerce(v)
-                if v:
-                    d[i] = v
-            clean.append(d)
-        return LinMap(field, dom, cod, tuple(clean))
+                terms.append((j, i, field.coerce(v)))
+        return from_terms(field, dom, cod, terms)
 
     @staticmethod
     def from_entries(field, dom, cod, rows) -> "LinMap":
@@ -243,12 +250,14 @@ class LinMap:
 
     def entry(self, i: int, j: int):
         """The entry in row ``i``, column ``j``; :class:`ShapeMismatch` outside the map."""
-        self._check_entry(i, j)
+        i, j = self._check_entry(i, j)
         return self.cols[j].get(i, self.field.zero)
 
-    def _check_entry(self, i: int, j: int):
+    def _check_entry(self, i, j):
+        i, j = _as_index(i, "row"), _as_index(j, "column")
         if not (0 <= i < self.cod.total and 0 <= j < self.dom.total):
             raise ShapeMismatch(f"entry ({i}, {j}) out of range for {self.dom}->{self.cod}")
+        return i, j
 
     def entries(self):
         """Dense row-major matrix of entries (a list of lists)."""
@@ -288,16 +297,10 @@ class LinMap:
 
     def with_entry(self, i: int, j: int, value) -> "LinMap":
         """Copy of the map with entry (i, j) replaced (handy for mutation tests)."""
-        self._check_entry(i, j)
-        v = self.field.coerce(value)
-        cols = list(self.cols)
-        col = dict(cols[j])
-        if v:
-            col[i] = v
-        else:
-            col.pop(i, None)
-        cols[j] = col
-        return LinMap(self.field, self.dom, self.cod, tuple(cols))
+        i, j = self._check_entry(i, j)
+        terms = [t for t in _terms(self) if t[0] != j or t[1] != i]
+        terms.append((j, i, self.field.coerce(value)))
+        return from_terms(self.field, self.dom, self.cod, terms)
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         return compose(self, other)
@@ -319,6 +322,41 @@ def _monomial(cols, one):
             return None
         rows.append(i if v else -1)
     return tuple(rows)
+
+
+def from_terms(field: Field, dom: TensorShape, cod: TensorShape, terms) -> LinMap:
+    """The map of the ``(column, row, value)`` triples ``terms``, in any
+    order and trusted to lie in the map: values at one position are summed,
+    and a zero term or a sum that cancels is dropped on the spot.  A column
+    keeps the row form while its only term is the int one; a map with any
+    dict column is handed to ``LinMap(...)``, whose :func:`_monomial` rules."""
+    one, add = field.one, field.add
+    # column c holds row rows[c] with the value one; -1 is an empty column
+    # and -2 one held in ``wide``, as a dict
+    rows, wide = [-1] * dom.total, {}
+    for c, r, v in terms:
+        held = rows[c]
+        if held == -1 and v == one and type(v) is int:
+            rows[c] = r
+            continue
+        if not v:
+            continue
+        if held != -2:
+            wide[c] = {} if held == -1 else {held: one}
+            rows[c] = -2
+        col = wide[c]
+        if r in col:
+            v = add(col[r], v)
+            if not v:
+                del col[r]
+                continue
+        col[r] = v
+    if not wide:
+        return LinMap(field, dom, cod, rows=tuple(rows))
+    cols = _dict_cols(rows, one)
+    for c, col in wide.items():
+        cols[c] = col
+    return LinMap(field, dom, cod, tuple(cols))
 
 
 def _gather(m: LinMap, idx=None) -> tuple:
@@ -381,17 +419,18 @@ def _terms(m: LinMap) -> list:
 
     A lazy product pairs the entries of its two factors: it visits no empty
     column and stays lazy.  A dict-held map lists its nonzero entries."""
-    if not m.monomial:
-        return [(c, r, v) for c, col in enumerate(m.cols) for r, v in col.items() if v]
-    if m.factors is None:
+    if m.factors is not None:
+        return _pair(*m.factors)
+    if m.rows is not None:
         one = m.field.one
         return [(c, r, one) for c, r in enumerate(m.rows) if r >= 0]
-    return _pair(*m.factors)
+    return [(c, r, v) for c, col in enumerate(m.cols) for r, v in col.items() if v]
 
 
 def _pair(f: LinMap, g: LinMap) -> list:
-    """The entries of ``f (x) g`` as ``(column, row, value)`` triples: each
-    entry of ``f`` with each entry of ``g``, so no empty column is visited."""
+    """The entries of ``f (x) g`` as ``(column, row, value)`` triples, by
+    column: each entry of ``f`` with each entry of ``g``, so no empty column
+    is visited."""
     ng, ncg = g.dom.total, g.cod.total
     one, mul = f.field.one, f.field.mul
     gterms = _terms(g)
@@ -400,8 +439,11 @@ def _pair(f: LinMap, g: LinMap) -> list:
                 for cf, rf, _ in _terms(f) for cg, rg, _ in gterms]
     # a factor equal to one is copied, not multiplied: structure maps hold
     # mostly ones, and ``== one`` on an int costs far less than ``mul``
-    return [(cf * ng + cg, rf * ncg + rg, b if a == one else a if b == one else mul(a, b))
-            for cf, rf, a in _terms(f) for cg, rg, b in gterms]
+    out = [(cf * ng + cg, rf * ncg + rg, b if a == one else a if b == one else mul(a, b))
+           for cf, rf, a in _terms(f) for cg, rg, b in gterms]
+    # stable: by column, each column's entries in the eager product's order
+    out.sort(key=itemgetter(0))
+    return out
 
 
 def _dict_cols(rows, one) -> list:
@@ -482,7 +524,7 @@ def compose(g: LinMap, f: LinMap) -> LinMap:
 def tensor(*maps: LinMap) -> LinMap:
     """Tensor (Kronecker) product, leftmost factor most significant.
 
-    A product of monomial maps is lazy; any other is built whole (see the
+    The product is lazy: it keeps its factors, nested to the left (see the
     module docstring)."""
     if not maps:
         raise ShapeMismatch("tensor() of no maps")
@@ -490,11 +532,7 @@ def tensor(*maps: LinMap) -> LinMap:
     for m in maps[1:]:
         if out.field != m.field:
             raise ShapeMismatch(f"tensor of maps over {out.field!r} and {m.field!r}")
-        dom, cod = out.dom * m.dom, out.cod * m.cod
-        if out.monomial and m.monomial:
-            out = LinMap(out.field, dom, cod, factors=(out, m))
-        else:
-            out = LinMap(out.field, dom, cod, _kron_all(out, m))
+        out = LinMap(out.field, out.dom * m.dom, out.cod * m.cod, factors=(out, m))
     return out
 
 

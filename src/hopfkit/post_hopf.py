@@ -47,7 +47,7 @@ from .errors import (
     NotInvertible,
     PreconditionNotMet,
 )
-from .linmap import LinMap, TensorShape, _terms, tensor
+from .linmap import LinMap, TensorShape, _terms, from_terms, identity, tensor
 from .structures import (
     BialgebraData,
     BraidedObject,
@@ -107,11 +107,8 @@ def _curry(m: LinMap) -> LinMap:
     at row ``i*n + y``.  Entries are copied, never multiplied, and zeros are
     not stored."""
     n = m.cod.total
-    cols = [{} for _ in range(n)]
-    for c, y, v in _terms(m):
-        h, i = divmod(c, n)
-        cols[h][i * n + y] = v
-    return LinMap(m.field, TensorShape((n,)), TensorShape((n, n)), tuple(cols))
+    return from_terms(m.field, TensorShape((n,)), TensorShape((n, n)),
+                      [(c // n, c % n * n + y, v) for c, y, v in _terms(m)])
 
 
 def _uncurry(m: LinMap) -> LinMap:
@@ -119,11 +116,8 @@ def _uncurry(m: LinMap) -> LinMap:
     ``m[(x, y), h]`` at row ``y``.  Entries are copied, never multiplied, and
     zeros are not stored."""
     n = m.dom.total
-    cols = [{} for _ in range(n * n)]
-    for h, r, v in _terms(m):
-        x, y = divmod(r, n)
-        cols[x * n + h][y] = v
-    return LinMap(m.field, TensorShape((n, n)), TensorShape((n,)), tuple(cols))
+    return from_terms(m.field, TensorShape((n, n)), TensorShape((n,)),
+                      [(r // n * n + h, r % n, v) for h, r, v in _terms(m)])
 
 
 def curried_action(w: PostHopfData) -> LinMap:
@@ -427,16 +421,11 @@ def split_idempotent(phi: LinMap) -> IdempotentSplitting:
     r = len(pivots)
     rshape = TensorShape((r,))
     nshape = TensorShape((n,))
-    include = LinMap(field, rshape, nshape,
-                     tuple(dict(phi.cols[pc]) for pc in pivots))
-    pcols = [dict() for _ in range(n)]
-    for k, row in enumerate(reduced):
-        for j, v in row.items():
-            pcols[j][k] = v
-    project = LinMap(field, nshape, rshape, tuple(pcols))
-    ident_r = LinMap.from_cols(field, rshape, rshape,
-                               [{k: field.one} for k in range(r)])
-    if include @ project != phi or project @ include != ident_r:
+    include = from_terms(field, rshape, nshape, [(k, i, v) for k, pc in enumerate(pivots)
+                                                 for i, v in phi.cols[pc].items()])
+    project = from_terms(field, nshape, rshape, [(j, k, v) for k, row in enumerate(reduced)
+                                                 for j, v in row.items()])
+    if include @ project != phi or project @ include != identity(field, rshape):
         raise LawViolation("rank factorization failed to split the idempotent")
     if phi @ include != include or project @ phi != project:
         raise LawViolation("splitting does not absorb the idempotent")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .errors import ShapeMismatch
 from .fields import Field
-from .linmap import LinMap, _gather
+from .linmap import LinMap, _gather, from_terms
 
 
 def rref(rows, ncols: int, field: Field):
@@ -88,13 +88,9 @@ def invert(m: LinMap):
     reduced, pivots = rref(rows, n, field)
     if len(pivots) < n:
         return None
-    cols = [dict() for _ in range(n)]
-    for r, row in enumerate(reduced):
-        # pivot of row r is column r (full rank, ordered pivots)
-        for c, v in row.items():
-            if c >= n:
-                cols[c - n][r] = v
-    return LinMap(field, m.cod, m.dom, tuple(cols))
+    # pivot of row r is column r (full rank, ordered pivots)
+    return from_terms(field, m.cod, m.dom, [(c - n, r, v) for r, row in enumerate(reduced)
+                                            for c, v in row.items() if c >= n])
 
 
 def solve(m: LinMap, rhs_col: dict):

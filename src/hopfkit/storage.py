@@ -40,7 +40,7 @@ from typing import Dict, List, Optional
 
 from .errors import ParseError, ShapeMismatch, UnknownKind, _echo, _echo_int
 from .fields import Field, FieldError, parse_natural
-from .linmap import LinMap, TensorShape
+from .linmap import LinMap, TensorShape, from_terms
 from .structures import BraidedObject, CheckReport, check_braided_object
 
 FORMAT_VERSION = 1
@@ -340,8 +340,8 @@ def loads(text: str) -> StructureFile:
             raise ShapeMismatch(
                 f"map {name!r}: declared {_echo_int(nrows)}x{_echo_int(ncols)}, "
                 f"role needs {_echo_int(cod.total)}x{_echo_int(dom.total)}")
-        return LinMap(field, dom, cod,  # a role has a row, so zip yields each column
-                      tuple({i: v for i, v in enumerate(col) if v} for col in zip(*entries)))
+        return from_terms(field, dom, cod, [(j, i, v) for i, row in enumerate(entries)
+                                            for j, v in enumerate(row) if v])
 
     braids = {}
     for letter in letters:

@@ -35,10 +35,10 @@ from .linmap import (
     LinMap,
     TensorShape,
     UNIT_SHAPE,
-    _dict_cols,
     _terms,
     first_mismatch,
     flip,
+    from_terms,
     identity,
     tensor,
 )
@@ -556,28 +556,27 @@ def _convolve(f: LinMap, g: LinMap, delta: LinMap, cod: TensorShape, by_r) -> Li
     """``f * g``, a map ``delta.dom -> cod``, with the entries of ``mu``
     listed by :func:`_by_r`; see :func:`convolution`."""
     field = f.field
-    mul, add, one = field.mul, field.add, field.one
+    mul, one = field.mul, field.one
     ndom, nq = g.dom.total, g.cod.total
     fcols, gcols = f.cols, g.cols
-    cols = []
-    for dcol in delta.cols:
-        col = {}
-        for ij, d in dcol.items():
-            i, j = divmod(ij, ndom)
-            gcol = gcols[j]
-            for r, v in fcols[i].items():
-                # a factor equal to one is copied, not multiplied
-                vd = v if d == one else d if v == one else mul(v, d)
-                rq = r * nq
-                for cm, p, m in by_r[r]:
-                    q = cm - rq
-                    if q in gcol:
-                        w = gcol[q]
-                        t = vd if w == one else w if vd == one else mul(vd, w)
-                        t = t if m == one else m if t == one else mul(t, m)
-                        col[p] = add(col[p], t) if p in col else t
-        cols.append({p: x for p, x in col.items() if x})
-    return LinMap(field, delta.dom, cod, tuple(cols))
+
+    def terms():
+        for k, dcol in enumerate(delta.cols):
+            for ij, d in dcol.items():
+                i, j = divmod(ij, ndom)
+                gcol = gcols[j]
+                for r, v in fcols[i].items():
+                    # a factor equal to one is copied, not multiplied
+                    vd = v if d == one else d if v == one else mul(v, d)
+                    rq = r * nq
+                    for cm, p, m in by_r[r]:
+                        q = cm - rq
+                        if q in gcol:
+                            w = gcol[q]
+                            t = vd if w == one else w if vd == one else mul(vd, w)
+                            yield k, p, t if m == one else m if t == one else mul(t, m)
+
+    return from_terms(field, delta.dom, cod, terms())
 
 
 def convolution(f: LinMap, g: LinMap, coalg, alg) -> LinMap:
@@ -614,72 +613,45 @@ def convolution_inverse(f: LinMap, coalg, alg) -> LinMap:
     map ``mu . (f (x) id)`` built: entries ``d`` of ``delta`` at
     ``(i, j) -> k``, ``v`` of ``f`` at ``(r, i)`` and ``m`` of ``mu`` at
     ``(p, (r, q))`` add ``v*d*m`` to the coefficient of ``x[q, j]`` (column
-    ``q*n_C + j``) in entry ``(p, k)`` of ``f * x`` (row ``p*n_C + k``), and a
-    coefficient that cancels is dropped on the spot.  A column is held as
-    its one row while its only term is the int one, and as a dict from its
-    first other term on: a second term, or a value such as -1, 2 or a
-    ``Fraction`` one.  For the curried action no column leaves the row
-    form, so ``solve`` reads the system by index arithmetic; ``rref`` gets
-    every other system and touches only the rows holding a pivot column.  The entries of ``mu``, listed once by
-    their first index, also serve the closing check, the kernel of
+    ``q*n_C + j``) in entry ``(p, k)`` of ``f * x`` (row ``p*n_C + k``).
+    :func:`~hopfkit.linmap.from_terms` sums them, so the curried action's
+    system comes out monomial and ``solve`` reads it by index arithmetic;
+    ``rref`` gets every other system.  The entries of ``mu``, listed once
+    by their first index, also serve the closing check, the kernel of
     :func:`convolution`.
     """
     _check_convolvable(f, f, coalg, alg)  # the inverse has the shapes of f
     if coalg.delta.dom != f.dom or alg.mu.cod != f.cod:
         raise ShapeMismatch(f"{f.dom}->{f.cod} is not a map {coalg.delta.dom}->{alg.mu.cod}")
     field = f.field
-    mul, add, one = field.mul, field.add, field.one
+    mul, one = field.mul, field.one
     unit = convolution_unit(coalg, alg)
     ncod = f.cod.total
     ndom = f.dom.total
     by_r = _by_r(alg.mu, ncod, ncod)
     fcols = f.cols
-    # column c holds row rows[c] with the value one; -1 is an empty column
-    # and -2 one held in ``wide``, as a dict
-    rows, wide = [-1] * (ncod * ndom), {}
-    for k, dcol in enumerate(coalg.delta.cols):
-        for ij, d in dcol.items():
-            i, j = divmod(ij, ndom)
-            for r, v in fcols[i].items():
-                # a factor equal to one is copied, not multiplied
-                vd = v if d == one else d if v == one else mul(v, d)
-                if not vd:  # a stored zero of f or delta adds nothing
-                    continue
-                base = j - r * ncod * ndom
-                for cm, p, m in by_r[r]:
-                    c = cm * ndom + base  # the unknown x[q, j], cm = (r, q)
-                    row = p * ndom + k
-                    t = vd if m == one else m if vd == one else mul(vd, m)
-                    held = rows[c]
-                    if held == -1 and t == one and type(t) is int:
-                        rows[c] = row
-                        continue
-                    if held != -2:  # a second term or another value: a dict
-                        wide[c] = {} if held == -1 else {held: one}
-                        rows[c] = -2
-                    col = wide[c]
-                    if row in col:
-                        t = add(col[row], t)
-                        if not t:  # cancelled: dropped now, not in a second pass
-                            del col[row]
-                            continue
-                    col[row] = t
+
+    def terms():
+        for k, dcol in enumerate(coalg.delta.cols):
+            for ij, d in dcol.items():
+                i, j = divmod(ij, ndom)
+                for r, v in fcols[i].items():
+                    # a factor equal to one is copied, not multiplied
+                    vd = v if d == one else d if v == one else mul(v, d)
+                    base = j - r * ncod * ndom
+                    for cm, p, m in by_r[r]:
+                        # the unknown x[q, j], cm = (r, q), in row (p, k)
+                        yield (cm * ndom + base, p * ndom + k,
+                               vd if m == one else m if vd == one else mul(vd, m))
+
     unknowns = TensorShape((ncod * ndom,))
-    if wide:
-        cols = _dict_cols(rows, one)
-        for c, col in wide.items():
-            cols[c] = col
-        system = LinMap(field, unknowns, unknowns, tuple(cols))
-    else:
-        system = LinMap(field, unknowns, unknowns, rows=tuple(rows))
+    system = from_terms(field, unknowns, unknowns, terms())
     rhs = {ii * ndom + jj: v for jj, c in enumerate(unit.cols) for ii, v in c.items()}
     x = _solve.solve(system, rhs)
     if x is None:
         raise NotInvertible("no solution of f * x = unit (not convolution invertible)")
-    inv_cols = [dict() for _ in range(ndom)]
-    for flat, v in x.items():
-        inv_cols[flat % ndom][flat // ndom] = v
-    inverse = LinMap(field, f.dom, f.cod, tuple(inv_cols))
+    inverse = from_terms(field, f.dom, f.cod,
+                         [(flat % ndom, flat // ndom, v) for flat, v in x.items()])
     if _convolve(inverse, f, coalg.delta, f.cod, by_r) != unit:
         raise NotInvertible("solution of f * x = unit is not a two-sided inverse")
     return inverse
@@ -732,9 +704,8 @@ def dual_algebra(dim: int, fld: Field) -> AlgebraData:
     ``sum_i E_ii``.  The target algebra of every curried-action inverse."""
     n2 = dim * dim
     i1 = identity(fld, TensorShape((dim,)))
-    b = LinMap(fld, TensorShape((dim, dim)), UNIT_SHAPE,
-               rows=tuple([-1 if j % (dim + 1) else 0 for j in range(n2)]))
+    diagonal = range(0, n2, dim + 1)  # the flat indices (i, i)
+    b = from_terms(fld, TensorShape((dim, dim)), UNIT_SHAPE, [(j, 0, fld.one) for j in diagonal])
     mu = tensor(i1, b, i1).reshape(TensorShape((n2, n2)), TensorShape((n2,)))
-    eta = LinMap(fld, UNIT_SHAPE, TensorShape((n2,)),
-                 ({i * dim + i: fld.one for i in range(dim)},))
+    eta = from_terms(fld, UNIT_SHAPE, TensorShape((n2,)), [(0, j, fld.one) for j in diagonal])
     return AlgebraData(BraidedObject(fld, n2), eta, mu)

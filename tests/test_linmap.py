@@ -732,13 +732,13 @@ def test_composite_of_two_products_agrees_with_the_eager_reference(data):
 
 def test_aligned_compose_stays_a_lazy_product():
     # the mixed-product rule keeps a product lazy, labelled f.dom -> g.cod; a
-    # factor holding a 2 is dict-held, so its product is built whole
+    # factor holding a 2 is dict-held, and so is its lazy product
     i2 = identity(QQ, shape(2))
     g = tensor(flip(QQ, 2, 3), i2)
     for a in (M([[0, 2], [1, 0]]), M([[0, 1], [1, 0]])):
         f = tensor(flip(QQ, 3, 2), a)
         got = g @ f
-        assert (got.factors is not None) == a.monomial
+        assert got.factors is not None and got.monomial == a.monomial
         assert (got.dom, got.cod) == (f.dom, g.cod) == (shape(3, 2, 2), shape(3, 2, 2))
         ref = _product(_tensor_eager(flip(QQ, 2, 3), i2), _tensor_eager(flip(QQ, 3, 2), a))
         assert first_mismatch(got, ref) is None and first_mismatch(ref, got) is None
@@ -903,7 +903,7 @@ def test_a_stored_zero_is_no_entry_of_the_monomial_form():
 
 
 def test_a_whole_read_of_a_lazy_product_is_kept(monkeypatch):
-    # a scaled factor is dict-held, so its product is built whole, not lazy
+    # a scaled factor is dict-held, and so is its lazy product
     scaled = LinMap.from_entries(QQ, shape(2), shape(2), [[0, 2], [3, 0]])
     maps = (identity(QQ, shape(2)), scaled, flip(QQ, 2, 1))
     p = tensor(*maps)
@@ -1061,3 +1061,95 @@ def test_convolution_inverse_of_single_entries_other_than_the_int_one(data):
     f = LinMap(fld, shape(n), shape(n), tuple(cols))
     assert f.monomial == _unit_cols(cols)
     assert _assert_same_system(f, h, h).monomial == _unit_cols(cols)
+
+
+# -- one builder from entry triples ------------------------------------------------
+
+
+def _from_terms_reference(fld, dom, cod, terms):
+    # a zero term and a sum that cancels are dropped on the spot
+    cols = [{} for _ in range(dom.total)]
+    for c, r, v in terms:
+        if v:
+            cols[c][r] = fld.add(cols[c][r], v) if r in cols[c] else v
+            if not cols[c][r]:
+                del cols[c][r]
+    return LinMap(fld, dom, cod, tuple(cols))
+
+
+FROM_TERMS_SCALARS = {QQ: [0, Fraction(0), 1, 1, 1, Fraction(1), -1, 2],
+                      GF5: [0, 1, 1, 1, 4, 2]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_from_terms_agrees_with_a_dict_accumulating_reference(data):
+    # duplicate positions, sums that cancel, stored zeros, Fraction ones
+    fld = data.draw(st.sampled_from((QQ, GF5)), label="field")
+    nc, nr = data.draw(st.integers(0, 3), label="cols"), data.draw(st.integers(1, 3), label="rows")
+    term = st.tuples(st.integers(0, max(nc - 1, 0)), st.integers(0, nr - 1),
+                     st.sampled_from(FROM_TERMS_SCALARS[fld]))
+    terms = data.draw(st.lists(term, max_size=8 if nc else 0), label="terms")
+    got = linmap.from_terms(fld, shape(nc), shape(nr), terms)
+    ref = _from_terms_reference(fld, shape(nc), shape(nr), terms)
+    assert (got.monomial, got.rows) == (ref.monomial, ref.rows)
+    assert _held_terms(linmap._terms(got)) == _held_terms(linmap._terms(ref))
+    assert got.entries() == ref.entries()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_dict_held_lazy_products_agree_with_the_eager_reference(data):
+    # factors of 2-3 entries per column: the product stays lazy, its columns
+    # are the eager product's, and the mixed-product rule serves it too
+    fld = data.draw(st.sampled_from((QQ, GF5)), label="field")
+    values = st.sampled_from([2, -1, Fraction(1, 2), 1] if fld is QQ else [2, 3, 4, 1])
+
+    def factor(label, n):
+        cols = [{r: data.draw(values, label=label) for r in data.draw(
+            st.lists(st.integers(0, n - 1), min_size=2, max_size=3, unique=True), label=label)}
+            for _ in range(n)]
+        return LinMap(fld, shape(n), shape(n), tuple(cols))
+
+    n1, n2 = (data.draw(st.integers(2, 3), label=x) for x in ("n1", "n2"))
+    g1, g2, f1, f2 = (factor(x, n) for x, n in (("g1", n1), ("g2", n2), ("f1", n1), ("f2", n2)))
+    for a, b in ((g1, g2), (f1, f2)):
+        p = tensor(a, b)
+        assert p.factors is not None and not p.monomial
+        assert _nonzero(p.cols) == _nonzero(_tensor_eager(a, b).cols)
+    got = tensor(g1, g2) @ tensor(f1, f2)
+    assert got.factors is not None
+    ref = _product(_tensor_eager(g1, g2), _tensor_eager(f1, f2))
+    assert first_mismatch(got, ref) is None and first_mismatch(ref, got) is None
+
+
+def test_an_unread_dict_held_product_builds_no_column(monkeypatch):
+    built = []
+    build = linmap._kron_all
+    monkeypatch.setattr(linmap, "_kron_all", lambda *a: built.append(a) or build(*a))
+    a = M([[0, 2], [3, 1]])
+    k = tensor(a, identity(QQ, shape(3)), a)
+    assert not k.monomial and repr(k) == "LinMap(Q, [2,3,2]->[2,3,2])"
+    terms = linmap._terms(k)
+    assert built == []
+    assert terms == linmap._terms(_tensor_eager(a, identity(QQ, shape(3)), a))
+    k.cols
+    assert len(built) == 1
+
+
+# -- indices that are not integers ---------------------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LinMap.from_cols(QQ, shape(2), shape(2), [{1.0: 1}, {0: 1}]),
+    lambda: LinMap.from_cols(QQ, shape(2), shape(2), [{"a": 1}, {0: 1}]),
+    lambda: identity(QQ, shape(2)).with_entry(1.0, 0, 5),
+    lambda: identity(QQ, shape(2)).with_entry(0, "1", 5),
+    lambda: identity(QQ, shape(2)).entry(0.5, 0),
+    lambda: shape(2, 3).index((1.5, 0)),
+    lambda: shape(2, 3).coords(2.0),
+], ids=["row-float", "row-str", "with-entry-float", "with-entry-str", "entry-float",
+        "index-float", "coords-float"])
+def test_an_index_that_is_not_an_integer_is_refused(build):
+    with pytest.raises(ShapeMismatch, match="is not an integer"):
+        build()
