@@ -414,13 +414,19 @@ def _blocks(fr, gr, width, rows=None) -> tuple:
     return tuple(out)
 
 
-def _terms(m: LinMap) -> list:
-    """The entries of ``m`` as ``(column, row, value)`` triples, by column.
+def _terms(m: LinMap, by_column=True) -> list:
+    """The entries of ``m`` as ``(column, row, value)`` triples, by column
+    unless ``by_column`` is false.
 
     A lazy product pairs the entries of its two factors: it visits no empty
-    column and stays lazy.  A dict-held map lists its nonzero entries."""
-    if m.factors is not None:
-        return _pair(*m.factors)
+    column and stays lazy.  A dict-held map, or a product whose columns are
+    built, lists its nonzero entries."""
+    if m.factors is not None and m._cols is None:
+        out = _pair(*m.factors)
+        if by_column and not m.monomial:
+            # stable: each column's entries keep the eager product's order
+            out.sort(key=itemgetter(0))
+        return out
     if m.rows is not None:
         one = m.field.one
         return [(c, r, one) for c, r in enumerate(m.rows) if r >= 0]
@@ -428,22 +434,19 @@ def _terms(m: LinMap) -> list:
 
 
 def _pair(f: LinMap, g: LinMap) -> list:
-    """The entries of ``f (x) g`` as ``(column, row, value)`` triples, by
-    column: each entry of ``f`` with each entry of ``g``, so no empty column
-    is visited."""
+    """The entries of ``f (x) g`` as ``(column, row, value)`` triples: each
+    entry of ``f`` with each entry of ``g``, so no empty column is visited.
+    They come by column when no column of either factor holds two entries."""
     ng, ncg = g.dom.total, g.cod.total
     one, mul = f.field.one, f.field.mul
-    gterms = _terms(g)
+    fterms, gterms = _terms(f, False), _terms(g, False)
     if f.monomial and g.monomial:
         return [(cf * ng + cg, rf * ncg + rg, one)
-                for cf, rf, _ in _terms(f) for cg, rg, _ in gterms]
+                for cf, rf, _ in fterms for cg, rg, _ in gterms]
     # a factor equal to one is copied, not multiplied: structure maps hold
     # mostly ones, and ``== one`` on an int costs far less than ``mul``
-    out = [(cf * ng + cg, rf * ncg + rg, b if a == one else a if b == one else mul(a, b))
-           for cf, rf, a in _terms(f) for cg, rg, b in gterms]
-    # stable: by column, each column's entries in the eager product's order
-    out.sort(key=itemgetter(0))
-    return out
+    return [(cf * ng + cg, rf * ncg + rg, b if a == one else a if b == one else mul(a, b))
+            for cf, rf, a in fterms for cg, rg, b in gterms]
 
 
 def _dict_cols(rows, one) -> list:

@@ -1137,6 +1137,17 @@ def test_an_unread_dict_held_product_builds_no_column(monkeypatch):
     assert len(built) == 1
 
 
+def test_a_built_product_lists_its_terms_from_its_columns(monkeypatch):
+    a = M([[0, 2], [3, 1]])
+    k = tensor(a, identity(QQ, shape(3)), a)
+    k.cols
+    paired = []
+    pair = linmap._pair
+    monkeypatch.setattr(linmap, "_pair", lambda *f: paired.append(f) or pair(*f))
+    assert linmap._terms(k) == linmap._terms(_tensor_eager(a, identity(QQ, shape(3)), a))
+    assert paired == []
+
+
 # -- indices that are not integers ---------------------------------------------
 
 
