@@ -7,7 +7,7 @@ from typing import Sequence, Tuple
 from .errors import CharTwo, InputError, _echo, _echo_int
 from .fields import Field, parse_natural
 from .groups import GroupTable, idempotent_endos, symmetric3
-from .linmap import LinMap, TensorShape, UNIT_SHAPE
+from .linmap import LinMap, TensorShape, UNIT_SHAPE, _terms, from_terms
 from .structures import BraidedObject, HopfAlgebraData
 
 
@@ -31,29 +31,16 @@ def group_algebra(g: GroupTable, fld: Field) -> HopfAlgebraData:
 
 
 def function_algebra(g: GroupTable, fld: Field) -> HopfAlgebraData:
-    """Functions on the group: pointwise product, coproduct dual to the
-    table.  Commutative always, cocommutative exactly when g is abelian."""
-    n = g.order
-    one = fld.one
-    obj = BraidedObject(fld, n)
-    v1 = TensorShape((n,))
-    v2 = TensorShape((n, n))
-    eta = LinMap.from_cols(fld, UNIT_SHAPE, v1,
-                           [{i: one for i in range(n)}])
-    mu = LinMap.from_cols(fld, v2, v1,
-                          [({i: one} if i == j else {})
-                           for i in range(n) for j in range(n)])
-    eps = LinMap.from_cols(
-        fld, v1, UNIT_SHAPE,
-        [({0: one} if i == g.identity else {}) for i in range(n)])
-    dcols = [dict() for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            dcols[g.table[a][b]][a * n + b] = one
-    delta = LinMap.from_cols(fld, v1, v2, dcols)
-    antipode = LinMap.from_cols(fld, v1, v1,
-                                [{g.inverse[i]: one} for i in range(n)])
-    return HopfAlgebraData(obj, eta, mu, eps, delta, antipode)
+    """Functions on the group, the dual of the group algebra: each map is the
+    transpose of its dual's (pointwise product, coproduct dual to the table).
+    Commutative always, cocommutative exactly when g is abelian."""
+    h = group_algebra(g, fld)
+    return HopfAlgebraData(h.obj, _transpose(h.eps), _transpose(h.delta),
+                           _transpose(h.eta), _transpose(h.mu), _transpose(h.antipode))
+
+
+def _transpose(m: LinMap) -> LinMap:
+    return from_terms(m.field, m.cod, m.dom, [(r, c, v) for c, r, v in _terms(m)])
 
 
 SWEEDLER_BASIS = ("1", "g", "x", "gx")

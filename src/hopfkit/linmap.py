@@ -35,9 +35,12 @@ wanted:
 * **Lazy product.**  ``tensor`` keeps its two factors, in either form; the
   product is monomial when both factors are.
 
-A map is built from ``(column, row, value)`` triples by :func:`from_terms`;
-``LinMap(...)`` reads dict columns of one int-one entry at most into
-``rows``, a stored zero being no entry.
+A map is built from ``(column, row, value)`` triples by :func:`from_terms`,
+the one place that reads entries into a form: a column keeps the row form
+when exactly one nonzero term lands in it and that term is the int one, and
+a map with any other column is dict-held.  ``LinMap(...)`` holds the form it
+is given and reads no column, so dict columns stay dict-held whatever they
+hold.
 
 The kernel works on the monomial form by index arithmetic, with no per-column
 object:
@@ -189,25 +192,23 @@ class LinMap:
         self.field = field
         self.dom = dom
         self.cod = cod
-        # the form (see the module docstring).  The factors' shapes need not
-        # concatenate to ``dom`` and ``cod``: ``reshape`` keeps the factors
-        if factors is not None:
-            self.monomial = factors[0].monomial and factors[1].monomial
-        else:
-            if rows is None:
-                rows = _monomial(cols, field.one)
-            self.monomial = rows is not None
+        # the form it is given (see the module docstring); no column is read.
+        # The factors' shapes need not concatenate to ``dom`` and ``cod``:
+        # ``reshape`` keeps the factors
+        self.monomial = (rows is not None if factors is None
+                         else factors[0].monomial and factors[1].monomial)
         self._cols = cols
         self.rows = rows
         self.factors = factors
 
     @property
     def cols(self):
-        """The columns, a tuple of ``{row: nonzero scalar}`` dicts.
+        """The columns, a tuple of ``{row: scalar}`` dicts.
 
-        A column is never mutated in place, so maps share them (``compose``
-        hands out the columns of a dict-held ``g`` that it reads).  A lazy
-        product or a monomial map builds them on first read and keeps them;
+        A dict-held map holds the columns it was given, unread.  A column is
+        never mutated in place, so maps share them (``compose`` hands out
+        the columns of a dict-held ``g`` that it reads).  A lazy product or
+        a monomial map builds them on first read and keeps them;
         the kernel reads them only for a product that is not monomial, where
         a monomial map meets a dict-held one in ``compose`` or
         ``first_mismatch``, and for the witness of a mismatch."""
@@ -309,27 +310,13 @@ class LinMap:
 # -- the monomial form ------------------------------------------------------------
 
 
-def _monomial(cols, one):
-    """The rows of dict columns that hold at most one entry each, that entry
-    the int one; ``None`` at the first column that does not.  A stored zero
-    is no entry."""
-    rows = []
-    for col in cols:
-        if len(col) > 1:
-            return None
-        (i, v), = col.items() or ((-1, 0),)
-        if v and (v != one or type(v) is not int):
-            return None
-        rows.append(i if v else -1)
-    return tuple(rows)
-
-
 def from_terms(field: Field, dom: TensorShape, cod: TensorShape, terms) -> LinMap:
     """The map of the ``(column, row, value)`` triples ``terms``, in any
     order and trusted to lie in the map: values at one position are summed,
     and a zero term or a sum that cancels is dropped on the spot.  A column
-    keeps the row form while its only term is the int one; a map with any
-    dict column is handed to ``LinMap(...)``, whose :func:`_monomial` rules."""
+    keeps the row form when exactly one nonzero term lands in it and that
+    term is the int one; the map is monomial when every column does, and
+    dict-held otherwise, a column whose sum cancels to one int one too."""
     one, add = field.one, field.add
     # column c holds row rows[c] with the value one; -1 is an empty column
     # and -2 one held in ``wide``, as a dict

@@ -5,11 +5,11 @@ the rows holding the pivot column and, in them, the nonzero entries of the
 pivot row, which keeps the block-diagonal systems produced by convolution
 inverses cheap.
 
-``solve`` on a monomial map (at most one entry per column, that entry one,
-see :mod:`hopfkit.linmap`) needs no elimination: the pivot of each row is
-the lowest-numbered column holding it, as in ``rref``, and already one, so
-the solution is the right-hand side read off by index arithmetic, identical
-to the one ``rref`` gives.
+``solve`` on a monomial map (held as ``rows``: at most one entry per
+column, that entry the int one, see :mod:`hopfkit.linmap`) needs no
+elimination: the pivot of each row is the lowest-numbered column holding
+it, as in ``rref``, and already one, so the solution is the right-hand side
+read off by index arithmetic, identical to the one ``rref`` gives.
 """
 from __future__ import annotations
 

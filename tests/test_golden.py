@@ -20,8 +20,8 @@ from helpers import (mixed_braiding_c2_rota_baxter, negated_flip_c2_post_hopf,
 from hopfkit.cli import main
 from hopfkit.errors import NotATrussMorphism, NotAnRBMorphism
 from hopfkit.factories import group_algebra, linearize_endo, named_endo, sweedler_h4
-from hopfkit.fields import QQ
-from hopfkit.groups import cyclic, symmetric3
+from hopfkit.fields import Field, QQ
+from hopfkit.groups import cyclic, group_by_name, symmetric3
 from hopfkit.linmap import LinMap, identity, shape, tensor, zero_map
 from hopfkit.post_hopf import (PostHopfData, check_post_hopf, check_twisted,
                                conjugation_post_hopf, derived_antipode_suite,
@@ -769,3 +769,78 @@ MORPHISM_CHECKERS = {
 def test_golden_morphism_checker_laws():
     assert {name: _sha("\n".join(lines))
             for name, lines in morphism_reports().items()} == MORPHISM_CHECKERS
+
+
+# -- the dict-path twin ----------------------------------------------------------
+# ``LinMap(...)`` keeps dict columns as it is given them, so a structure whose
+# maps are handed to it column for column has every law read them through the
+# kernel's dict path, the oldest path and the reference for the faster ones.
+# Its report must be the structure's own, law for law and witness for witness.
+
+
+def _twin(m):
+    """``m`` held as the dict columns ``LinMap(...)`` keeps."""
+    twin = LinMap(m.field, m.dom, m.cod, m.cols)
+    assert not twin.monomial
+    return twin
+
+
+def _twinned(sf, paths=None):
+    """``sf`` with the maps at ``paths`` twinned; for ``None``, every map and
+    the braid of every object that is not flip-braided."""
+    schema = storage._schema(sf.kind)
+    objs = {letter: obj if obj.is_flip or paths is not None
+            else BraidedObject(obj.field, obj.dim, braid=_twin(obj.braid))
+            for letter, obj in storage._objects(schema.parts, sf.structure).items()}
+    maps = {}
+    for row in schema.rows:
+        m = storage._attr(sf.structure, row.path)
+        maps[row.path] = m if m is None or paths is not None and row.path not in paths else _twin(m)
+    return storage.StructureFile(sf.kind, storage._build(schema.parts, objs, maps))
+
+
+def _law_results(sf):
+    return [(r.law, r.passed, r.skipped, r.witness) for r in structure_report(sf).results]
+
+
+def _twin_inputs(fld):
+    """The S3 and D4 trusses of the first three idempotents, a copy of each
+    with one entry of ``mu2`` bumped, their ``wtph`` and ``wtrb`` images, and
+    the two C2 structures braided by minus the flip."""
+    for gname in ("S3", "D4"):
+        g = group_by_name(gname)
+        h = group_algebra(g, fld)
+        for k in range(3):
+            t = truss_from_idempotent(h, linearize_endo(g, named_endo(g, f"idx:{k}"), fld))
+            mu2 = t.mu2.with_entry(0, 0, fld.add(t.mu2.entry(0, 0), fld.one))
+            yield f"{gname}/idx:{k}", storage.StructureFile("truss", t)
+            yield f"{gname}/idx:{k}/bad-mu2", storage.StructureFile("truss", replace(t, mu2=mu2))
+            yield f"G({gname}/idx:{k})", storage.StructureFile("wtph", post_hopf_from_truss(t))
+            yield f"Lambda({gname}/idx:{k})", storage.StructureFile("wtrb", rota_baxter_from_truss(t))
+    yield "c2-negated-flip", storage.StructureFile("wtph", negated_flip_c2_post_hopf(fld))
+    yield "c2-mixed-braiding", storage.StructureFile("wtrb", mixed_braiding_c2_rota_baxter(fld))
+
+
+def test_every_structure_reports_what_its_dict_path_twin_reports(observed, golden_dir):
+    cases = [(name, load(os.path.join(golden_dir, name + ".txt")))
+             for name, _ in GEN + CONSTRUCT + MUTANTS]
+    for fld in (QQ, Field.prime(5)):
+        cases.extend(_twin_inputs(fld))
+    assert len(cases) == 20 + 2 * 26
+    failed = 0
+    for name, sf in cases:
+        want = _law_results(sf)
+        assert _law_results(_twinned(sf)) == want, name
+        failed += not all(passed for _, passed, _, _ in want)
+    # the golden mutants, the bumped mu2s, and the C2 structures, whose maps
+    # are not natural for minus the flip
+    assert failed == 4 + 2 * (6 + 2)
+    # one map at a time, so a dict-held map meets monomial ones in every law
+    for fld in (QQ, Field.prime(5)):
+        g = group_by_name("D4")
+        t = truss_from_idempotent(group_algebra(g, fld),
+                                  linearize_endo(g, named_endo(g, "idx:3"), fld))
+        sf = storage.StructureFile("truss", t)
+        want = _law_results(sf)
+        for row in storage._schema("truss").rows:
+            assert _law_results(_twinned(sf, {row.path})) == want, row.path

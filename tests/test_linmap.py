@@ -543,15 +543,22 @@ def _unit_cols(cols) -> bool:
                for c in cols)
 
 
+def _built(fld, dom, cod, cols):
+    """The map of raw columns as ``from_terms`` builds it from their entry
+    triples, values as drawn: monomial exactly when :func:`_unit_cols`."""
+    m = linmap.from_terms(fld, dom, cod,
+                          [(j, i, v) for j, c in enumerate(cols) for i, v in c.items()])
+    assert m.monomial == _unit_cols(cols)
+    return m
+
+
 def _forms(fld, nr, nc, cols):
-    """The map of ``cols`` twice: as built, monomial exactly when
-    :func:`_unit_cols`, and dict-held through two stored zeros in column 0
-    (so ``nr >= 2`` and ``nc >= 1``)."""
+    """The map of ``cols`` twice: as built by :func:`_built`, and its
+    dict-held twin, the raw columns handed to ``LinMap(...)``."""
     dom, cod = shape(nc), shape(nr)
-    mono = LinMap(fld, dom, cod, tuple(cols))
-    held = LinMap(fld, dom, cod, ({0: 0, 1: 0, **cols[0]},) + tuple(cols[1:]))
-    assert mono.monomial == _unit_cols(cols) and not held.monomial
-    return mono, held
+    held = LinMap(fld, dom, cod, tuple(cols))
+    assert not held.monomial
+    return _built(fld, dom, cod, cols), held
 
 
 @st.composite
@@ -658,10 +665,7 @@ def test_monomial_tensor_agrees_with_the_eager_reference(data):
 def _stored(draw, fld, dom, cod):
     """A map built from :func:`_unit_or_mono_cols`: stored monomial, or
     dict-held where a value other than the int one was drawn."""
-    cols = draw(_unit_or_mono_cols(fld, cod.total, dom.total))
-    m = LinMap(fld, dom, cod, tuple(cols))
-    assert (m.rows is not None) == _unit_cols(cols)
-    return m
+    return _built(fld, dom, cod, draw(_unit_or_mono_cols(fld, cod.total, dom.total)))
 
 
 # the factor shapes of f = f1 (x) f2 and g = g1 (x) g2 for g . f, as
@@ -777,9 +781,7 @@ def _block_factor(draw, fld, nc, nr):
         low = 0 if kind == "full" else -1
         rows = draw(st.lists(st.integers(low, nr - 1), min_size=nc, max_size=nc)) if nr else [-1] * nc
         cols = [{r: 1} if r >= 0 else {} for r in rows]
-    m = LinMap(fld, shape(nc), shape(nr), tuple(cols))
-    assert (m.rows is not None) == _unit_cols(cols)
-    return m
+    return _built(fld, shape(nc), shape(nr), cols)
 
 
 @settings(max_examples=300, deadline=None)
@@ -891,15 +893,17 @@ def test_entry_refuses_an_index_outside_the_map(i, j):
 
 
 def test_a_stored_zero_is_no_entry_of_the_monomial_form():
-    # with a 2 the map is dict-held, with a 1 monomial: either way the
-    # stored zeros are no entries
+    # with a 2 the built map is dict-held, with a 1 monomial, and its twin is
+    # dict-held: either way the stored zeros are no entries
     for v in (2, 1):
-        m = LinMap(QQ, shape(3), shape(2), ({1: 0}, {0: Fraction(0)}, {1: v}))
-        assert m.monomial == (v == 1)
-        if m.monomial:
-            assert m.rows == (-1, -1, 1)
-        assert m == zero_map(QQ, shape(3), shape(2)).with_entry(1, 2, v)
-        assert first_mismatch(m, zero_map(QQ, shape(3), shape(2))) == (1, 2, v, 0)
+        cols = ({1: 0}, {0: Fraction(0)}, {1: v})
+        built = _built(QQ, shape(3), shape(2), cols)
+        assert built.monomial == (v == 1)
+        if built.monomial:
+            assert built.rows == (-1, -1, 1)
+        for m in (built, LinMap(QQ, shape(3), shape(2), cols)):
+            assert m == zero_map(QQ, shape(3), shape(2)).with_entry(1, 2, v)
+            assert first_mismatch(m, zero_map(QQ, shape(3), shape(2))) == (1, 2, v, 0)
 
 
 def test_a_whole_read_of_a_lazy_product_is_kept(monkeypatch):
@@ -946,9 +950,8 @@ def _assert_terms_agree(fld, maps, right_nested):
                 for r, v in col.items() if v]
     assert _held_terms(got) == _held_terms(want)
     # a dict-held map lists its nonzero entries, column by column
-    if lazy.dom.total and lazy.cod.total >= 2:
-        held = _forms(fld, lazy.cod.total, lazy.dom.total, list(lazy.cols))[1]
-        assert _held_terms(linmap._terms(held)) == _held_terms(want)
+    held = LinMap(fld, lazy.dom, lazy.cod, lazy.cols)
+    assert _held_terms(linmap._terms(held)) == _held_terms(want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -969,8 +972,8 @@ def test_terms_agree_with_a_whole_gather(data):
             maps.append(LinMap(fld, shape(0), shape(nr), ()))
         else:
             cols = _unit_or_mono_cols if kind == "unit" else _mono_cols
-            maps.append(LinMap(fld, shape(nc), shape(nr),
-                               tuple(data.draw(cols(fld, nr, nc), label=f"factor {k}"))))
+            maps.append(_built(fld, shape(nc), shape(nr),
+                               data.draw(cols(fld, nr, nc), label=f"factor {k}")))
     right_nested = len(maps) == 3 and data.draw(st.booleans(), label="right-nested")
     _assert_terms_agree(fld, maps, right_nested)
 
@@ -1003,9 +1006,9 @@ def _boundary_cols(draw, fld, nr, nc, full=False):
 @given(st.data())
 def test_single_entries_other_than_the_int_one_are_dict_held(data):
     # maps of single entries are monomial exactly when each entry is the int
-    # one; in either form, and with a dict-held twin through stored zeros,
-    # compose, tensor, first_mismatch and solve give the eager references'
-    # entries and witnesses
+    # one; in either form, the dict-held twin included, compose, tensor,
+    # first_mismatch and solve give the eager references' entries and
+    # witnesses
     fld = data.draw(st.sampled_from((QQ, GF5)), label="field")
     a, b, c = (data.draw(st.integers(2, 3), label=x) for x in "abc")
     fcols = data.draw(_boundary_cols(fld, b, a), label="f")
@@ -1058,22 +1061,82 @@ def test_convolution_inverse_of_single_entries_other_than_the_int_one(data):
     n = h.obj.dim
     full = data.draw(st.booleans(), label="full")
     cols = data.draw(_boundary_cols(fld, n, n, full), label="f")
-    f = LinMap(fld, shape(n), shape(n), tuple(cols))
-    assert f.monomial == _unit_cols(cols)
+    f = _built(fld, shape(n), shape(n), cols)
     assert _assert_same_system(f, h, h).monomial == _unit_cols(cols)
+
+
+# -- the constructor holds the form it is given -------------------------------------
+
+
+class _Unread(tuple):
+    """Columns that refuse to be read: iterating or indexing them fails."""
+
+    def __iter__(self, *index):
+        raise AssertionError("a column was read")
+
+    __getitem__ = __iter__
+
+
+def test_the_constructor_reads_no_column():
+    cols = _Unread(({0: 1}, {1: 1}))
+    m = LinMap(QQ, shape(2), shape(2), cols)
+    assert not m.monomial and m.rows is None and m.factors is None and m.cols is cols
+
+
+def test_reshape_keeps_the_form_and_the_very_columns():
+    # stored (columns unbuilt and built), dict-held (columns never read),
+    # lazy (monomial or not, columns unbuilt and built) and a product whose
+    # rows were gathered whole
+    scaled = M([[0, 2], [3, 0]])
+    built, read = flip(QQ, 2, 2), tensor(scaled, scaled)
+    built.cols, read.cols
+    gathered = tensor(identity(QQ, shape(2)), flip(QQ, 1, 2))
+    linmap._gather(gathered)
+    for m in (identity(QQ, shape(2, 2)), built, LinMap(QQ, shape(4), shape(4), _Unread(({},) * 4)),
+              tensor(identity(QQ, shape(2)), flip(QQ, 1, 2)), tensor(identity(QQ, shape(2)), scaled),
+              read, gathered):
+        r = m.reshape(shape(m.dom.total), shape(m.cod.total))
+        assert r.monomial == m.monomial
+        assert r.rows is m.rows and r.factors is m.factors and r._cols is m._cols
+
+
+@pytest.mark.parametrize("fld", [QQ, GF5], ids=["Q", "GF5"])
+def test_an_int_one_in_dict_columns_stays_dict_held(fld):
+    # the twin of a monomial map: equal to it, read through the dict path,
+    # and giving the same witnesses and the same composites
+    cols = ({1: 1}, {}, {0: 1})
+    held = LinMap(fld, shape(3), shape(2), cols)
+    built = linmap.from_terms(fld, shape(3), shape(2), [(0, 1, 1), (2, 0, 1)])
+    assert not held.monomial and held.rows is None and built.rows == (1, -1, 0)
+    assert held == built and built == held
+    others = (zero_map(fld, shape(3), shape(2)), built.with_entry(1, 1, 1),
+              built.with_entry(1, 0, 2), LinMap.from_entries(fld, shape(3), shape(2),
+                                                             [[0, 0, 1], [1, 4, 0]]))
+    for other in others:
+        for got, want in ((first_mismatch(held, other), first_mismatch(built, other)),
+                          (first_mismatch(other, held), first_mismatch(other, built))):
+            assert got == want and _held_witness(got) == _held_witness(want)
+    swap = LinMap.from_entries(fld, shape(2), shape(2), [[0, 1], [1, 0]])
+    assert (swap @ held).rows is None and swap @ held == swap @ built
+    assert not tensor(held, swap).monomial and tensor(held, swap) == tensor(built, swap)
 
 
 # -- one builder from entry triples ------------------------------------------------
 
 
 def _from_terms_reference(fld, dom, cod, terms):
-    # a zero term and a sum that cancels are dropped on the spot
+    # a zero term and a sum that cancels are dropped on the spot; the map is
+    # monomial when each column meets one nonzero term at most, the int one
     cols = [{} for _ in range(dom.total)]
+    met = [[] for _ in range(dom.total)]
     for c, r, v in terms:
         if v:
+            met[c].append(v)
             cols[c][r] = fld.add(cols[c][r], v) if r in cols[c] else v
             if not cols[c][r]:
                 del cols[c][r]
+    if all(vs in ([], [1]) and all(type(v) is int for v in vs) for vs in met):
+        return LinMap(fld, dom, cod, rows=tuple(next(iter(c), -1) for c in cols))
     return LinMap(fld, dom, cod, tuple(cols))
 
 

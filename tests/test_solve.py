@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from hopfkit.errors import ShapeMismatch
 from hopfkit.fields import Field, QQ
-from hopfkit.linmap import LinMap, TensorShape, identity, shape
+from hopfkit.linmap import LinMap, TensorShape, from_terms, identity, shape
 from hopfkit.solve import invert, rref, solve
 
 from helpers import rank_of
@@ -192,11 +192,9 @@ def monomial_system(draw):
     raw = [{} if e is None else {e[0]: e[1]}
            for e in draw(st.lists(entry, min_size=ncols, max_size=ncols))]
     dom, cod = TensorShape((len(raw),)), TensorShape((nrows,))
-    m = LinMap(fld, dom, cod, tuple(raw))
-    # two stored zeros in one column keep the twin's columns as dicts
-    twin_cols = [dict(c) for c in raw]
-    twin_cols[0].update({r: 0 for r in (0, 1) if r not in twin_cols[0]})
-    twin = LinMap(fld, dom, cod, tuple(twin_cols))
+    m = from_terms(fld, dom, cod, [(j, i, v) for j, c in enumerate(raw) for i, v in c.items()])
+    # the raw columns handed to LinMap(...) stay dict columns
+    twin = LinMap(fld, dom, cod, tuple(raw))
     held = sorted({r for c in raw for r, v in c.items() if v})
     unheld = [r for r in range(nrows) if r not in held]
     kind = draw(st.sampled_from(["consistent", "inconsistent", "zero", "any"]))

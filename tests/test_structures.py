@@ -378,33 +378,43 @@ def test_convolution_inverse_refuses_a_one_sided_solution():
 
 
 def _solved_system(f, coalg, alg):
-    """The system :func:`convolution_inverse` hands to ``solve``, and the
-    inverse or refusal it ends in."""
-    seen = []
-    real = solve_module.solve
+    """The system :func:`convolution_inverse` hands to ``solve``, the terms
+    it was built from, and the inverse or refusal it ends in."""
+    seen, built = [], []
+    real_solve, real_build = solve_module.solve, structures.from_terms
 
     def spy(m, rhs):
         seen.append(m)
-        return real(m, rhs)
+        return real_solve(m, rhs)
+
+    def build(field, dom, cod, terms):
+        terms = list(terms)
+        m = real_build(field, dom, cod, terms)
+        built.append((m, terms))
+        return m
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solve_module, "solve", spy)
+        mp.setattr(structures, "from_terms", build)
         got = _inverse_or_message(convolution_inverse, f, coalg, alg)
-    return seen[0], got
+    terms, = [t for m, t in built if m is seen[0]]
+    return seen[0], terms, got
 
 
 def _assert_same_system(f, coalg, alg):
     """The system, its form and the inverse agree with the probing reference:
-    the system is monomial exactly when no column holds two nonzero rows or
-    a value other than the int one.  The values equal the reference's; their
+    the system is monomial exactly when no column meets two nonzero terms or
+    one other than the int one.  The values equal the reference's; their
     types are the system's own, since the reference's kernel copies a factor
     equal to one from either side."""
-    system, got = _solved_system(f, coalg, alg)
+    system, terms, got = _solved_system(f, coalg, alg)
     want = tuple({i: v for i, v in c.items() if v} for c in _probed_system(f, coalg, alg).cols)
     assert system.cols == want
-    assert system.monomial == all(len(c) <= 1 and all(type(v) is int and v == 1
-                                                      for v in c.values())
-                                  for c in system.cols)
+    met = collections.defaultdict(list)
+    for c, _, v in terms:
+        if v:
+            met[c].append(v)
+    assert system.monomial == all(vs == [1] and type(vs[0]) is int for vs in met.values())
     assert got == _inverse_or_message(_convolution_inverse_by_probing, f, coalg, alg)
     return system
 
@@ -426,20 +436,21 @@ def _point_problem(fld, dim, mu, f):
 
 
 # how the unknowns x[q] fill up, f = e_0 + e_1 throughout: the product, the
-# column x[0] ends with, and whether the system stays monomial
+# column x[0] ends with, and whether the system stays monomial (a column that
+# meets two nonzero terms is dict-held, even where they cancel to one row)
 POINT_CASES = {
     # x[1] meets row 1, then row 0: the dict fallback starts mid-build, after
     # x[0] and the first row of x[1] were written in the monomial form
     "second-row": (2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 1): {0: 1}}, {0: 1}, False),
     # row 0 of x[0] cancels (1 - 1), then x[0] meets row 1
     "cancel-then-row": (2, {(0, 0): {0: 1}, (0, 1): {0: 1}, (1, 0): {0: -1, 1: 1}},
-                        {1: 1}, True),
+                        {1: 1}, False),
     # x[0] holds rows 0 and 1, row 0 cancels, then x[0] meets row 2
     "dict-cancel-then-row": (3, {(0, 0): {0: 1, 1: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
                                  (1, 0): {0: -1, 2: 1}}, {1: 1, 2: 1}, False),
-    # x[0] holds rows 0 and 1, then row 0 cancels: one row left, so monomial
+    # x[0] holds rows 0 and 1, then row 0 cancels: one row left, dict-held
     "dict-cancel-to-one-row": (2, {(0, 0): {0: 1, 1: 1}, (0, 1): {0: 1}, (1, 0): {0: -1}},
-                               {1: 1}, True),
+                               {1: 1}, False),
 }
 
 
@@ -589,17 +600,16 @@ def test_convolution_inverse_builds_no_kronecker_product_before_its_solve(monkey
 
 
 def test_convolution_inverse_writes_its_system_in_the_monomial_form(monkeypatch):
-    # the n^3-column system of the curried action is written as rows, never
-    # read back through _monomial, and mu's entries are listed once, for the
-    # system and the closing check alike
+    # the n^3-column system of the curried action reaches solve as rows, and
+    # mu's entries are listed once, for the system and the closing check alike
     for k in (4, 8):
         problem = _curried_problem(_dihedral_conjugation(k))
         f, mu = problem[0], problem[2].mu
-        read_back, listed, calls = [], [], collections.Counter()
+        solved, listed, calls = [], [], collections.Counter()
 
-        def monomial(cols, one, real=linmap._monomial):
-            read_back.append(len(cols))
-            return real(cols, one)
+        def solve_spy(m, rhs, real=solve_module.solve):
+            solved.append(m)
+            return real(m, rhs)
 
         def terms(m, real=structures._terms):
             listed.append(m)
@@ -612,14 +622,14 @@ def test_convolution_inverse_writes_its_system_in_the_monomial_form(monkeypatch)
             return wrapped
 
         with monkeypatch.context() as m:
-            m.setattr(linmap, "_monomial", monomial)
+            m.setattr(solve_module, "solve", solve_spy)
             m.setattr(structures, "_terms", terms)
             for module, name in ((solve_module, "rref"), (linmap, "_kron_all"),
                                  (structures, "tensor"), (linmap, "compose")):
                 m.setattr(module, name, counting(name, getattr(module, name)))
             convolution_inverse(*problem)
         assert f.dom.total * f.cod.total == (2 * k) ** 3
-        assert all(n < (2 * k) ** 3 for n in read_back)
+        assert len(solved) == 1 and solved[0].rows is not None
         assert len(listed) == 1 and listed[0] is mu
         assert dict(calls) == {"compose": 1}
 
